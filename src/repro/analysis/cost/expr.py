@@ -44,9 +44,6 @@ class Term:
     def key(self) -> Tuple[Tuple[str, int], ...]:
         return tuple(sorted(self.powers.items()))
 
-    def scaled(self, factor: float) -> "Term":
-        return Term(self.coeff * factor, dict(self.powers))
-
     def times(self, other: "Term") -> "Term":
         powers = dict(self.powers)
         for atom, exp in other.powers.items():

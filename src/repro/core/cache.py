@@ -779,9 +779,6 @@ class BufferPool:
             self.evictions += 1
             self._notify("eviction", victim)
 
-    def _ensure_free_frame(self) -> None:
-        self._make_room(1)
-
     def _install_miss(self, block_id: int) -> Block:
         """Fault in one block whose miss is already counted (standalone
         ``get_many`` path)."""

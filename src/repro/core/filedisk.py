@@ -6,7 +6,8 @@ in one ordinary file, while inheriting **all** accounting from
 stalls, fault injection, torn writes, and checksums run through the
 exact same code paths, so every counter is bit-compatible with the
 dict-backed array on any workload.  Only the four storage hooks differ:
-``_load`` seeks and decodes, ``_store`` encodes and writes real bytes.
+``_load`` is one positional ``os.pread`` plus a decode, ``_store`` an
+encode plus one ``os.pwrite`` — no seek, no user-space buffer.
 
 The point is honest wall-clock: the simulated-step axis says how an
 algorithm *would* behave on 1998 hardware; running the same algorithm
@@ -15,31 +16,44 @@ through an actual file — so the benchmark suite can report both.  Typed
 payloads (:mod:`repro.core.records`) serialize via ``tobytes()``; object
 payloads fall back to pickle.
 
-Layout: blocks live at arbitrary extents ``(offset, capacity, length)``
-in the data file, tracked in memory and persisted to a JSON sidecar
-(``<path>.meta``) by :meth:`sync_metadata`.  Rewrites reuse the extent
-when the new image fits, else take a best-fit free extent, else append.
-Capacities are rounded up so the common rewrite-in-place case never
-relocates.  :meth:`sync_metadata` models an fsync'd commit point: a
-process that "crashes" after it can :meth:`open` the file again and see
-exactly the blocks the metadata recorded — the crash/restart story the
-fault suite exercises.
+Layout: blocks live at extents ``(offset, capacity, length)`` of the
+data file.  Every capacity is a *size class* — four classes per power of
+two, so an extent's slack is under 25% of its image — and the free
+extents of each class form one LIFO stack, so placing a block is O(1): a
+rewrite keeps the block's extent when the new image fits, else pops the
+stack for its class, else appends at the high-water mark.  The same rule
+serves fixed-width typed blocks and variable-size pickled ones.
+
+Commit rule: :meth:`sync_metadata` fsyncs the data and atomically
+persists the block table and free stacks to a JSON sidecar
+(``<path>.meta``); a process that "crashes" after it can :meth:`open`
+the file again and see exactly the blocks that commit recorded.  To keep
+those bytes intact, an extent the last commit recorded is never written
+again before the next one: rewriting its block takes a fresh extent
+(copy-on-write), and freeing it parks it until the next commit, when it
+joins the free stacks.  Before the first commit nothing is parked.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import tempfile
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from .disk import Block, DiskArray
 from .exceptions import ConfigurationError
 from .records import decode_block, encode_block
 
-#: capacity slack factor for fresh extents — room for the slightly
-#: larger re-encodings a rewritten block may need before relocating.
-_SLACK = 1.25
+
+@functools.lru_cache(maxsize=None)
+def _size_class(size: int) -> int:
+    """The smallest capacity ``>= size`` of the form ``k·2^e`` with
+    ``k`` in 4..7: four classes per power of two, so the slack is under
+    25% of ``size`` (sizes up to 8 bytes are their own class)."""
+    step = 1 << max(0, (size - 1).bit_length() - 3)
+    return -(-size // step) * step
 
 
 class FileDiskArray(DiskArray):
@@ -56,7 +70,10 @@ class FileDiskArray(DiskArray):
 
     Use :meth:`sync_metadata` to commit the block table and
     :meth:`open` to reattach after a restart.  :meth:`close` releases
-    the file handle (and deletes an unnamed temporary).
+    the file handle (and deletes an unnamed temporary).  Extents are
+    size-classed with one free stack per class; writes after a commit
+    never overwrite an extent that commit recorded (see the module
+    docstring).
     """
 
     def __init__(
@@ -78,16 +95,22 @@ class FileDiskArray(DiskArray):
             # em: ok(EM002) this IS the device layer; the file is the disk
             with open(path, "wb"):
                 pass
-        # "r+b", not append mode: extents are rewritten in place.
+        # "r+b", not append mode: extents are rewritten in place.  The
+        # handle only owns the fd (closed on GC); I/O is pread/pwrite.
         # em: ok(EM002) this IS the device layer; the file is the disk
-        self._file = open(path, "r+b")
-        self._file.seek(0, os.SEEK_END)
-        self._high_water = self._file.tell()
+        self._file = open(path, "r+b", buffering=0)
+        self._fd = self._file.fileno()
+        self._high_water = os.fstat(self._fd).st_size
         # block_id -> (offset, capacity, length) of its current extent;
         # None for an allocated-but-never-written (empty) block.
         self._extents: Dict[int, Optional[Tuple[int, int, int]]] = {}
-        # Reusable extents of freed/relocated blocks: (capacity, offset).
-        self._free: List[Tuple[int, int]] = []
+        # Reusable extents: capacity (a size class) -> LIFO offset stack.
+        self._free: Dict[int, List[int]] = {}
+        # Offsets of the extents the last commit recorded, and the
+        # (capacity, offset) extents released since, parked until the
+        # next commit.
+        self._committed: Set[int] = set()
+        self._parked: List[Tuple[int, int]] = []
 
     # ------------------------------------------------------------------
     # storage hooks (see DiskArray)
@@ -120,8 +143,8 @@ class FileDiskArray(DiskArray):
         if extent is None:
             return []
         offset, _, length = extent
-        self._file.seek(offset)
-        data = self._file.read(length)
+        # em: ok(EM002) this IS the device layer; the file is the disk
+        data = os.pread(self._fd, length, offset)
         if len(data) != length:
             raise ConfigurationError(
                 f"block {block_id}: file {self.path!r} truncated "
@@ -131,10 +154,12 @@ class FileDiskArray(DiskArray):
 
     def _store(self, block_id: int, payload: Block) -> None:
         data = encode_block(payload)
-        offset, capacity = self._place(block_id, len(data))
-        self._file.seek(offset)
-        self._file.write(data)
-        self._extents[block_id] = (offset, capacity, len(data))
+        size = len(data)
+        offset, capacity = self._place(block_id, size)
+        # em: ok(EM002) this IS the device layer; the file is the disk
+        if os.pwrite(self._fd, data, offset) != size:
+            raise OSError(f"block {block_id}: short write to {self.path!r}")
+        self._extents[block_id] = (offset, capacity, size)
 
     def _export(self, payload: Block) -> Block:
         # ``_load`` decoded a fresh object; no defensive copy needed.
@@ -145,33 +170,35 @@ class FileDiskArray(DiskArray):
     # ------------------------------------------------------------------
     def _place(self, block_id: int, size: int) -> Tuple[int, int]:
         """An extent ``(offset, capacity)`` able to hold ``size`` bytes:
-        the block's current extent when it fits, else the best-fitting
-        free extent, else fresh space at the end of the file."""
+        the block's current extent when it fits and no commit recorded
+        it, else the top of the free stack for ``size``'s class, else
+        fresh space at the end of the file."""
         current = self._extents.get(block_id)
         if current is not None:
             offset, capacity, _ = current
-            if size <= capacity:
+            if size <= capacity and offset not in self._committed:
                 return offset, capacity
-            self._free.append((capacity, offset))
-        best = None
-        for index, (capacity, _) in enumerate(self._free):
-            if capacity >= size and (best is None
-                                     or capacity < self._free[best][0]):
-                best = index
-        if best is not None:
-            capacity, offset = self._free.pop(best)
-            return offset, capacity
-        capacity = max(size, int(size * _SLACK))
+            self._release(offset, capacity)
+        capacity = _size_class(size)
+        stack = self._free.get(capacity)
+        if stack:
+            return stack.pop(), capacity
         offset = self._high_water
         self._high_water += capacity
         return offset, capacity
+
+    def _release(self, offset: int, capacity: int) -> None:
+        if offset in self._committed:
+            self._parked.append((capacity, offset))
+        else:
+            self._free.setdefault(capacity, []).append(offset)
 
     def free(self, block_id: int) -> None:
         extent = self._extents.pop(block_id, None)
         super().free(block_id)
         if extent is not None:
             offset, capacity, _ = extent
-            self._free.append((capacity, offset))
+            self._release(offset, capacity)
 
     # ------------------------------------------------------------------
     # persistence
@@ -180,9 +207,13 @@ class FileDiskArray(DiskArray):
         """Flush data bytes and atomically commit the block table to the
         ``<path>.meta`` sidecar — the durability point a later
         :meth:`open` recovers to (a checkpointed sort calls this when it
-        commits its manifest)."""
-        self._file.flush()
-        os.fsync(self._file.fileno())
+        commits its manifest).  Extents parked since the previous commit
+        join the free stacks: the new table no longer names them."""
+        os.fsync(self._fd)
+        free = {capacity: list(stack)
+                for capacity, stack in self._free.items()}
+        for capacity, offset in self._parked:
+            free.setdefault(capacity, []).append(offset)
         meta = {
             "block_capacity": self.block_capacity,
             "num_disks": self.num_disks,
@@ -197,7 +228,7 @@ class FileDiskArray(DiskArray):
             },
             "disk_of": {str(b): d for b, d in self._disk_of.items()},
             "sums": {str(b): s for b, s in self._sums.items()},
-            "free": self._free,
+            "free": {str(c): stack for c, stack in free.items()},
         }
         tmp_path = self.path + ".meta.tmp"
         # em: ok(EM002) device metadata sidecar, not model-visible data
@@ -206,6 +237,13 @@ class FileDiskArray(DiskArray):
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_path, self.path + ".meta")
+        self._free, self._parked = free, []
+        self._mark_committed()
+
+    def _mark_committed(self) -> None:
+        """Record every current extent as named by the latest commit."""
+        self._committed = {extent[0] for extent in self._extents.values()
+                           if extent is not None}
 
     @classmethod
     def open(cls, path: str) -> "FileDiskArray":
@@ -233,7 +271,8 @@ class FileDiskArray(DiskArray):
                 tuple(extent) if extent is not None else None
         disk._disk_of = {int(b): d for b, d in meta["disk_of"].items()}
         disk._sums = {int(b): s for b, s in meta["sums"].items()}
-        disk._free = [tuple(entry) for entry in meta["free"]]
+        disk._free = {int(c): stack for c, stack in meta["free"].items()}
+        disk._mark_committed()
         return disk
 
     def close(self, remove: Optional[bool] = None) -> None:

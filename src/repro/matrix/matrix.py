@@ -109,10 +109,6 @@ class ExternalMatrix:
     # ------------------------------------------------------------------
     # access
     # ------------------------------------------------------------------
-    def block_of(self, i: int, j: int) -> int:
-        """Block index holding entry ``(i, j)``."""
-        return (i * self.cols + j) // self.machine.block_size
-
     def get(self, i: int, j: int) -> Any:
         """Read a single entry through the buffer pool (cached)."""
         self._check_entry(i, j)

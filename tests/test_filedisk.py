@@ -10,6 +10,7 @@ against the metadata-sidecar durability point (:meth:`sync_metadata` /
 :meth:`FileDiskArray.open`).
 """
 
+import os
 import random
 
 import pytest
@@ -124,6 +125,24 @@ class TestCounterParity:
         assert result == reference == sorted(values.tolist())
         assert file_backed.stats() == reference_machine.stats()
 
+    @requires_numpy
+    def test_typed_striped_sort_counters_identical_on_four_disks(
+            self, tmp_path):
+        # The benchmark's shape in miniature: typed int64 payloads,
+        # StripedStream over D=4, default fan-in, parallel-disk waves.
+        values = np.array(shuffled(2048, seed=6), dtype=np.int64)
+        outputs = []
+        machines = [memory_machine(B=16, m=8, D=4),
+                    file_machine(tmp_path, B=16, m=8, D=4)]
+        for m in machines:
+            stream = StripedStream.from_payload(m, values)
+            out = external_merge_sort(m, stream, stream_cls=StripedStream)
+            outputs.append([block.tolist() for block in out.iter_blocks()])
+        assert outputs[0] == outputs[1]
+        assert sum(outputs[1], []) == sorted(values.tolist())
+        assert machines[1].stats() == machines[0].stats()
+        assert machines[1].stats().read_steps < machines[1].stats().reads
+
 
 # ----------------------------------------------------------------------
 # real-bytes persistence
@@ -186,6 +205,103 @@ class TestPersistence:
             recovered.read(torn_id)
         # The clean sibling block reads back intact.
         assert list(recovered.read(stream.block_ids[1])) == data[8:]
+        recovered.close(remove=False)
+
+
+# ----------------------------------------------------------------------
+# the commit rule: writes after a sync never touch committed bytes
+# ----------------------------------------------------------------------
+class TestCommitRule:
+    def test_relocated_block_extent_not_reused_before_next_sync(
+            self, tmp_path):
+        path = str(tmp_path / "cow.blocks")
+        disk = FileDiskArray(64, path=path)
+        a = disk.allocate()
+        disk.write(a, [1, 2])
+        disk.sync_metadata()
+        disk.write(a, list(range(60)))  # outgrows its extent: relocates
+        c = disk.allocate()
+        disk.write(c, ["c"])  # must not land on a's committed extent
+        disk.close(remove=False)  # crash: nothing after the sync counts
+
+        recovered = FileDiskArray.open(path)
+        assert list(recovered.read(a)) == [1, 2]
+        assert not recovered.is_allocated(c)
+        recovered.close(remove=False)
+
+    def test_in_place_rewrite_after_sync_keeps_committed_image(
+            self, tmp_path):
+        path = str(tmp_path / "inplace.blocks")
+        disk = FileDiskArray(64, path=path)
+        a = disk.allocate()
+        disk.write(a, list(range(20)))
+        disk.sync_metadata()
+        disk.write(a, list(range(100, 121)))  # fits the old extent
+        disk.close(remove=False)
+
+        recovered = FileDiskArray.open(path)
+        assert list(recovered.read(a)) == list(range(20))
+        recovered.close(remove=False)
+
+    def test_freed_committed_block_survives_crash(self, tmp_path):
+        path = str(tmp_path / "park.blocks")
+        disk = FileDiskArray(4, path=path)
+        a = disk.allocate()
+        disk.write(a, [7, 7, 7, 7])
+        disk.sync_metadata()
+        disk.free(a)
+        b = disk.allocate()
+        disk.write(b, [8, 8, 8, 8])  # a's extent is parked, not reused
+        disk.close(remove=False)
+
+        recovered = FileDiskArray.open(path)
+        assert list(recovered.read(a)) == [7, 7, 7, 7]
+        assert not recovered.is_allocated(b)
+        recovered.close(remove=False)
+
+    def test_parked_extent_is_reused_after_next_sync(self, tmp_path):
+        path = str(tmp_path / "unpark.blocks")
+        disk = FileDiskArray(4, path=path)
+        a = disk.allocate()
+        disk.write(a, [7, 7, 7, 7])
+        disk.sync_metadata()
+        disk.free(a)
+        disk.sync_metadata()  # no committed table names a's extent now
+        size = os.path.getsize(path)
+        b = disk.allocate()
+        disk.write(b, [8, 8, 8, 8])
+        assert os.path.getsize(path) == size
+        assert list(disk.read(b)) == [8, 8, 8, 8]
+        disk.close(remove=False)
+
+
+# ----------------------------------------------------------------------
+# repeated use of one file
+# ----------------------------------------------------------------------
+class TestReuse:
+    @requires_numpy
+    def test_repeated_striped_sorts_do_not_grow_the_file(self, tmp_path):
+        path = str(tmp_path / "reuse.blocks")
+        disk = FileDiskArray(16, num_disks=4, path=path)
+        m = Machine(block_size=16, memory_blocks=8, num_disks=4, disk=disk)
+        values = np.array(shuffled(3000, seed=10), dtype=np.int64)
+        stream = StripedStream.from_payload(m, values)
+        sizes = []
+        for _ in range(3):
+            out = external_merge_sort(m, stream, stream_cls=StripedStream)
+            got = np.concatenate(list(out.iter_blocks()))
+            assert got.tolist() == sorted(values.tolist())
+            out.delete()
+            sizes.append(os.path.getsize(path))
+        assert sizes[1] == sizes[0] and sizes[2] == sizes[0]
+
+        disk.sync_metadata()
+        disk.close(remove=False)
+        recovered = FileDiskArray.open(path)
+        block = recovered.allocate()
+        recovered.write(block, values[:16].copy())
+        assert os.path.getsize(path) == sizes[0]
+        assert recovered.read(block).tolist() == values[:16].tolist()
         recovered.close(remove=False)
 
 
