@@ -69,13 +69,14 @@ def concat(parts: Sequence[Sequence[Any]]) -> Sequence[Any]:
     first = parts[0]
     if np is not None and isinstance(first, np.ndarray) \
             and all(isinstance(p, np.ndarray) for p in parts):
-        if first.ndim == 1 and all(p.ndim == 1
-                                   and p.dtype == first.dtype
-                                   for p in parts):
+        if first.dtype.names is not None and first.ndim == 1 \
+                and all(p.ndim == 1 and p.dtype == first.dtype
+                        for p in parts):
             # Preallocate-and-assign: ``np.concatenate`` re-derives a
             # promoted dtype per input, which is measurably hot for
             # structured dtypes on the merge path; same-dtype parts
-            # need only memcpy.
+            # need only memcpy.  Plain dtypes are cheaper to promote
+            # than these checks, so they go straight to numpy.
             out = np.empty(sum(len(p) for p in parts),
                            dtype=first.dtype)
             pos = 0

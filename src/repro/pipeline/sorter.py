@@ -248,7 +248,7 @@ class Sorter:
         readers = [self._prefetcher.block_reader(i)
                    for i in range(len(self._runs))]
         self._pull = self._pull_iter(
-            BlockMerger(readers, key=self._key)
+            BlockMerger.over(readers, key=self._key)
         )
         return self._pull
 

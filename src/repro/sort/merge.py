@@ -11,12 +11,13 @@ Two merge engines are provided:
 * :class:`LoserTree` — a tournament tree of losers (Knuth 5.4.1) over
   record iterators: ``O(log k)`` comparisons per emitted record.  Used
   where inputs only exist as record iterators (the sequence heap).
-* :class:`BlockMerger` — the raw-speed engine :func:`merge_streams`
-  uses: it consumes whole block payloads, *gallops* by binary search to
-  the longest emitable prefix of the leading run, and moves records as
-  slices.  Comparisons drop from one tournament per record to
-  ``O(log B)`` per segment, and typed payloads (numpy/``array``) are
-  never unpacked into Python objects at all.
+* :class:`BlockMerger` — the engine every block merge runs, eager
+  (:func:`merge_streams`, the pipelined ``Sorter``) and cooperative
+  (:func:`repro.sort.steps.merge_sort_steps`).  It consumes whole block
+  payloads and refills a run only when its resident block is used up.
+  Typed payloads merge in incremental rounds of a constant number of
+  numpy calls and are never unpacked into Python objects; other
+  payloads gallop by binary search and move records as slices.
 
 Both are stable: ties are broken by ascending source index.
 """
@@ -26,15 +27,14 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left, bisect_right
 from collections import deque
-from typing import Any, Callable, Dict, Iterable, Iterator, List, \
-    Optional, Sequence, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Sequence, \
+    Tuple
 
 from ..analysis.sanitizer import io_bound
 from ..core.bounds import scan_io, sort_io
 from ..core.exceptions import ConfigurationError, StreamError
 from ..core.machine import Machine
-from ..core.records import BlockBuilder, concat, key_column, key_list, \
-    np, take
+from ..core.records import BlockBuilder, concat, key_column, key_list, np
 from ..core.stream import FileStream
 from ..runtime.prefetch import ForecastingPrefetcher
 from .runs import form_runs_load_sort, form_runs_replacement_selection, identity
@@ -146,262 +146,216 @@ class LoserTree:
         return record
 
 
-class _RunCursor:
-    """One input run of a :class:`BlockMerger`: the current block's
-    payload, its extracted keys, and the next emit position."""
-
-    __slots__ = ("_blocks", "payload", "keys", "kcol", "pos")
-
-    def __init__(self, blocks: Iterator[Sequence[Any]]):
-        self._blocks = blocks
-        self.payload: Sequence[Any] = ()
-        self.keys: Optional[List[Any]] = []
-        self.kcol = None
-        self.pos = 0
-
-    def advance(self, key: Callable[[Any], Any],
-                want_keys: bool = True) -> bool:
-        """Load the run's next non-empty block; False when exhausted.
-
-        ``want_keys`` builds the plain-scalar key list the tournament
-        path bisects over (native comparisons even for numpy payloads);
-        the batch path passes False and merges on the vectorized
-        ``kcol`` column instead."""
-        for payload in self._blocks:
-            if len(payload):
-                self.payload = payload
-                self.kcol = key_column(payload, key)
-                if want_keys or self.kcol is None:
-                    self.keys = key_list(payload, key)
-                else:
-                    self.keys = None
-                self.pos = 0
-                return True
-        return False
-
-    def tail_keys(self):
-        """Keys of the not-yet-emitted remainder of the current block,
-        as an ndarray."""
-        column = self.kcol
-        if column is None:
-            # A heterogeneous run slipped an object block into a batch
-            # merge: lift its extracted keys into an array so the round
-            # stays vectorized.
-            column = np.asarray(self.keys)
-        return column[self.pos:] if self.pos else column
-
-
 class BlockMerger:
-    """Merge ``k`` sorted *block* iterators by galloping.
+    """Merge ``k`` sorted runs given as whole block payloads.
 
-    Where :class:`LoserTree` runs one tournament per record, this engine
-    binary-searches the leading run's key list for the longest prefix
-    that may be emitted before any other run gets a turn, and emits it
-    as one ``(payload, start, stop)`` segment.  Sorted stretches cost
-    ``O(log B)`` comparisons per *segment* instead of ``O(log k)`` per
-    record, and records move as whole slices — a typed payload is never
-    unpacked into Python objects.
+    The merger starts from each run's first block and asks for a run's
+    next block only when that run's resident block is used up — the
+    same refill order as a record-at-a-time heap merge, so both drivers
+    keep their exact I/O schedules:
 
-    Equal keys are emitted in ascending source order (the same
-    stability contract as :class:`LoserTree`).
+    * the eager path (:meth:`over`) pulls refills from per-run block
+      iterators, e.g. ``ForecastingPrefetcher.block_reader``;
+    * the cooperative path (:func:`repro.sort.steps.merge_sort_steps`)
+      passes no ``fetch`` hook: :meth:`segments` then *yields* the run
+      index it needs and takes the block back via ``send`` (``None``
+      once the run is exhausted), so the caller can turn each refill
+      into a ``StreamRead`` intent.
+
+    Two engines sit behind :meth:`segments`:
+
+    * **The typed round**, when every head is an ndarray of one dtype
+      with a vectorizable key column.  It keeps one sorted key column
+      of the resident records not yet emitted, an ``int32`` run tag
+      per record (equal keys stay in run order), the payload column
+      for :func:`~repro.core.records.field` keys, and a heap of
+      ``(last resident key, run)``.  With ``bound, c = heap[0]``,
+      unseen records of run ``c`` are ``>= bound`` and unseen records
+      of any other run exceed their own last key ``>= bound``; so a
+      round emits the resident prefix up to ``bound`` plus the
+      ``== bound`` ties tagged ``<= c`` — exactly run ``c``'s block
+      and everything before it — refills ``c``, and places the new
+      block with one ``searchsorted`` and one mask (plus, when it ties
+      a resident key, a running count of lower-run tags).  A round is
+      a constant number of numpy calls, whatever ``k``.
+    * **Galloping**, for object payloads and opaque keys: the leading
+      run's key list is binary-searched for the longest prefix below
+      the runner-up, emitted as one segment — ``O(log B)`` comparisons
+      per segment instead of ``O(log k)`` per record.
+
+    Both are stable: ties go to the lower run index, then input order.
 
     Args:
-        sources: iterators yielding whole sorted block payloads, one
-            per run — e.g. ``ForecastingPrefetcher.block_reader`` or
-            ``FileStream.iter_blocks``.
+        heads: each run's first block, or ``None`` for an empty run.
         key: key extraction function (defaults to identity; pass
             :func:`repro.core.records.field` to keep column extraction
             vectorized on structured arrays).
+        fetch: ``fetch(run)`` returns the run's next block, or ``None``
+            once it is exhausted.
     """
 
     def __init__(
         self,
-        sources: List[Iterator[Sequence[Any]]],
+        heads: List[Optional[Sequence[Any]]],
         key: Optional[Callable[[Any], Any]] = None,
+        fetch: Optional[Callable[[int], Optional[Sequence[Any]]]] = None,
     ):
-        if not sources:
+        if not heads:
             raise ConfigurationError(
                 "BlockMerger needs at least one source"
             )
+        self._heads = list(heads)
         self._key = key or identity
-        self._cursors = [_RunCursor(source) for source in sources]
-        heap: List[Tuple[Any, int]] = []
-        for index, cursor in enumerate(self._cursors):
-            if cursor.advance(self._key):
-                heap.append((cursor.keys[0], index))
-        heapq.heapify(heap)
-        self._heap = heap
-        # Batch mode: every live run exposes a vectorized key column,
-        # so rounds of one stable argsort each replace the tournament
-        # (random keys make galloping segments degenerate to a record
-        # or two, and per-segment Python overhead then dominates).
-        # em: ok(EM004) sorts the k ≤ m run indexes, not records
-        self._active = sorted(index for _, index in heap)
-        self._batch = np is not None and bool(heap) and all(
-            self._cursors[index].kcol is not None
-            for index in self._active
-        )
+        self._fetch = fetch
+
+    @classmethod
+    def over(
+        cls,
+        sources: List[Iterator[Sequence[Any]]],
+        key: Optional[Callable[[Any], Any]] = None,
+    ) -> "BlockMerger":
+        """A merger that pulls each run's blocks from its iterator."""
+        return cls([next(source, None) for source in sources], key,
+                   fetch=lambda run: next(sources[run], None))
+
+    def _refill(self, run: int):
+        """The next non-empty block of ``run``, or ``None`` at its end
+        (a sub-generator: without a fetch hook it yields ``run``)."""
+        fetch = self._fetch
+        while True:
+            block = fetch(run) if fetch is not None else (yield run)
+            if block is None or len(block):
+                return block
+
+    def _rest(self, run: int):
+        """Stream a lone surviving run's remaining blocks whole."""
+        block = yield from self._refill(run)
+        while block is not None:
+            yield block, 0, len(block)
+            block = yield from self._refill(run)
 
     def segments(self) -> Iterator[Tuple[Sequence[Any], int, int]]:
-        """Yield the merge as maximal ``(payload, start, stop)``
-        segments, in key order."""
-        heap = self._heap
-        cursors = self._cursors
+        """Yield the merge as ``(payload, start, stop)`` segments, in
+        key order (and, without a fetch hook, the refill requests)."""
+        live = [head for head in self._heads if head is not None]
+        column = key_column(live[0], self._key) if live else None
+        if column is not None and column.dtype != object and all(
+                isinstance(head, np.ndarray)
+                and head.dtype == live[0].dtype for head in live):
+            return self._typed_rounds(live[0].dtype)
+        return self._gallop()
+
+    def _typed_rounds(self, dtype):
         key = self._key
-        while heap:
-            _, index = heap[0]
-            cursor = cursors[index]
-            if len(heap) == 1:
-                # Lone survivor: stream its remaining blocks whole.
-                heapq.heappop(heap)
-                yield cursor.payload, cursor.pos, len(cursor.keys)
-                while cursor.advance(key):
-                    yield cursor.payload, 0, len(cursor.keys)
+        by_value = key is identity
+        fetch = self._fetch
+        parts, tags, heap = [], [], []
+        for run, head in enumerate(self._heads):
+            if head is not None and not len(head):
+                head = yield from self._refill(run)
+            if head is None:
                 continue
+            head = np.asarray(head, dtype=dtype)
+            parts.append(head)
+            tags.append(np.full(len(head), run, np.int32))
+            heap.append((key_column(head, key).item(-1), run))
+        if not heap:
+            return
+        heapq.heapify(heap)
+        payload = concat(parts)
+        keys = key_column(payload, key)
+        order = keys.argsort(kind="stable")
+        keys = keys[order]
+        tags = np.concatenate(tags)[order]
+        payload = keys if by_value else payload[order]
+        steps = np.arange(max(map(len, parts)))
+        while heap:
+            bound, run = heap[0]
+            if len(heap) == 1:
+                yield payload, 0, len(payload)
+                yield from self._rest(run)
+                return
+            cut = keys.searchsorted(bound, "right")
+            if cut > 1 and keys.item(cut - 2) == bound:
+                # Ties at the bound: only those of runs up to ``run``.
+                low = keys.searchsorted(bound, "left")
+                cut = low + int(tags[low:cut].searchsorted(run, "right"))
+            yield payload, 0, cut
+            keys, tags = keys[cut:], tags[cut:]
+            payload = keys if by_value else payload[cut:]
+            block = fetch(run) if fetch is not None else (yield run)
+            if block is not None and not len(block):
+                block = yield from self._refill(run)
+            if block is None:
+                heapq.heappop(heap)
+                continue
+            # A heterogeneous run may slip in a list block: lift it.
+            block = np.asarray(block, dtype=dtype)
+            column = block if by_value else key_column(block, key)
+            heapq.heapreplace(heap, (column.item(-1), run))
+            # Each record of the block goes after the resident records
+            # of smaller keys and, among equal keys, of lower runs.
+            where = keys.searchsorted(column)
+            if np.count_nonzero(keys.take(where, mode="clip") == column):
+                below = np.zeros(len(keys) + 1, np.intp)
+                np.cumsum(tags < run, out=below[1:])
+                after = keys.searchsorted(column, "right")
+                where += below[after] - below[where]
+            if len(block) > len(steps):
+                steps = np.arange(len(block))
+            where += steps[:len(block)]
+            rest = np.empty(len(keys) + len(block), bool)
+            rest[:] = True  # cheaper than ``np.ones`` at block sizes
+            rest[where] = False
+            keys = _place(keys, column, where, rest)
+            tags = _place(tags, run, where, rest)
+            payload = keys if by_value else \
+                _place(payload, block, where, rest)
+
+    def _gallop(self):
+        key = self._key
+        blocks = list(self._heads)
+        keys = [None] * len(blocks)
+        pos = [0] * len(blocks)
+        heap: List[Tuple[Any, int]] = []
+        for run, head in enumerate(blocks):
+            if head is not None and not len(head):
+                head = blocks[run] = yield from self._refill(run)
+            if head is not None:
+                keys[run] = key_list(head, key)
+                heap.append((keys[run][0], run))
+        heapq.heapify(heap)
+        while heap:
+            _, run = heap[0]
+            run_keys = keys[run]
+            start = pos[run]
+            if len(heap) == 1:
+                yield blocks[run], start, len(run_keys)
+                yield from self._rest(run)
+                return
             # The runner-up is the smaller child of the heap root.
             runner_key, runner = heap[1]
             if len(heap) > 2 and heap[2] < heap[1]:
                 runner_key, runner = heap[2]
-            keys = cursor.keys
-            start = cursor.pos
             # Gallop: everything below the runner-up key is safe to
-            # emit, and so are ties when this source wins them (lower
+            # emit, and so are ties when this run wins them (lower
             # index).  The root strictly precedes the runner-up, so the
             # segment is never empty.
-            if index < runner:
-                stop = bisect_right(keys, runner_key, start)
+            if run < runner:
+                stop = bisect_right(run_keys, runner_key, start)
             else:
-                stop = bisect_left(keys, runner_key, start)
-            yield cursor.payload, start, stop
-            if stop < len(keys):
-                cursor.pos = stop
-                heapq.heapreplace(heap, (keys[stop], index))
-            elif cursor.advance(key):
-                heapq.heapreplace(heap, (cursor.keys[0], index))
-            else:
+                stop = bisect_left(run_keys, runner_key, start)
+            yield blocks[run], start, stop
+            if stop < len(run_keys):
+                pos[run] = stop
+                heapq.heapreplace(heap, (run_keys[stop], run))
+                continue
+            block = yield from self._refill(run)
+            if block is None:
                 heapq.heappop(heap)
-
-    def _rounds(self) -> Iterator[Sequence[Any]]:
-        """Batch merge engine: each round emits, as one already-sorted
-        chunk, every resident record that provably precedes everything
-        still on disk.
-
-        Let ``bound`` be the smallest last-resident key over the live
-        runs and ``c`` the lowest such run.  Unseen records of ``c``
-        are ``>= bound``; unseen records of any other run exceed their
-        own last resident key ``>= bound``.  So the safe set is exactly
-        the resident keys ``< bound`` plus the ``== bound`` ties from
-        runs up to ``c`` — which includes all of ``c``'s resident
-        block, so every round consumes at least one whole block.  One
-        stable argsort over the concatenated key columns orders the set
-        with the tournament's tie rule (ascending run, then input
-        order), record payloads are gathered once per round, and no
-        per-record Python runs at all.
-        """
-        key = self._key
-        cursors = self._cursors
-        active = list(self._active)
-        # Last resident key per cursor as a *native* scalar: the min
-        # scan below runs every round, and converting once per refill
-        # keeps it out of numpy scalar dispatch.
-        last: Dict[int, Any] = {}
-        for index in active:
-            cursor = cursors[index]
-            last[index] = cursor.keys[-1] if cursor.keys is not None \
-                else cursor.tail_keys()[-1].item()
-        while active:
-            if len(active) == 1:
-                # Lone survivor: stream its remaining blocks whole.
-                cursor = cursors[active[0]]
-                payload = cursor.payload
-                yield payload[cursor.pos:] if cursor.pos else payload
-                while cursor.advance(key, want_keys=False):
-                    yield cursor.payload
-                return
-            tails = []
-            vectorized = True
-            min_j = 0
-            min_last = None
-            for j, index in enumerate(active):
-                cursor = cursors[index]
-                tails.append(cursor.tail_keys())
-                if cursor.kcol is None:
-                    vectorized = False
-                lk = last[index]
-                if min_last is None or lk < min_last:
-                    min_last = lk
-                    min_j = j
-            bound = min_last
-            all_keys = np.concatenate(tails)
-            # Safe set: keys < bound anywhere, plus the == bound ties
-            # from runs up to min_j.  Each tail is sorted, so one
-            # scalar bisection per run counts its safe prefix — runs
-            # below min_j surrender their == bound ties, runs above
-            # keep them, and min_j's resident block is consumed whole
-            # (every round makes at least one block of progress).  The
-            # round size is the sum of those prefixes: the bisections
-            # double as both the cut and the cursor advances.
-            consumed = []
-            cut = 0
-            for j, tail in enumerate(tails):
-                if j == min_j:
-                    count = len(tail)
-                else:
-                    side = "right" if j < min_j else "left"
-                    count = int(tail.searchsorted(bound, side))
-                consumed.append(count)
-                cut += count
-            if vectorized and key is identity \
-                    and all_keys.dtype != object:
-                # Identity keys: the key column *is* the payload, and
-                # every ``== bound`` tie is the same value — so sorting
-                # the concatenation and slicing the safe prefix yields
-                # byte-identical output to argsort + gather, one value
-                # sort instead of an index sort plus a fancy index.
-                # em: ok(EM004) sorts the k ≤ m resident tails, not N
-                yield np.sort(all_keys)[:cut]
-            else:
-                # Stable argsort emits ties in concatenation order —
-                # runs ascending, then input order: the tournament's
-                # tie rule.
-                safe = all_keys.argsort(kind="stable")[:cut]
-                yield self._gather(
-                    active, safe, all_keys if vectorized else None
-                )
-            survivors = []
-            for j, index in enumerate(active):
-                cursor = cursors[index]
-                cursor.pos += consumed[j]
-                if cursor.pos < len(cursor.payload):
-                    survivors.append(index)
-                elif cursor.advance(key, want_keys=False):
-                    last[index] = cursor.tail_keys()[-1].item()
-                    survivors.append(index)
-            active = survivors
-
-    def _gather(self, active, safe,
-                all_keys=None) -> Sequence[Any]:
-        """Materialize one round's safe set in merged order: the single
-        per-round permutation pass of the key-pointer merge.  Records
-        move as one concatenation plus one fancy index — at block
-        granularity the extra memcpy is far cheaper than per-part
-        masking."""
-        cursors = self._cursors
-        if all_keys is not None and self._key is identity \
-                and isinstance(all_keys, np.ndarray) \
-                and all_keys.dtype != object:
-            # Identity keys: the key column *is* the payload, so the
-            # round's concatenation doubles as the gather source.
-            return all_keys[safe]
-        parts = []
-        for index in active:
-            cursor = cursors[index]
-            payload = cursor.payload
-            parts.append(payload[cursor.pos:] if cursor.pos else payload)
-        merged = concat(parts)
-        if isinstance(merged, np.ndarray):
-            return merged[safe]
-        return take(merged, safe)
+                continue
+            blocks[run], keys[run], pos[run] = block, key_list(block, key), 0
+            heapq.heapreplace(heap, (keys[run][0], run))
 
     def blocks(self, block_size: int) -> Iterator[Sequence[Any]]:
         """Yield the merge re-blocked into exactly-``block_size``-record
@@ -410,16 +364,10 @@ class BlockMerger:
         record-at-a-time writer."""
         pending: deque = deque()
         builder = BlockBuilder(block_size, pending.append)
-        if self._batch:
-            for chunk in self._rounds():
-                builder.push(chunk)
-                while pending:
-                    yield pending.popleft()
-        else:
-            for payload, start, stop in self.segments():
-                builder.push(payload, start, stop)
-                while pending:
-                    yield pending.popleft()
+        for payload, start, stop in self.segments():
+            builder.push(payload, start, stop)
+            while pending:
+                yield pending.popleft()
         builder.flush()
         while pending:
             yield pending.popleft()
@@ -427,15 +375,20 @@ class BlockMerger:
     def records(self) -> Iterator[Any]:
         """Yield the merge record by record — the drop-in replacement
         for iterating a :class:`LoserTree`."""
-        if self._batch:
-            for chunk in self._rounds():
-                yield from chunk
-            return
         for payload, start, stop in self.segments():
             if start == 0 and stop == len(payload):
                 yield from payload
             else:
                 yield from payload[start:stop]
+
+
+def _place(resident, new, where, rest):
+    """Merge ``new`` into ``resident``: ``where`` holds the new
+    records' output slots, ``rest`` masks the resident ones."""
+    out = np.empty(len(rest), resident.dtype)
+    out[where] = new
+    out[rest] = resident
+    return out
 
 
 # Transfers, not steps: the envelope is D-independent (see runs.py).
@@ -490,7 +443,7 @@ def merge_streams(
         try:
             readers = [prefetcher.block_reader(i)
                        for i in range(len(streams))]
-            merger = BlockMerger(readers, key=key)
+            merger = BlockMerger.over(readers, key=key)
             for block in merger.blocks(machine.B):
                 output.append_block(block)
         finally:

@@ -9,6 +9,13 @@ of working memory is reserved from a caller-supplied *budget* — a
 tenant's :class:`~repro.core.memory.SubBudget` under the service, the
 machine's global :class:`~repro.core.memory.MemoryBudget` standalone.
 
+It runs the eager sort's engines, not copies of them: each memoryload
+is ordered key-pointer style (one stable ``argsort``, one ``take``; a
+typed payload stays typed), and each merge group is a
+:class:`~repro.sort.merge.BlockMerger` whose refill requests become
+``StreamRead`` intents — one block each, in the order a
+record-at-a-time heap merge would ask for them.
+
 The memoryload shrinks to the budget actually available, so a tenant
 with a small share forms shorter runs (and pays more merge passes)
 instead of overflowing its share — the fair-share analogue of the
@@ -22,13 +29,14 @@ exactly what its jobs reserved.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
 from typing import Any, Callable, List, Optional
 
 from ..core.exceptions import ConfigurationError
 from ..core.intents import StreamRead
 from ..core.machine import Machine
+from ..core.records import BlockBuilder, argsort, concat, take
 from ..core.stream import FileStream
+from .merge import BlockMerger
 from .runs import identity
 
 
@@ -75,11 +83,10 @@ def merge_sort_steps(
         for start in range(0, len(block_ids), blocks_per_run):
             wanted = block_ids[start:start + blocks_per_run]
             with budget.reserve(len(wanted) * B):
-                payloads = yield StreamRead(wanted)
-                chunk = [record for payload in payloads
-                         for record in payload]
-                # em: ok(EM004) one memoryload ≤ m·B, reserved
-                chunk.sort(key=key)
+                chunk = concat((yield StreamRead(wanted)))
+                # Key-pointer ordering, as in the eager run formation:
+                # one stable argsort, records moved once by ``take``.
+                chunk = take(chunk, argsort(chunk, key))
                 run = FileStream(machine, name=f"{name}/run/{len(runs)}")
                 for offset in range(0, len(chunk), B):
                     run.append_block(chunk[offset:offset + B])
@@ -139,59 +146,38 @@ def _merge_group_steps(
     """Merge one group of sorted runs cooperatively.
 
     Holds one block per input run plus one output buffer, all reserved
-    from ``budget``; exhausted cursors refill with one ``StreamRead``
-    each (the driver batches refills across jobs into shared waves).
+    from ``budget``.  The merge is a :class:`~repro.sort.merge.BlockMerger`
+    without a fetch hook: each block it asks for becomes one
+    ``StreamRead`` (the driver batches refills across jobs into shared
+    waves), and each full output block is appended as it completes.
     """
     B = machine.block_size
     ids = [list(member.block_ids) for member in group]
     out = FileStream(machine, name=name)
     with budget.reserve((len(group) + 1) * B):
         try:
-            first = [run_ids[0] for run_ids in ids if run_ids]
-            payloads = yield StreamRead(first)
-            blocks: List[List[Any]] = []
-            position = 0
-            for run_ids in ids:
-                if run_ids:
-                    blocks.append(payloads[position])
-                    position += 1
-                else:
-                    blocks.append([])
-            # Heap of (key, run index, record): run index both breaks
-            # key ties in input order (stability) and avoids comparing
-            # records directly.
-            cursor = [0] * len(group)  # next block to fetch per run
-            offset = [0] * len(group)  # next record within the block
-            heap = []
-            for index, block in enumerate(blocks):
-                if block:
-                    heap.append((key(block[0]), index, block[0]))
-                    offset[index] = 1
-                    cursor[index] = 1
-            heapify(heap)
-            buffer: List[Any] = []
-            while heap:
-                _, index, record = heappop(heap)
-                buffer.append(record)
-                if len(buffer) == B:
-                    out.append_block(buffer)
-                    buffer = []
-                if offset[index] >= len(blocks[index]):
-                    if cursor[index] < len(ids[index]):
-                        [payload] = yield StreamRead(
-                            [ids[index][cursor[index]]]
-                        )
-                        blocks[index] = payload
-                        cursor[index] += 1
-                        offset[index] = 0
+            first = iter((yield StreamRead(
+                [run_ids[0] for run_ids in ids if run_ids])))
+            fetched = [1] * len(ids)
+            segments = BlockMerger(
+                [next(first) if run_ids else None for run_ids in ids], key
+            ).segments()
+            builder = BlockBuilder(B, out.append_block)
+            block = None
+            try:
+                while True:
+                    item = segments.send(block)
+                    block = None
+                    if item.__class__ is int:
+                        # A refill request: run ``item``'s next block.
+                        if fetched[item] < len(ids[item]):
+                            [block] = yield StreamRead(
+                                [ids[item][fetched[item]]])
+                            fetched[item] += 1
                     else:
-                        blocks[index] = []
-                        continue
-                record = blocks[index][offset[index]]
-                offset[index] += 1
-                heappush(heap, (key(record), index, record))
-            if buffer:
-                out.append_block(buffer)
+                        builder.push(*item)
+            except StopIteration:
+                builder.flush()
         except BaseException:
             out.delete()
             raise

@@ -307,6 +307,28 @@ class TestTypePreservation:
         assert isinstance(out, np.ndarray)
         assert out.dtype == np.int8
 
+    def test_cooperative_sort_preserves_type(self, monkeypatch):
+        from repro.core.intents import drive
+        from repro.sort import merge_sort_steps
+        m = machine()
+        data = np.random.default_rng(3).integers(-999, 999, 400)
+        stream = FileStream.from_payload(m, data)
+        written = []
+        append_block = FileStream.append_block
+
+        def spy(self, records):
+            written.append(records)
+            append_block(self, records)
+
+        monkeypatch.setattr(FileStream, "append_block", spy)
+        out = drive(m, merge_sort_steps(m, stream))
+        # Runs and merge outputs are both written block by block.
+        assert len(written) > 2 * stream.num_blocks
+        for block in written + list(out.iter_blocks()):
+            assert isinstance(block, np.ndarray)
+            assert block.dtype == data.dtype
+        assert list(out) == sorted(data.tolist())
+
 
 # ----------------------------------------------------------------------
 # block assembly

@@ -1,5 +1,6 @@
 """Tests for the loser tree, merge passes, and external merge sort."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from repro.core import (
     FileStream,
     Machine,
     MemoryLimitExceeded,
+    field,
     merge_passes,
     scan_io,
     sort_io,
@@ -253,3 +255,41 @@ class TestExternalMergeSort:
             m, FileStream.from_records(m, data), fan_in=fan_in
         )
         assert list(out) == sorted(data)
+
+
+class TestTypedMergeIO:
+    """The typed merge round refills runs in the galloping merge's
+    order: an int64 ndarray and the same values as a list of ints sort
+    to the same output with the same ``IOStats``."""
+
+    @staticmethod
+    def _sort(data, D, key=None):
+        m = Machine(block_size=8, memory_blocks=6, num_disks=D)
+        if isinstance(data, list):
+            stream = FileStream.from_records(m, data)
+        else:
+            stream = FileStream.from_payload(m, data)
+        before = m.stats()
+        out = external_merge_sort(m, stream, key=key)
+        values = [record.item() if hasattr(record, "item") else record
+                  for block in out.iter_blocks() for record in block]
+        return values, m.stats() - before
+
+    @pytest.mark.parametrize("D", [1, 4])
+    @pytest.mark.parametrize("high", [4, 20_000, 1 << 40])
+    def test_typed_and_list_payloads_cost_the_same(self, D, high):
+        data = np.random.default_rng(D).integers(0, high, 1500)
+        typed, typed_stats = self._sort(data, D)
+        listed, listed_stats = self._sort(data.tolist(), D)
+        assert typed == listed == sorted(data.tolist())
+        assert typed_stats == listed_stats
+
+    @pytest.mark.parametrize("D", [1, 4])
+    @pytest.mark.parametrize("high", [5, 20_000])
+    def test_structured_field_key_is_stable(self, D, high):
+        rng = np.random.default_rng(5)
+        data = np.zeros(1500, dtype=[("k", "<i8"), ("v", "<f8")])
+        data["k"] = rng.integers(0, high, len(data))
+        data["v"] = rng.random(len(data))
+        out, _ = self._sort(data, D, key=field("k"))
+        assert out == data[np.argsort(data["k"], kind="stable")].tolist()
