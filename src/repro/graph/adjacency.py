@@ -204,25 +204,9 @@ class AdjacencyStore:
         blocks cached reads, batched through the pool
         (:meth:`~repro.core.cache.BufferPool.get_many`) so a high-degree
         vertex's span arrives in parallel waves on ``D > 1`` disks."""
-        if not 0 <= vertex < self.num_vertices:
-            raise ConfigurationError(
-                f"vertex {vertex} outside 0..{self.num_vertices - 1}"
-            )
-        start, degree = self._index.get(vertex, (0, 0))
-        if degree == 0:
-            return []
-        B = self.machine.block_size
-        first_block = start // B
-        last_block = (start + degree - 1) // B
-        block_ids = [
-            self._blocks.block_id(block_index)
-            for block_index in range(first_block, last_block + 1)
-        ]
-        values: List[int] = []
-        for payload in self.machine.pool.get_many(block_ids):
-            values.extend(payload)
-        offset = start - first_block * B
-        return values[offset:offset + degree]
+        return self.neighbors_from_payloads(
+            vertex, self.machine.pool.get_many(self.span_blocks(vertex))
+        )
 
     @property
     def num_edges(self) -> int:

@@ -17,18 +17,19 @@ stream-materialization boundary saves ``~2·(N/DB)`` transfers.
 * :class:`~repro.pipeline.api.Pipeline` — lazy fused combinators:
   ``scan/source → map/filter/flat_map/sort → to_stream/reduce/
   merge_join/group_reduce``.
-* :func:`~repro.pipeline.steps.pipeline_sort_steps` — the cooperative
-  (intent-yielding) variant for the multi-tenant query service.
+
+The cooperative (intent-yielding) variant for the multi-tenant query
+service is :func:`~repro.sort.steps.merge_sort_steps` itself: its
+``filter_fn``/``map_fn`` stages run inside run formation, so a
+scan → filter → map → sort job never writes the transformed stream.
 """
 
 from .api import Pipeline
 from .exvector import ExVector
 from .sorter import Sorter
-from .steps import pipeline_sort_steps
 
 __all__ = [
     "ExVector",
     "Pipeline",
     "Sorter",
-    "pipeline_sort_steps",
 ]

@@ -32,7 +32,7 @@ from ..core.records import argsort, take
 from ..core.stream import FileStream
 from ..runtime.prefetch import ForecastingPrefetcher
 from ..sort.merge import BlockMerger, merge_pass, plan_merge_arity
-from ..sort.runs import identity
+from ..sort.runs import identity, memoryload_blocks
 
 _PUSH = "push"
 _PULL = "pull"
@@ -148,22 +148,14 @@ class Sorter:
         return self
 
     def _reserve_memoryload(self) -> None:
-        """Size the run buffer to the budget actually available — an
-        upstream reader holding frames shortens the runs instead of
-        overflowing ``M`` — leaving write-behind headroom as run
-        formation does."""
+        """Size the run buffer by run formation's rule
+        (:func:`~repro.sort.runs.memoryload_blocks`): an upstream reader
+        holding frames shortens the runs instead of overflowing ``M``."""
         machine = self.machine
-        if self._stream_cls.writer_frames(machine) >= machine.num_disks:
-            spare = 0
-        else:
-            spare = machine.num_disks - 1
-        spare += self._headroom
-        blocks = max(
-            1, min(machine.m - spare,
-                   machine.budget.available // machine.B - spare)
+        blocks = memoryload_blocks(
+            machine, machine.budget.available, self._stream_cls,
+            self._headroom,
         )
-        if blocks > machine.num_disks:
-            blocks -= blocks % machine.num_disks
         self._capacity = blocks * machine.B
         machine.budget.acquire(self._capacity)
 

@@ -29,7 +29,7 @@ from contextlib import ExitStack, contextmanager
 from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 from ..core.exceptions import ConfigurationError, KeyNotFound
-from ..core.intents import PoolRead
+from ..core.intents import PoolRead, drive
 from ..core.machine import Machine
 
 _LEAF = "L"
@@ -139,45 +139,13 @@ class BPlusTree:
         """Yield ``(key, value)`` pairs with ``low <= key <= high`` in key
         order, following the leaf chain: ``Θ(log_B N + Z/B)`` I/Os.
 
-        On a multi-disk machine the leaves under the last internal node
-        visited are prefetched with one batched pool read
-        (:meth:`~repro.core.cache.BufferPool.get_many`), so the chain
-        walk pays ``ceil(misses/D)`` steps instead of one step per leaf.
+        Runs :meth:`range_steps` under the single-tenant
+        :func:`~repro.core.intents.drive` loop, so on a multi-disk
+        machine the leaves under the last internal node arrive in one
+        batched pool read and the chain walk pays ``ceil(misses/D)``
+        steps instead of one step per leaf.
         """
-        node = self._node(self._root_id)
-        depth = 0
-        while not self._is_leaf(node):
-            slot, child = self._child_for(node, low)
-            if depth == self._height - 2:
-                self._prefetch_leaves(node, slot, high)
-            node = self._node(child)
-            depth += 1
-        while True:
-            next_leaf = node[0][1]
-            for key, value in node[1:]:
-                if key > high:
-                    return
-                if key >= low:
-                    yield key, value
-            if next_leaf == _NO_LEAF:
-                return
-            node = self._node(next_leaf)
-
-    def _prefetch_leaves(self, node: List[Any], slot: int,
-                         high: Any) -> None:
-        """Batch-read the consecutive leaf children of ``node`` whose key
-        range intersects ``[low, high]`` (``slot`` is ``low``'s child).
-        Capped below the pool capacity so the wave cannot evict the
-        leaves it just fetched."""
-        keys = [entry[0] for entry in node[1:]]
-        child_ids = [node[0][1]] + [entry[1] for entry in node[1:]]
-        end = slot
-        while end < len(keys) and keys[end] <= high:
-            end += 1
-        wanted = child_ids[slot:end + 1]
-        cap = max(1, self._pool.capacity - 2)
-        if len(wanted) > 1:
-            self._pool.get_many(wanted[:cap])
+        yield from drive(self.machine, self.range_steps(low, high))
 
     # ------------------------------------------------------------------
     # cooperative queries (intent-yielding generators)
@@ -201,11 +169,12 @@ class BPlusTree:
         return default
 
     def range_steps(self, low: Any, high: Any):
-        """Cooperative :meth:`range_query`: yields ``PoolRead`` intents
-        for the root-to-leaf walk, batches the candidate leaves under
-        the last internal node into one intent (the generator analogue
-        of :meth:`_prefetch_leaves`), then follows the leaf chain.
-        Returns the list of matching ``(key, value)`` pairs."""
+        """Range query as a generator: yields ``PoolRead`` intents for
+        the root-to-leaf walk, batches the candidate leaves under the
+        last internal node into one intent (capped below the pool
+        capacity so the wave cannot evict the leaves it fetched), then
+        follows the leaf chain.  Returns the list of matching
+        ``(key, value)`` pairs; :meth:`range_query` drives it."""
         results: List[Tuple[Any, Any]] = []
         prefetched = {}
         block_id = self._root_id

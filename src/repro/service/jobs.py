@@ -122,11 +122,9 @@ def pipeline_job(machine: Machine, stream: FileStream,
     record-wise stages run inside run formation, so the transformed
     intermediate is never written.  Same reservation floor as
     :func:`sort_job` — the fusion saves I/Os, not frames."""
-    from ..pipeline.steps import pipeline_sort_steps
-
     return Job(
         name,
-        lambda budget: pipeline_sort_steps(
+        lambda budget: merge_sort_steps(
             machine, stream, key=key, map_fn=map_fn,
             filter_fn=filter_fn, budget=budget, name=name,
         ),

@@ -34,7 +34,7 @@ from contextlib import nullcontext as _nullcontext
 from typing import Any, Dict, List, Optional
 
 from ..core.exceptions import ConfigurationError
-from ..core.intents import PoolRead, StreamRead
+from ..core.intents import PoolRead, StreamRead, fulfill
 from ..core.machine import Machine
 from ..core.memory import FairShare, SubBudget
 from .admission import AdmissionController
@@ -257,14 +257,7 @@ class QueryService:
             while True:
                 try:
                     with machine.trace(job.name):
-                        if isinstance(intent, PoolRead):
-                            job.pending = machine.pool.get_many(
-                                list(intent.block_ids)
-                            )
-                        else:
-                            job.pending = machine.runtime.read_batch(
-                                list(intent.block_ids)
-                            )
+                        job.pending = fulfill(machine, intent)
                     break
                 except Exception as exc:
                     intent = self._throw(tenant, job, exc)

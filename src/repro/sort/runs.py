@@ -43,9 +43,32 @@ def _run_formation_theory(machine: Machine, n: int) -> int:
     return 2 * scan_io(n, machine.B)
 
 
+def memoryload_blocks(machine: Machine, available: int,
+                      stream_cls=FileStream, headroom: int = 0) -> int:
+    """Blocks in one run-formation memoryload: the survey's ``M``-record
+    load, shrunk to the ``available`` budget (in records) so callers
+    holding resident frames form shorter runs instead of overflowing.
+
+    On a multi-disk machine ``D - 1`` frames stay out of the load so the
+    runtime's write-behind can hold a ``D``-block window; a load that
+    fills every frame forces one write step per block.  A run writer of
+    ``stream_cls`` that batches a full stripe itself (``StripedStream``)
+    needs no window.  ``headroom`` more blocks are left for readers and
+    writers the caller acquires while the load is held.  Loads longer
+    than a stripe are cut to a multiple of ``D`` so every read batch and
+    write window is a full wave.  Never less than one block; no I/O.
+    """
+    D = machine.num_disks
+    spare = headroom
+    if stream_cls.writer_frames(machine) < D:
+        spare += D - 1
+    blocks = max(1, min(machine.m - spare, available // machine.B - spare))
+    if blocks > D:
+        blocks -= blocks % D
+    return blocks
+
+
 @io_bound(_run_formation_theory, factor=2.0)
-
-
 def form_runs_load_sort(
     machine: Machine,
     stream: FileStream,
@@ -55,34 +78,20 @@ def form_runs_load_sort(
     """Split ``stream`` into sorted runs of ``M`` records each.
 
     Each memoryload occupies the *available* memory budget (up to ``m``
-    blocks) — callers holding resident frames (an open block file, a
-    priority queue) shorten the runs rather than overflow ``M``.  Blocks
-    are read and written directly so no extra staging frames are needed.
-    Costs one read and one write I/O per block of input.
+    blocks, see :func:`memoryload_blocks`) — callers holding resident
+    frames (an open block file, a priority queue) shorten the runs
+    rather than overflow ``M``.  Blocks are read and written directly so
+    no extra staging frames are needed.  Costs one read and one write
+    I/O per block of input.
 
     Returns the list of finalized run streams, in input order.
     """
     key = key or identity
     runs: List[FileStream] = []
     num_blocks = stream.num_blocks
-    # On a multi-disk machine, leave D-1 frames out of the memoryload so
-    # the runtime's write-behind can hold a D-block window; a memoryload
-    # that fills every frame forces one write step per block.  A striped
-    # run writer batches a full stripe itself, needs no window, and
-    # (via append_block) stages no frames of its own — full memoryloads
-    # mean fewer, longer runs.
-    if stream_cls.writer_frames(machine) >= machine.num_disks:
-        spare = 0
-    else:
-        spare = machine.num_disks - 1
-    blocks_per_run = max(
-        1, min(machine.m - spare,
-               machine.budget.available // machine.B - spare)
+    blocks_per_run = memoryload_blocks(
+        machine, machine.budget.available, stream_cls
     )
-    if blocks_per_run > machine.num_disks:
-        # Align run boundaries to the stripe so every read batch and
-        # write window is a full D-block wave.
-        blocks_per_run -= blocks_per_run % machine.num_disks
     run: Optional[FileStream] = None
     with machine.trace("run-formation"):
         try:

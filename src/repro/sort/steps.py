@@ -16,10 +16,16 @@ typed payload stays typed), and each merge group is a
 ``StreamRead`` intents — one block each, in the order a
 record-at-a-time heap merge would ask for them.
 
-The memoryload shrinks to the budget actually available, so a tenant
-with a small share forms shorter runs (and pays more merge passes)
-instead of overflowing its share — the fair-share analogue of the
-survey's ``M``-bounded run formation.
+The memoryload follows the eager run formation's rule
+(:func:`~repro.sort.runs.memoryload_blocks`) over the budget actually
+available, so a tenant with a small share forms shorter runs (and pays
+more merge passes) instead of overflowing its share — the fair-share
+analogue of the survey's ``M``-bounded run formation.
+
+Optional ``filter_fn``/``map_fn`` stages run on each memoryload before
+it is ordered, so a scan → filter → map → sort job (the service's
+``pipeline_job``) never writes and re-reads the transformed
+intermediate: the ``2·(N/DB)`` I/Os of that boundary are fused away.
 
 Writes go through :meth:`~repro.core.stream.FileStream.append_block`
 from a buffer the generator reserves itself, so no hidden staging
@@ -37,13 +43,15 @@ from ..core.machine import Machine
 from ..core.records import BlockBuilder, argsort, concat, take
 from ..core.stream import FileStream
 from .merge import BlockMerger
-from .runs import identity
+from .runs import identity, memoryload_blocks
 
 
 def merge_sort_steps(
     machine: Machine,
     stream: FileStream,
     key: Optional[Callable[[Any], Any]] = None,
+    map_fn: Optional[Callable[[Any], Any]] = None,
+    filter_fn: Optional[Callable[[Any], bool]] = None,
     budget=None,
     name: str = "coop",
 ):
@@ -56,7 +64,12 @@ def merge_sort_steps(
 
     Args:
         machine: the machine whose disk the stream lives on.
-        key: sort key; default sorts records directly.
+        key: sort key (over the ``map_fn``-transformed records); default
+            sorts records directly.
+        map_fn: per-record transform, applied to each memoryload after
+            ``filter_fn`` and before sorting.
+        filter_fn: per-record predicate, applied to each memoryload
+            first; a memoryload it empties forms no run.
         budget: ledger to reserve working memory from — a tenant's
             :class:`~repro.core.memory.SubBudget` under the service;
             defaults to ``machine.budget``.
@@ -68,14 +81,10 @@ def merge_sort_steps(
     block_ids = list(stream.block_ids)
 
     # ------------------------------------------------------------------
-    # run formation: budget-sized memoryloads
+    # run formation: budget-sized memoryloads, counted in *input*
+    # records (the reservation covers a filter that drops nothing)
     # ------------------------------------------------------------------
-    spare = machine.num_disks - 1
-    blocks_per_run = max(
-        1, min(machine.m - spare, budget.available // B - spare)
-    )
-    if blocks_per_run > machine.num_disks:
-        blocks_per_run -= blocks_per_run % machine.num_disks
+    blocks_per_run = memoryload_blocks(machine, budget.available)
     runs: List[FileStream] = []
     next_runs: List[FileStream] = []
     run: Optional[FileStream] = None
@@ -84,6 +93,13 @@ def merge_sort_steps(
             wanted = block_ids[start:start + blocks_per_run]
             with budget.reserve(len(wanted) * B):
                 chunk = concat((yield StreamRead(wanted)))
+                if filter_fn is not None:
+                    chunk = [record for record in chunk
+                             if filter_fn(record)]
+                    if not chunk:
+                        continue
+                if map_fn is not None:
+                    chunk = [map_fn(record) for record in chunk]
                 # Key-pointer ordering, as in the eager run formation:
                 # one stable argsort, records moved once by ``take``.
                 chunk = take(chunk, argsort(chunk, key))

@@ -68,9 +68,9 @@ class TestCooperativeParity:
 
     def test_btree_range_steps(self, loaded):
         m, tree, _, _ = loaded
-        eager = list(tree.range_query(100, 400))
         coop = drive(m, tree.range_steps(100, 400))
-        assert coop == eager
+        assert coop == [(k, 2 * k) for k in range(100, 401)]
+        assert list(tree.range_query(100, 400)) == coop
 
     def test_hash_lookup_steps(self, loaded):
         m, _, table, _ = loaded

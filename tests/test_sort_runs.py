@@ -3,12 +3,16 @@
 import pytest
 
 from repro.core import ConfigurationError, FileStream, Machine, scan_io
+from repro.core.stream import StripedStream
+from repro.pipeline import Sorter
 from repro.sort import (
     average_run_length,
     form_runs_load_sort,
     form_runs_replacement_selection,
     is_sorted_stream,
+    merge_sort_steps,
 )
+from repro.sort.runs import memoryload_blocks
 from repro.workloads import reversed_ints, sorted_ints, uniform_ints
 
 
@@ -64,6 +68,48 @@ class TestLoadSortRuns:
             m, FileStream.from_records(m, data), key=lambda r: r[1]
         )
         assert all(is_sorted_stream(r, key=lambda r: r[1]) for r in runs)
+
+
+@pytest.mark.parametrize("D, stream_cls, held, blocks", [
+    (1, FileStream, 0, 12),
+    (1, FileStream, 3, 9),
+    (3, FileStream, 0, 9),     # D-1 write-behind frames, stripe-aligned
+    (3, FileStream, 3, 6),
+    (3, StripedStream, 0, 12),  # a striped writer needs no window
+    (3, StripedStream, 3, 9),
+    (4, FileStream, 0, 8),
+    (4, FileStream, 3, 4),
+    (4, StripedStream, 0, 12),
+    (4, StripedStream, 3, 8),
+])
+def test_callers_share_the_memoryload_rule(D, stream_cls, held, blocks):
+    """Load-sort run formation, the pipelined ``Sorter`` and the
+    cooperative sort all size their memoryloads by ``memoryload_blocks``
+    over the budget left unheld."""
+    m = Machine(block_size=8, memory_blocks=12, num_disks=D)
+    data = list(range(400, 0, -1))
+    stream = FileStream.from_records(m, data)
+    with m.budget.reserve(held * m.B):
+        available = m.budget.available
+        assert memoryload_blocks(m, available, stream_cls) == blocks
+
+        runs = form_runs_load_sort(m, stream, stream_cls=stream_cls)
+        assert len(runs[0]) == blocks * m.B
+        for run in runs:
+            run.delete()
+
+        with Sorter(m, stream_cls=stream_cls) as sorter:
+            sorter.consume(data)
+            assert len(sorter._runs[0]) == blocks * m.B
+
+        # The cooperative sort writes its runs block by block through a
+        # FileStream; its first intent reads one memoryload.
+        job = merge_sort_steps(m, stream)
+        first = next(job)
+        job.close()
+        assert len(first.block_ids) == memoryload_blocks(
+            m, available, FileStream)
+    assert m.budget.in_use == 0
 
 
 class TestReplacementSelection:

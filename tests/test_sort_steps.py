@@ -2,9 +2,11 @@
 record-at-a-time heap merge.
 
 ``merge_sort_steps`` merges with :class:`~repro.sort.merge.BlockMerger`.
-The oracle below is the per-record heap merge it replaced; both are run
-on identical machines and must yield the same intents with the same
-block writes between them, and leave the same ``IOStats``.
+The first oracle below is the per-record heap merge it replaced; the
+second is the record-wise fused pipeline sort its ``filter_fn``/``map_fn``
+stages replaced.  Each pair is run on identical machines and must yield
+the same intents with the same block writes between them, and leave the
+same ``IOStats``.
 """
 
 from heapq import heapify, heappop, heappush
@@ -12,12 +14,14 @@ from heapq import heapify, heappop, heappush
 import numpy as np
 import pytest
 
+from repro.core.exceptions import ConfigurationError
 from repro.core.intents import StreamRead, fulfill
 from repro.core.machine import Machine
 from repro.core.records import field
 from repro.core.stream import FileStream
+from repro.service import QueryService, pipeline_job
 from repro.sort import steps
-from repro.sort.steps import merge_sort_steps
+from repro.sort.steps import _merge_group_steps, merge_sort_steps
 
 
 def _heap_merge_group_steps(machine, group, key, budget, name):
@@ -60,15 +64,77 @@ def _heap_merge_group_steps(machine, group, key, budget, name):
     return out.finalize()
 
 
+def _pipeline_sort_steps(machine, stream, key=None, map_fn=None,
+                         filter_fn=None, budget=None, name="coop"):
+    """Oracle: the fused pipeline sort with record-wise stages — lists
+    of records, a ``(key, index)`` pair sort per memoryload."""
+    key = key if key is not None else (lambda record: record)
+    budget = budget if budget is not None else machine.budget
+    B = machine.block_size
+    block_ids = list(stream.block_ids)
+    spare = machine.num_disks - 1
+    blocks_per_run = max(
+        1, min(machine.m - spare, budget.available // B - spare)
+    )
+    if blocks_per_run > machine.num_disks:
+        blocks_per_run -= blocks_per_run % machine.num_disks
+    runs = []
+    for start in range(0, len(block_ids), blocks_per_run):
+        wanted = block_ids[start:start + blocks_per_run]
+        with budget.reserve(len(wanted) * B):
+            payloads = yield StreamRead(wanted)
+            chunk = [record for payload in payloads for record in payload]
+            if filter_fn is not None:
+                chunk = [record for record in chunk if filter_fn(record)]
+            if map_fn is not None:
+                chunk = [map_fn(record) for record in chunk]
+            pairs = [(key(record), index)
+                     for index, record in enumerate(chunk)]
+            pairs.sort()
+            if pairs:
+                run = FileStream(machine, name=f"{name}/run/{len(runs)}")
+                for offset in range(0, len(pairs), B):
+                    run.append_block([chunk[index] for _, index
+                                      in pairs[offset:offset + B]])
+                runs.append(run.finalize())
+    level = 0
+    while len(runs) > 1:
+        level += 1
+        arity = min(machine.fan_in, budget.available // B - 1)
+        if arity < 2:
+            raise ConfigurationError(f"fan-in {arity}")
+        next_runs = []
+        for start in range(0, len(runs), arity):
+            group = runs[start:start + arity]
+            if len(group) == 1:
+                next_runs.append(group[0])
+                continue
+            next_runs.append((yield from _merge_group_steps(
+                machine, group, key, budget,
+                f"{name}/merge-{level}/{len(next_runs)}",
+            )))
+            for member in group:
+                member.delete()
+        runs = next_runs
+    if not runs:
+        return FileStream(machine, name=f"{name}/sorted").finalize()
+    return runs[0]
+
+
+def _plain(record):
+    return record.item() if hasattr(record, "item") else record
+
+
 def _values(stream):
-    return [record.item() if hasattr(record, "item") else record
+    return [_plain(record)
             for block in stream.iter_blocks() for record in block]
 
 
-def _sort(data, key, D, monkeypatch):
-    """Drive ``merge_sort_steps`` on a fresh machine, recording every
-    intent and every block write in one sequence; returns (events,
-    IOStats delta, output values, in_use)."""
+def _sort(data, key, D, monkeypatch, sort_steps=merge_sort_steps,
+          **stages):
+    """Drive ``sort_steps`` on a fresh machine, recording every intent
+    and every block write in one sequence; returns (events, IOStats
+    delta, output values, in_use)."""
     machine = Machine(block_size=8, memory_blocks=6, num_disks=D)
     if isinstance(data, np.ndarray):
         stream = FileStream.from_payload(machine, data)
@@ -83,7 +149,7 @@ def _sort(data, key, D, monkeypatch):
 
     monkeypatch.setattr(FileStream, "append_block", recording_append_block)
     before = machine.stats()
-    job = merge_sort_steps(machine, stream, key=key)
+    job = sort_steps(machine, stream, key=key, **stages)
     payloads = None
     try:
         while True:
@@ -155,3 +221,62 @@ def test_cooperative_sort_keeps_heap_merge_schedule(monkeypatch, name, D):
         assert out == data[np.argsort(keys, kind="stable")].tolist()
     else:
         assert out == sorted(data, key=key)
+
+
+def _stage_inputs():
+    rng = np.random.default_rng(11)
+    n = 1512
+    # Every key in the first 48 records (one D=1 memoryload, two D=4
+    # ones) is a multiple of 3, so the filter below empties it.
+    keys = rng.integers(0, 300, n)
+    keys[:48] = 3 * rng.integers(0, 100, 48)
+    tagged = [(int(k), tag) for tag, k in enumerate(keys)]
+    return {
+        "tuples": (tagged, lambda r: r[0] % 3 != 0,
+                   lambda r: (r[0] // 4, r[1]), lambda r: r[0]),
+        "int64": (keys.astype(np.int64), lambda r: r % 3 != 0,
+                  lambda r: -(r // 4), None),
+    }
+
+
+STAGE_INPUTS = _stage_inputs()
+
+
+@pytest.mark.parametrize("D", [1, 4])
+@pytest.mark.parametrize("name", sorted(STAGE_INPUTS))
+def test_stages_keep_pipeline_sort_schedule(monkeypatch, name, D):
+    """``filter_fn`` then ``map_fn`` on each memoryload, then the
+    key-pointer sort: the same intents, writes, ``IOStats`` and output
+    as the record-wise pipeline sort, and no run for an emptied load."""
+    data, filter_fn, map_fn, key = STAGE_INPUTS[name]
+    events, stats, out, in_use = _sort(
+        data, key, D, monkeypatch, filter_fn=filter_fn, map_fn=map_fn)
+    want_events, want_stats, want_out, want_in_use = _sort(
+        data, key, D, monkeypatch, sort_steps=_pipeline_sort_steps,
+        filter_fn=filter_fn, map_fn=map_fn)
+
+    writes = [event[1] for event in events if event[0] == "write"]
+    assert any("/merge-2/" in write for write in writes)
+    # The filter emptied the first memoryload: no run write follows it.
+    assert [event[0] for event in events[:2]] == ["StreamRead"] * 2
+    assert events == want_events
+    assert stats == want_stats
+    assert out == want_out
+    assert in_use == want_in_use == 0
+    kept = [map_fn(r) for r in data if filter_fn(r)]
+    assert out == [_plain(r) for r in sorted(kept, key=key)]
+
+
+def test_pipeline_job_without_stages_keeps_typed_blocks():
+    machine = Machine(block_size=8, memory_blocks=6, num_disks=2)
+    data = np.random.default_rng(3).integers(0, 1000, 400)
+    stream = FileStream.from_payload(machine, data)
+    service = QueryService(machine)
+    service.add_tenant("olap")
+    job = service.submit("olap", pipeline_job(machine, stream))
+    service.run()
+    blocks = list(job.result.iter_blocks())
+    assert all(isinstance(block, np.ndarray) and block.dtype == np.int64
+               for block in blocks)
+    assert np.concatenate(blocks).tolist() == sorted(data.tolist())
+    assert machine.budget.in_use == 0
