@@ -5,18 +5,18 @@ block transfers through :class:`~repro.core.machine.Machine` and never
 holds more than ``M`` records in internal memory.  This package checks
 that contract from two sides:
 
-* :mod:`repro.analysis.emlint` — an AST-based linter (rules EM001–EM007)
-  that flags code which could bypass the model: unbounded stream
-  materialization, raw file I/O, undeclared bounds, whole-dataset
-  in-memory sorts, unbudgeted accumulation, and private machinery
-  construction.  Legitimate in-memory steps are *documented*, not
-  invisible, via ``# em: ok(<rule>) <reason>`` waiver comments.
-* :mod:`repro.analysis.flow` — the whole-program side (rules
-  EM101–EM105, ``emlint --flow``): per-function CFGs with exception
-  edges, a project call graph with stream/budget taint summaries, and
-  a fixpoint that catches budget leaks, nested full scans, cross-call
-  stream materialization, unguarded reservations and machine aliasing,
-  with SARIF 2.1.0 output and a CI baseline workflow.
+* :mod:`repro.analysis.engine` — the emlint pass.  Every run checks all
+  four tiers over one shared project build: the per-line AST rules
+  (EM001–EM007, :mod:`repro.analysis.emlint`) that flag code which
+  could bypass the model; the whole-program flow rules (EM101–EM105,
+  :mod:`repro.analysis.flow`) over per-function CFGs with exception
+  edges and a call graph with stream/budget taint summaries; the
+  symbolic cost certification of declared bounds (EM201–EM205,
+  :mod:`repro.analysis.cost`); and the typestate rules for resource
+  lifecycles (EM301–EM306, :mod:`repro.analysis.state`).  Legitimate
+  in-memory steps are *documented*, not invisible, via
+  ``# em: ok(<rule>) <reason>`` waiver comments; output can be SARIF
+  2.1.0, gated against a CI baseline.
 * :mod:`repro.analysis.sanitizer` — an :func:`io_bound` decorator
   registry turning the survey's fundamental-bounds table into an
   executable contract: with ``REPRO_IO_SANITIZE=1`` every decorated
@@ -27,14 +27,10 @@ Run the linter with ``python tools/emlint.py src/repro`` (or the
 ``emlint`` console script).
 """
 
-from .emlint import Finding, Waiver, lint_paths, lint_source, unwaived
-from .flow import (
-    lint_paths_flow,
-    lint_sources_flow,
-    to_sarif,
-    write_baseline,
-)
-from .rules import FLOW_RULES, RULES
+from .emlint import Finding, Waiver, lint_source, unwaived
+from .engine import lint_paths, lint_sources
+from .flow import to_sarif, write_baseline
+from .rules import ALL_RULES, FLOW_RULES, RULES
 from .sanitizer import (
     IOBoundViolation,
     SanitizerRecord,
@@ -50,12 +46,12 @@ from .sanitizer import (
 __all__ = [
     "Finding",
     "Waiver",
+    "ALL_RULES",
     "RULES",
     "FLOW_RULES",
     "lint_paths",
-    "lint_paths_flow",
     "lint_source",
-    "lint_sources_flow",
+    "lint_sources",
     "to_sarif",
     "unwaived",
     "write_baseline",

@@ -1,16 +1,16 @@
 """``emlint`` command-line interface.
 
+Every run checks all four tiers — per-line (EM0xx), flow (EM1xx), cost
+(EM2xx) and typestate (EM3xx) — over one shared project build.
+
 Usage::
 
-    python tools/emlint.py src/repro          # per-line rules
-    emlint --flow src/repro                   # + EM100 flow rules
-    emlint --cost src/repro                   # + EM200 cost rules
-    emlint --cost --cost-report costs.json src/repro  # expr table
-    emlint --state src/repro                  # + EM300 typestate rules
-    emlint --flow --sarif out.sarif src/repro # SARIF 2.1.0 log
-    emlint --flow --baseline em.json src/repro  # fail only on NEW
-    emlint --flow --write-baseline em.json src/repro  # accept current
+    python tools/emlint.py src/repro          # every rule, every tier
     emlint --jobs 8 src/repro                 # parallel per-file stage
+    emlint --cost-report costs.json src/repro # + cost expression table
+    emlint --sarif out.sarif src/repro        # SARIF 2.1.0 log
+    emlint --baseline em.json src/repro       # fail only on NEW
+    emlint --write-baseline em.json src/repro # accept current
     emlint --list-rules                       # what each rule means
     emlint --format json src/repro            # machine-readable output
     emlint --show-waived src/repro            # audit documented waivers
@@ -27,8 +27,9 @@ import os
 import sys
 from typing import List, Optional
 
-from .emlint import lint_paths, unwaived
-from .rules import COST_RULES, FLOW_RULES, RULES, STATE_RULES
+from .emlint import unwaived
+from .engine import lint_paths
+from .rules import ALL_RULES
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,21 +51,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-rules", action="store_true",
         help="print the rule catalogue and exit")
     parser.add_argument(
-        "--flow", action="store_true",
-        help="also run the interprocedural EM100-series rules "
-             "(CFG + call-graph dataflow)")
-    parser.add_argument(
-        "--cost", action="store_true",
-        help="also run the EM200-series cost-certification rules "
-             "(symbolic I/O-complexity inference)")
-    parser.add_argument(
-        "--state", action="store_true",
-        help="also run the EM300-series typestate rules (resource "
-             "lifecycles and fault-safety protocols)")
-    parser.add_argument(
         "--cost-report", metavar="FILE",
-        help="with --cost: write the inferred/declared cost "
-             "expression table as JSON to FILE")
+        help="write the inferred/declared cost expression table as "
+             "JSON to FILE")
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="run the per-file analysis stage over N processes "
@@ -88,11 +77,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.list_rules:
-        catalogue = dict(RULES)
-        catalogue.update(FLOW_RULES)
-        catalogue.update(COST_RULES)
-        catalogue.update(STATE_RULES)
-        for rule, description in sorted(catalogue.items()):
+        for rule, description in sorted(ALL_RULES.items()):
             print(f"{rule}  {description}")
         return 0
 
@@ -100,47 +85,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         if not os.path.exists(path):
             parser.error(f"no such file or directory: {path}")
 
-    if args.cost_report and not args.cost:
-        parser.error("--cost-report requires --cost")
-
-    jobs = max(1, args.jobs)
-    report = None
-    if args.state:
-        from .state import lint_paths_state
-        if args.cost:
-            report = {}
-        findings = lint_paths_state(args.paths, with_flow=args.flow,
-                                    with_cost=args.cost,
-                                    report=report, jobs=jobs)
-    elif args.cost:
-        from .cost import lint_paths_cost
-        report = {}
-        findings = lint_paths_cost(args.paths, with_flow=args.flow,
-                                   report=report, jobs=jobs)
-    elif args.flow:
-        from .flow import lint_paths_flow
-        findings = lint_paths_flow(args.paths, jobs=jobs)
-    else:
-        findings = lint_paths(args.paths, jobs=jobs)
+    report = {} if args.cost_report else None
+    findings = lint_paths(args.paths, jobs=max(1, args.jobs),
+                          report=report)
     open_findings = unwaived(findings)
     waived_count = len(findings) - len(open_findings)
 
-    if args.cost_report and report is not None:
+    if args.cost_report:
         with open(args.cost_report, "w", encoding="utf-8") as handle:
             json.dump(report, handle, indent=2, sort_keys=True)
             handle.write("\n")
 
     if args.sarif:
         from .flow.sarif import to_sarif
-        catalogue = dict(RULES)
-        if args.flow:
-            catalogue.update(FLOW_RULES)
-        if args.cost:
-            catalogue.update(COST_RULES)
-        if args.state:
-            catalogue.update(STATE_RULES)
         with open(args.sarif, "w", encoding="utf-8") as handle:
-            json.dump(to_sarif(findings, catalogue), handle, indent=2)
+            json.dump(to_sarif(findings, ALL_RULES), handle, indent=2)
             handle.write("\n")
 
     if args.write_baseline:

@@ -7,23 +7,17 @@ per-statement transfer counts through loop nests and callee summaries,
 then certifies the declared bound (the theory callable and the docstring
 form) against the inferred expression.
 
-Entry points mirror :mod:`repro.analysis.flow`:
-
-* :func:`lint_paths_cost` / :func:`lint_sources_cost` — run the
-  per-line rules plus the EM200-series (optionally the EM100 flow rules
-  too) and return :class:`~repro.analysis.emlint.Finding` lists;
-* :func:`cost_report` — the inferred/declared expression table, for
-  cross-checking sanitizer envelopes.
+The checks run in the emlint pass (:mod:`repro.analysis.engine`) over
+the project build the flow tier shares; pass ``report`` to
+:func:`~repro.analysis.engine.lint_paths` to receive the
+inferred/declared expression table, for cross-checking sanitizer
+envelopes.
 """
 
-from .engine import cost_report, lint_paths_cost, lint_sources_cost
 from .expr import Cost, Term, render
 
 __all__ = [
     "Cost",
     "Term",
-    "cost_report",
-    "lint_paths_cost",
-    "lint_sources_cost",
     "render",
 ]

@@ -1,8 +1,9 @@
-"""EM-lint engine: file walking, waiver parsing, finding assembly.
+"""EM-lint per-file stage: the per-line rules, waiver parsing, finding
+assembly.
 
-The engine parses each module, runs the
-:class:`~repro.analysis.rules.ComplianceVisitor` over its AST, then
-applies *waivers*: ``# em: ok(EM004) sorts one memoryload (≤ M)``
+Each module is parsed and the
+:class:`~repro.analysis.rules.ComplianceVisitor` run over its AST, then
+*waivers* are applied: ``# em: ok(EM004) sorts one memoryload (≤ M)``
 comments that suppress a finding while documenting why the construct is
 legitimate.  A waiver on its own line covers the next line; an inline
 waiver covers its own line.  Multiple rules may be waived at once:
@@ -21,7 +22,7 @@ import os
 import re
 import tokenize
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Container, Dict, Iterable, List, Optional, Set, Tuple
 
 #: matches a well-formed waiver comment and captures (rules, reason)
 WAIVER_RE = re.compile(
@@ -111,10 +112,7 @@ class Waiver:
 def parse_waivers(source: str, path: str) -> Tuple[List[Waiver],
                                                    List[Finding]]:
     """Extract waivers and EM007 syntax findings from comments."""
-    from .rules import COST_RULES, FLOW_RULES, RULES, STATE_RULES
-
-    known_rules = (set(RULES) | set(FLOW_RULES) | set(COST_RULES)
-                   | set(STATE_RULES))
+    from .rules import ALL_RULES
 
     waivers: List[Waiver] = []
     findings: List[Finding] = []
@@ -143,7 +141,7 @@ def parse_waivers(source: str, path: str) -> Tuple[List[Waiver],
             part.strip() for part in match.group(1).split(","))
         reason = match.group(2).strip()
         for rule in rules:
-            if rule != "*" and rule not in known_rules:
+            if rule != "*" and rule not in ALL_RULES:
                 findings.append(Finding(
                     rule="EM007", path=path, line=row, col=col + 1,
                     message=f"waiver names unknown rule {rule!r}",
@@ -228,7 +226,7 @@ def apply_waivers(findings: Iterable[Finding],
 
 
 def unused_waiver_findings(waivers: Iterable[Waiver], path: str,
-                           active_rules: Set[str]) -> List[Finding]:
+                           active_rules: Container[str]) -> List[Finding]:
     """EM007 findings for waiver rule ids that suppressed nothing.
 
     Usage is tracked per rule id, so ``# em: ok(EM001,EM004) ...`` where
@@ -264,7 +262,7 @@ def unused_waiver_findings(waivers: Iterable[Waiver], path: str,
 
 def finish_findings(findings: List[Finding], waivers: List[Waiver],
                     waiver_findings: List[Finding], path: str,
-                    active_rules: Set[str]) -> List[Finding]:
+                    active_rules: Container[str]) -> List[Finding]:
     """Apply waivers, flag dead waiver entries, and sort."""
     apply_waivers(findings, waivers)
     waiver_findings = list(waiver_findings)
@@ -279,10 +277,10 @@ def finish_findings(findings: List[Finding], waivers: List[Waiver],
 
 
 def lint_source(source: str, path: str = "<string>",
-                kind: Optional[str] = None,
-                active_rules: Optional[Set[str]] = None) -> List[Finding]:
-    """Lint one module's source text; returns all findings, waived ones
-    marked as such."""
+                kind: Optional[str] = None) -> List[Finding]:
+    """Lint one module's source text with the per-line rules only;
+    returns all findings, waived ones marked as such.  The whole pass
+    over a file set is :func:`repro.analysis.engine.lint_paths`."""
     from .rules import RULES
 
     if kind is None:
@@ -291,17 +289,8 @@ def lint_source(source: str, path: str = "<string>",
         return []
     findings = static_findings(source, path, kind)
     waivers, waiver_findings = parse_waivers(source, path)
-    if active_rules is None:
-        active_rules = set(RULES)
     return finish_findings(findings, waivers, waiver_findings, path,
-                           active_rules)
-
-
-def lint_file(path: str) -> List[Finding]:
-    """Lint one file on disk."""
-    with open(path, "r", encoding="utf-8") as handle:
-        source = handle.read()
-    return lint_source(source, path)
+                           RULES)
 
 
 def iter_python_files(paths: Iterable[str]) -> Iterable[str]:
@@ -319,23 +308,6 @@ def iter_python_files(paths: Iterable[str]) -> Iterable[str]:
         elif path.endswith(".py"):
             seen.append(path)
     return seen
-
-
-def lint_paths(paths: Iterable[str], jobs: int = 1) -> List[Finding]:
-    """Lint every Python file under ``paths``; ``jobs > 1`` fans the
-    per-file work out over a process pool."""
-    files = list(iter_python_files(paths))
-    if jobs > 1 and len(files) > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(min(jobs, len(files))) as pool:
-            per_file = pool.map(lint_file, files)
-    else:
-        per_file = [lint_file(path) for path in files]
-    findings: List[Finding] = []
-    for file_findings in per_file:
-        findings.extend(file_findings)
-    return findings
 
 
 def unwaived(findings: Iterable[Finding]) -> List[Finding]:

@@ -1,18 +1,17 @@
 """Interprocedural budget- and stream-dataflow analysis (EM100 rules).
 
-Public surface:
+Public surface (the emlint pass in :mod:`repro.analysis.engine` runs
+the checks over the shared project build):
 
-* :func:`lint_paths_flow` / :func:`lint_sources_flow` — run the
-  combined per-line + whole-program lint;
 * :func:`build_cfg` — per-function control-flow graphs;
-* :class:`Project` — call graph + taint summaries;
+* :class:`Project` — call graph + taint summaries, built once per pass
+  and shared by the flow, cost and state tiers;
 * :func:`to_sarif` — SARIF 2.1.0 output;
 * baseline helpers (:func:`write_baseline`, :func:`split_by_baseline`).
 """
 
 from .baseline import load_baseline, split_by_baseline, write_baseline
 from .cfg import CFG, build_cfg
-from .engine import lint_paths_flow, lint_sources_flow
 from .sarif import fingerprint, to_sarif
 from .summaries import Project
 
@@ -21,8 +20,6 @@ __all__ = [
     "Project",
     "build_cfg",
     "fingerprint",
-    "lint_paths_flow",
-    "lint_sources_flow",
     "load_baseline",
     "split_by_baseline",
     "to_sarif",

@@ -55,8 +55,8 @@ RULES = {
              "unused)",
 }
 
-#: the EM100 series: whole-program rules that need the CFG/call-graph
-#: engine in :mod:`repro.analysis.flow` (``emlint --flow``)
+#: the EM100 series: whole-program rules over the CFG/call-graph
+#: engine in :mod:`repro.analysis.flow`
 FLOW_RULES = {
     "EM101": "budget leak: acquire/reserve with a path to function exit "
              "(including exception edges) that skips release",
@@ -70,8 +70,8 @@ FLOW_RULES = {
              "the caller's accounting is expected",
 }
 
-#: the EM200 series: symbolic cost certification rules that need the
-#: inference engine in :mod:`repro.analysis.cost` (``emlint --cost``)
+#: the EM200 series: symbolic cost certification rules over the
+#: inference engine in :mod:`repro.analysis.cost`
 COST_RULES = {
     "EM201": "inferred I/O cost asymptotically exceeds the declared "
              "@io_bound theory bound",
@@ -86,7 +86,7 @@ COST_RULES = {
 }
 
 #: the EM300 series: typestate rules over the runtime's resource
-#: protocols, run by :mod:`repro.analysis.state` (``emlint --state``)
+#: protocols in :mod:`repro.analysis.state`
 STATE_RULES = {
     "EM301": "pinned frame / reserved budget not released on some path "
              "(pin without unpin, harden without soften, a reader "
@@ -105,6 +105,9 @@ STATE_RULES = {
     "EM306": "durability point (manifest commit) reachable while "
              "freshly written output is still unflushed",
 }
+
+#: every rule the emlint pass checks: all four tiers run on every run
+ALL_RULES = {**RULES, **FLOW_RULES, **COST_RULES, **STATE_RULES}
 
 #: builtins that materialize their (first) argument into RAM at once
 MATERIALIZERS = {"list", "sorted", "tuple", "set", "dict", "Counter",

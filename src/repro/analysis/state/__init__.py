@@ -12,22 +12,15 @@ use-after-release and repeatable releases (EM303), raw disk I/O that
 bypasses the runtime (EM304), checkpoint-protocol violations (EM305),
 and durability points reached with write-behind unflushed (EM306).
 
-Entry points mirror :mod:`repro.analysis.cost`:
-
-* :func:`lint_paths_state` / :func:`lint_sources_state` — run the
-  per-line rules plus the EM300-series (optionally the EM100/EM200
-  tiers too, sharing one project build) and return
-  :class:`~repro.analysis.emlint.Finding` lists;
-* :data:`~repro.analysis.state.machines.PROTOCOLS` — the declarative
-  resource state machines the checks consume.
+The checks run in the emlint pass (:mod:`repro.analysis.engine`) over
+the project build the flow and cost tiers share;
+:data:`~repro.analysis.state.machines.PROTOCOLS` holds the declarative
+resource state machines they consume.
 """
 
-from .engine import lint_paths_state, lint_sources_state
 from .machines import PROTOCOLS, ResourceProtocol
 
 __all__ = [
     "PROTOCOLS",
     "ResourceProtocol",
-    "lint_paths_state",
-    "lint_sources_state",
 ]

@@ -21,14 +21,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import lint_source
-from repro.analysis.cost import (
-    Term,
-    cost_report,
-    lint_paths_cost,
-    lint_sources_cost,
-    render,
-)
+from repro.analysis import lint_source, lint_sources
+from repro.analysis.cost import Term, render
 from repro.analysis.cost.expr import (
     covers,
     leading_ratio,
@@ -37,16 +31,16 @@ from repro.analysis.cost.expr import (
     sort_terms,
 )
 from repro.analysis.flow import split_by_baseline, write_baseline
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
-SRC_TREE = str(REPO_ROOT / "src" / "repro")
+from repro.analysis.rules import COST_RULES, RULES
 
 ALGO = "src/repro/algo/fixture.py"
 
 
 def cost_findings(sources, rule=None, waived=False):
-    findings = [f for f in lint_sources_cost(sources)
-                if waived or not f.waived]
+    """The cost tier's findings: per-line and EM200-series rules."""
+    findings = [f for f in lint_sources(sources)
+                if (f.rule in RULES or f.rule in COST_RULES)
+                and (waived or not f.waived)]
     if rule is not None:
         findings = [f for f in findings if f.rule == rule]
     return findings
@@ -374,13 +368,13 @@ class TestWaiversAndBaseline:
 # ---------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def tree_report():
-    return cost_report([SRC_TREE])
+def tree_report(tree_lint):
+    return tree_lint[1]
 
 
 @pytest.fixture(scope="module")
-def tree_findings():
-    return lint_paths_cost([SRC_TREE], with_flow=True)
+def tree_findings(tree_lint):
+    return tree_lint[0]
 
 
 class TestGoldenExpressions:

@@ -1,8 +1,9 @@
 """Tests for the EM100-series interprocedural flow analysis.
 
 Each fixture is a tiny synthetic module fed through
-:func:`lint_sources_flow`; paths are chosen so the modules classify as
-algorithm code (the strict tier).  Assertions filter by rule id so the
+:func:`lint_sources` and keeps only the per-line and EM100-series
+findings; paths are chosen so the modules classify as algorithm code
+(the strict tier).  Assertions filter by rule id so the
 EM001-series static findings the fixtures also trigger (missing bound
 docstrings etc.) don't interfere.
 """
@@ -11,8 +12,8 @@ import json
 
 import pytest
 
+from repro.analysis import lint_sources
 from repro.analysis.flow import (
-    lint_sources_flow,
     load_baseline,
     split_by_baseline,
     to_sarif,
@@ -22,8 +23,14 @@ from repro.analysis.flow.sarif import SARIF_VERSION, fingerprint
 from repro.analysis.rules import FLOW_RULES, RULES
 
 
+def flow_lint(sources):
+    """The flow tier's findings: per-line and EM100-series rules."""
+    return [f for f in lint_sources(sources)
+            if f.rule in RULES or f.rule in FLOW_RULES]
+
+
 def flow_findings(sources, rule=None):
-    findings = [f for f in lint_sources_flow(sources) if not f.waived]
+    findings = [f for f in flow_lint(sources) if not f.waived]
     if rule is not None:
         findings = [f for f in findings if f.rule == rule]
     return findings
@@ -353,7 +360,7 @@ def _join(machine, left: FileStream, right: FileStream):
 
 class TestSarif:
     def sarif_log(self):
-        findings = lint_sources_flow([
+        findings = flow_lint([
             (ALGO, LEAKY),
             ("src/repro/algo/waived.py", WAIVED_SCAN),
         ])
@@ -457,16 +464,7 @@ def _later(machine, items):
 # ---------------------------------------------------------------------
 
 class TestRepositoryIsClean:
-    def test_src_tree_has_no_unwaived_flow_findings(self):
-        import pathlib
-
-        from repro.analysis.flow import lint_paths_flow
-
-        root = pathlib.Path(__file__).resolve().parent.parent
-        paths = sorted(
-            str(p) for p in (root / "src" / "repro").rglob("*.py")
-        )
-        open_findings = [
-            f for f in lint_paths_flow(paths) if not f.waived
-        ]
+    def test_src_tree_has_no_unwaived_flow_findings(self, tree_lint):
+        findings, _ = tree_lint
+        open_findings = [f for f in findings if not f.waived]
         assert open_findings == []

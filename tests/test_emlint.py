@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import RULES, Finding, lint_paths, lint_source, unwaived
+from repro.analysis import RULES, Finding, lint_source, unwaived
 from repro.analysis.emlint import Waiver, classify, parse_waivers
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -494,14 +494,14 @@ class TestFindingRendering:
 
 
 class TestWholeTree:
-    def test_library_is_lint_clean(self):
+    def test_library_is_lint_clean(self, tree_lint):
         """The acceptance gate: zero unwaived findings across src/repro."""
-        findings = lint_paths([str(REPO_ROOT / "src" / "repro")])
+        findings, _ = tree_lint
         remaining = unwaived(findings)
         assert remaining == [], "\n".join(f.render() for f in remaining)
 
-    def test_every_waiver_in_tree_has_a_reason(self):
-        findings = lint_paths([str(REPO_ROOT / "src" / "repro")])
+    def test_every_waiver_in_tree_has_a_reason(self, tree_lint):
+        findings, _ = tree_lint
         for finding in findings:
             if finding.waived:
                 assert finding.waiver_reason
@@ -525,6 +525,54 @@ class TestCLI:
         out = capsys.readouterr().out
         assert code == 1
         assert "EM004" in out
+
+    def test_flow_tier_finding_fails_plain_run(self, tmp_path, capsys):
+        # No per-line rule fires here; only the flow tier sees the
+        # budget leak on the exception path, and every run checks it.
+        from repro.analysis.cli import main
+
+        bad = tmp_path / "algo.py"
+        bad.write_text(textwrap.dedent("""
+            def _run(machine, stream):
+                machine.budget.acquire(machine.B)
+                total = _risky(stream)
+                machine.budget.release(machine.B)
+                return total
+            """))
+        assert lint_source(bad.read_text(), str(bad)) == []
+        code = main([str(bad)])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "EM101" in out
+
+    def test_cost_report_needs_no_tier_flag(self, tmp_path, capsys):
+        import json
+
+        from repro.analysis.cli import main
+
+        out = tmp_path / "costs.json"
+        code = main(["--cost-report", str(out),
+                     str(REPO_ROOT / "src" / "repro" / "sort")])
+        capsys.readouterr()
+        assert code == 0
+        report = json.loads(out.read_text())
+        entry = report["merge.external_merge_sort"]
+        assert entry["inferred"] == "N·log_m(n)/B"
+        assert entry["certified"] is True
+
+    def test_sarif_carries_the_full_catalogue(self, tmp_path, capsys):
+        import json
+
+        from repro.analysis import ALL_RULES
+        from repro.analysis.cli import main
+
+        bad = tmp_path / "algo.py"
+        bad.write_text("def run(records):\n    return sorted(records)\n")
+        sarif = tmp_path / "out.sarif"
+        assert main(["--sarif", str(sarif), str(bad)]) == 1
+        capsys.readouterr()
+        driver = json.loads(sarif.read_text())["runs"][0]["tool"]["driver"]
+        assert {rule["id"] for rule in driver["rules"]} == set(ALL_RULES)
 
     def test_json_format(self, tmp_path, capsys):
         import json

@@ -1,8 +1,9 @@
 """Tests for the EM300-series typestate analysis.
 
 Each fixture is a tiny synthetic module fed through
-:func:`lint_sources_state`; paths are chosen so the modules classify as
-algorithm code (the strict tier).  Every rule gets one seeded positive
+:func:`lint_sources` and keeps only the per-line and EM300-series
+findings; paths are chosen so the modules classify as algorithm code
+(the strict tier).  Every rule gets one seeded positive
 and a clean (or waived) twin, mirroring the layout of
 ``test_emflow.py``.  Assertions filter by rule id so the EM001-series
 static findings the fixtures also trigger don't interfere.
@@ -10,14 +11,19 @@ static findings the fixtures also trigger don't interfere.
 
 import json
 
+from repro.analysis import lint_sources
 from repro.analysis.flow.sarif import SARIF_VERSION, to_sarif
 from repro.analysis.rules import RULES, STATE_RULES
-from repro.analysis.state import lint_sources_state
+
+
+def state_lint(sources):
+    """The typestate tier's findings: per-line and EM300-series rules."""
+    return [f for f in lint_sources(sources)
+            if f.rule in RULES or f.rule in STATE_RULES]
 
 
 def state_findings(sources, rule=None, waived=False):
-    findings = [f for f in lint_sources_state(sources)
-                if f.waived == waived]
+    findings = [f for f in state_lint(sources) if f.waived == waived]
     if rule is not None:
         findings = [f for f in findings if f.rule == rule]
     return findings
@@ -458,7 +464,7 @@ def _scrub(machine, block_ids):
 
 class TestSarif:
     def sarif_log(self):
-        findings = lint_sources_state([
+        findings = state_lint([
             (ALGO, LEAKY_PIN),
             ("src/repro/algo/waived.py", WAIVED_RAW),
         ])
@@ -547,30 +553,14 @@ def _later(machine, manifest, output):
 # ---------------------------------------------------------------------
 
 class TestRepositoryIsClean:
-    def test_src_tree_has_no_unwaived_typestate_findings(self):
-        import pathlib
-
-        from repro.analysis.state import lint_paths_state
-
-        root = pathlib.Path(__file__).resolve().parent.parent
-        paths = sorted(
-            str(p) for p in (root / "src" / "repro").rglob("*.py")
-        )
-        open_findings = [
-            f for f in lint_paths_state(paths) if not f.waived
-        ]
+    def test_src_tree_has_no_unwaived_typestate_findings(self, tree_lint):
+        findings, _ = tree_lint
+        open_findings = [f for f in findings if not f.waived]
         assert open_findings == []
 
-    def test_every_state_waiver_is_documented(self):
-        import pathlib
-
-        from repro.analysis.state import lint_paths_state
-
-        root = pathlib.Path(__file__).resolve().parent.parent
-        paths = sorted(
-            str(p) for p in (root / "src" / "repro").rglob("*.py")
-        )
-        for finding in lint_paths_state(paths):
+    def test_every_state_waiver_is_documented(self, tree_lint):
+        findings, _ = tree_lint
+        for finding in findings:
             if finding.waived and finding.rule in STATE_RULES:
                 assert finding.waiver_reason, (
                     f"{finding.path}:{finding.line} waives "

@@ -29,14 +29,16 @@ must now complete with peak memory <= M.
 
 Two buffer-pool records cover the cached path: the pool hit rate of a
 skewed B+-tree query workload (with the pool's frames charged to the
-shared memory budget), and the transfer overhead of the same query
-workload under a seeded fault plan vs clean — retried cache misses and
-scrubbed write-backs must stay within the same 2.0x bound as the sort.
+shared memory budget), and the transfer overhead of the same queries,
+with an upsert on every 4th so pages go dirty, under a seeded fault
+plan vs clean — torn write-backs must be scrubbed (``scrubs > 0``), and
+retried cache misses and scrubbed write-backs must stay within the same
+2.0x bound as the sort.
 
-One analyzer record times each EM-lint tier (per-line EM0xx, flow
-EM1xx, cost EM2xx, typestate EM3xx) over ``src/repro`` so regressions
-in analysis wall-time show up per commit; every tier must also report
-a triaged tree (zero unwaived findings).
+One analyzer record times the emlint pass — every tier (per-line
+EM0xx, flow EM1xx, cost EM2xx, typestate EM3xx) over one shared project
+build — on ``src/repro`` so regressions in analysis wall-time show up
+per commit; the tree must also stay triaged (zero unwaived findings).
 
 A multi-tenant service record runs the F24 chaos mix (OLTP point reads
 interleaved with an OLAP sort) at smoke scale, asserting the
@@ -48,11 +50,12 @@ A pipelining record runs the F25 fused-vs-materialized comparison at
 smoke scale for all three refactored consumers (sort-merge join,
 time-forward processing, list ranking), recording the fused/
 materialized I/O ratio per consumer — fused must never lose — and
-gates on the EM103 fusion baseline: zero unwaived sort-then-scan
-boundaries anywhere in ``src/repro``.
+gates on the EM103 fusion baseline, counted from the same emlint pass:
+zero unwaived sort-then-scan boundaries anywhere in ``src/repro``.
 """
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -92,6 +95,7 @@ FAULT_OVERHEAD_BOUND = 2.0
 F19_B, F19_M_BLOCKS, F19_OPS = 64, 16, 32_000
 POOL_B, POOL_M_BLOCKS, POOL_N, POOL_QUERIES = 16, 8, 2_000, 1_500
 POOL_FAULT_OVERHEAD_BOUND = 2.0
+POOL_UPSERT_EVERY = 4  # faulted-query mix: dirty pages for torn writes
 # Raw-speed gate: the key-pointer sort must beat the seed's
 # record-object path by 2x wall-clock on the in-memory backend at every
 # F1 size, with bit-identical simulated I/O.  The real-file backend adds
@@ -343,15 +347,19 @@ def f19_pq_budget_smoke():
             }]}
 
 
-def _btree_query_workload(machine, tree, seed=3):
+def _btree_query_workload(machine, tree, seed=3, upsert_every=0):
     """A skewed point-query mix: 80% of queries land in one hot
-    contiguous run of 100 keys (a few leaves), the rest uniform."""
+    contiguous run of 100 keys (a few leaves), the rest uniform.  With
+    ``upsert_every``, every such query first re-inserts its key (same
+    value), dirtying the leaf."""
     rng = random.Random(seed)
     base = rng.randrange(POOL_N - 100)
     hot = list(range(base, base + 100))
-    for _ in range(POOL_QUERIES):
+    for query in range(POOL_QUERIES):
         key = rng.choice(hot) if rng.random() < 0.8 \
             else rng.randrange(POOL_N)
+        if upsert_every and query % upsert_every == 0:
+            tree.insert(key, key * 3)
         value = tree.get(key)
         assert value == key * 3
 
@@ -395,12 +403,14 @@ def pool_hit_rate_smoke():
 
 
 def faulted_query_smoke():
-    """Transfer overhead of the cached query workload under a seeded
-    fault plan (retried misses + scrubbed write-backs) vs clean."""
+    """Transfer overhead of the cached query workload, with upserts so
+    write-backs happen, under a seeded fault plan (retried misses +
+    scrubbed torn write-backs) vs clean."""
     clean = Machine(block_size=POOL_B, memory_blocks=POOL_M_BLOCKS)
     tree = _build_query_tree(clean)
     clean.reset_stats()
-    _btree_query_workload(clean, tree)
+    _btree_query_workload(clean, tree, upsert_every=POOL_UPSERT_EVERY)
+    clean.pool.flush_all()
     clean_stats = clean.stats()
 
     faulty = Machine(block_size=POOL_B, memory_blocks=POOL_M_BLOCKS)
@@ -408,10 +418,12 @@ def faulted_query_smoke():
     faulty.reset_stats()
     plan = FaultPlan(seed=17, read_error_rate=0.05, torn_write_rate=0.02)
     with faulty.inject_faults(plan):
-        _btree_query_workload(faulty, tree)
+        _btree_query_workload(faulty, tree,
+                              upsert_every=POOL_UPSERT_EVERY)
         faulty.pool.flush_all()
     stats = faulty.stats()
     assert stats.retries > 0
+    assert faulty.pool.scrubs > 0, "no torn write-back was scrubbed"
     overhead = stats.total / max(1, clean_stats.total)
     assert overhead <= POOL_FAULT_OVERHEAD_BOUND, (
         f"faulted queries {stats.total} transfers vs clean "
@@ -419,7 +431,7 @@ def faulted_query_smoke():
     )
     return {"name": "faulted_query_overhead", "B": POOL_B,
             "M": POOL_B * POOL_M_BLOCKS, "n": POOL_N,
-            "queries": POOL_QUERIES,
+            "queries": POOL_QUERIES, "upsert_every": POOL_UPSERT_EVERY,
             "overhead_bound": POOL_FAULT_OVERHEAD_BOUND,
             "points": [{
                 "clean_transfers": clean_stats.total,
@@ -432,40 +444,31 @@ def faulted_query_smoke():
             }]}
 
 
-def analyzer_smoke():
-    """Wall-time of each EM-lint tier over ``src/repro``, plus the
-    finding counts — the tree must stay triaged (zero unwaived)."""
-    from repro.analysis.cost.engine import lint_paths_cost
-    from repro.analysis.emlint import lint_paths
-    from repro.analysis.flow.engine import lint_paths_flow
-    from repro.analysis.state.engine import lint_paths_state
+@functools.lru_cache(maxsize=None)
+def _tree_lint():
+    """One emlint pass over ``src/repro``: (findings, wall seconds)."""
+    from repro.analysis import lint_paths
 
-    target = str(Path(__file__).resolve().parent.parent
-                 / "src" / "repro")
-    points = []
-    for tier, run in (
-        ("per_line", lambda: lint_paths([target])),
-        ("flow", lambda: lint_paths_flow([target])),
-        ("cost", lambda: lint_paths_cost([target], with_flow=True)),
-        ("state", lambda: lint_paths_state([target], with_flow=True,
-                                           with_cost=True)),
-    ):
-        start = time.perf_counter()
-        findings = run()
-        elapsed = time.perf_counter() - start
-        unwaived = sum(1 for f in findings if not f.waived)
-        waived = len(findings) - unwaived
-        assert unwaived == 0, (
-            f"{tier}: {unwaived} unwaived finding(s) in {target}"
-        )
-        points.append({
-            "tier": tier,
-            "wall_time_s": round(elapsed, 4),
-            "unwaived": unwaived,
-            "waived": waived,
-        })
-    return {"name": "analyzer_tiers", "target": "src/repro",
-            "points": points}
+    start = time.perf_counter()
+    findings = lint_paths([str(Path(__file__).resolve().parent.parent
+                               / "src" / "repro")])
+    return findings, time.perf_counter() - start
+
+
+def analyzer_smoke():
+    """Wall-time of the emlint pass over ``src/repro``, plus the
+    finding counts — the tree must stay triaged (zero unwaived)."""
+    findings, elapsed = _tree_lint()
+    unwaived = sum(1 for f in findings if not f.waived)
+    assert unwaived == 0, (
+        f"{unwaived} unwaived finding(s) in src/repro"
+    )
+    return {"name": "analyzer", "target": "src/repro",
+            "points": [{
+                "wall_time_s": round(elapsed, 4),
+                "unwaived": unwaived,
+                "waived": len(findings) - unwaived,
+            }]}
 
 
 PIPE_B, PIPE_M_BLOCKS = 64, 48  # final merge width covers the runs
@@ -476,7 +479,6 @@ def pipeline_smoke():
     """F25 at smoke scale: fused vs materialized I/O per consumer, and
     the EM103 fusion baseline (zero unwaived sort-then-scan
     boundaries)."""
-    from repro.analysis.flow.engine import lint_paths_flow
     from repro.graph import (
         list_ranking,
         list_ranking_materialized,
@@ -545,13 +547,11 @@ def pipeline_smoke():
             "fused_over_materialized": round(ratio, 4),
         })
 
-    target = str(Path(__file__).resolve().parent.parent
-                 / "src" / "repro")
-    em103 = [f for f in lint_paths_flow([target]) if f.rule == "EM103"]
+    em103 = [f for f in _tree_lint()[0] if f.rule == "EM103"]
     unwaived = sum(1 for f in em103 if not f.waived)
     assert unwaived == 0, (
         f"{unwaived} unwaived EM103 sort-then-scan boundary(ies) in "
-        f"{target}"
+        "src/repro"
     )
     points.append({
         "consumer": "(em103_gate)",
