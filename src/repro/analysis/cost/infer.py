@@ -51,6 +51,9 @@ _RECORD_WRITES = {"append", "push", "add", "appendleft"}
 #: ``iter_blocks`` scans a stream (its reads are charged here);
 #: ``blocks`` re-emits payloads from readers charged at their source.
 _BLOCK_STREAM_ITERS = {"iter_blocks", "blocks"}
+#: cooperative read intents — a generator yields them to its driver,
+#: which reads the requested blocks as one batch
+_READ_INTENTS = {"StreamRead"}
 #: distributive (already whole-input) transfers
 _BATCHED_METHODS = {"get_many", "read_many", "read_block_range",
                     "write_block_range", "extend", "append_blocks",
@@ -393,6 +396,11 @@ class Inferencer:
                 if _is_stream_expr(arg, ctx):
                     return [Item(_SCAN, True, _names_in(arg),
                                  f"{fn.id}() scan at {origin}")]
+            if fn.id in _READ_INTENTS and call.args:
+                # ``yield StreamRead(ids)``: the driver reads ``ids`` as
+                # one wave — a batch over the data like ``get_many``.
+                return [Item(_SCAN, True, subjects,
+                             f"{fn.id}() wave at {origin}")]
             if fn.id == "next" and call.args:
                 arg = call.args[0]
                 if _is_reader_expr(arg, ctx):

@@ -20,6 +20,11 @@ declare parameters named ``result`` (the function's return value, for
 output-sensitive bounds like ``Sort(N) + Z/B``) and/or ``call`` (a dict
 of the bound call arguments, for bounds that depend on tuning knobs like
 ``fan_in``).
+
+A cooperative generator (a ``*_steps`` function) is registered but not
+measured: its I/O is done by whichever driver runs it, interleaved with
+other jobs' under the query service.  EM-cost certifies it statically,
+and the eager drivers of its phases are measured instead.
 """
 
 from __future__ import annotations
@@ -170,6 +175,13 @@ def io_bound(
         _REGISTRY[name] = BoundSpec(
             name=name, func=func, theory=theory, factor=factor,
             slack=slack)
+        if inspect.isgeneratorfunction(func):
+            # A cooperative generator's I/O happens in whichever driver
+            # runs it, interleaved with other jobs under the service:
+            # EM-cost certifies it statically, and the eager drivers of
+            # its phases are the calls measured here.
+            func.__io_bound__ = _REGISTRY[name]
+            return func
 
         @functools.wraps(func)
         def wrapper(*args: Any, **kwargs: Any) -> Any:

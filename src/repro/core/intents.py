@@ -84,13 +84,20 @@ def drive(machine, job) -> Any:
     intent immediately — the single-tenant driver.
 
     Equivalent to the eager algorithm it wraps (same blocks, same
-    order), useful for testing a cooperative variant in isolation.
-    Returns the job's ``return`` value.
+    order): the eager sort phases are this loop over their generators.
+    An intent that fails is thrown into the job, as the service does,
+    so the job's cleanup runs before the error propagates.  Returns the
+    job's ``return`` value.
     """
-    payloads = None
     try:
+        intent = job.send(None)
         while True:
-            intent = job.send(payloads)
-            payloads = None if intent is None else fulfill(machine, intent)
+            try:
+                payloads = None if intent is None \
+                    else fulfill(machine, intent)
+            except BaseException as error:
+                intent = job.throw(error)
+            else:
+                intent = job.send(payloads)
     except StopIteration as done:
         return done.value

@@ -37,7 +37,8 @@ from __future__ import annotations
 import json
 from typing import Any, Callable, Dict, List, Optional
 
-from ..core.exceptions import ChecksumError, RetryExhaustedError
+from ..core.exceptions import ChecksumError, ConfigurationError, \
+    RetryExhaustedError
 from ..core.machine import Machine
 from ..core.stream import FileStream
 from ..sort.merge import RUN_STRATEGIES, merge_pass, plan_merge_arity
@@ -125,7 +126,15 @@ class SortManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "SortManifest":
+        """Rebuild a manifest written by :meth:`to_json`; a manifest of
+        any other format version is rejected, never half-read."""
         data = json.loads(text)
+        version = data.get("version")
+        if version != _MANIFEST_VERSION:
+            raise ConfigurationError(
+                f"sort manifest version {version!r} is not supported "
+                f"(expected {_MANIFEST_VERSION})"
+            )
         manifest = cls()
         manifest.passes = data["passes"]
         manifest.partial_runs = data.get("partial_runs", [])

@@ -16,7 +16,7 @@ Arge–Thorup RAM-efficient sorting line — orders each run by sorting
 rather than comparing full records.  The *pull* phase exposes the final
 k-way merge as an iterator (forecasting prefetch + galloping block
 merge, exactly the machinery of
-:func:`~repro.sort.merge.merge_streams`) so the
+:func:`~repro.sort.merge.merge_group_steps`) so the
 consumer reads the sorted order without it ever being written.  Total
 cost for a fits-in-one-merge sort: ``2·(N/DB)`` I/Os — write the runs,
 read them back — against ``6·(N/DB)`` for the materialized chain.
@@ -28,11 +28,10 @@ from typing import Any, Callable, Iterable, Iterator, List, Optional
 
 from ..core.exceptions import ConfigurationError, StreamError
 from ..core.machine import Machine
-from ..core.records import argsort, take
 from ..core.stream import FileStream
 from ..runtime.prefetch import ForecastingPrefetcher
 from ..sort.merge import BlockMerger, merge_pass, plan_merge_arity
-from ..sort.runs import identity, memoryload_blocks
+from ..sort.runs import identity, memoryload_blocks, write_run
 
 _PUSH = "push"
 _PULL = "pull"
@@ -160,29 +159,17 @@ class Sorter:
         machine.budget.acquire(self._capacity)
 
     def _spill(self) -> None:
-        """Sort the buffered memoryload and write it out as one run.
-
-        Arge–Thorup: the comparison sort runs over ``(key, index)``
-        pairs — records are only moved once, through the pointers, as
-        the run is emitted — so big payloads ride along for free and
-        ties stay in input order (stability)."""
+        """Write the buffered memoryload out as one run — run
+        formation's writer (:func:`~repro.sort.runs.write_run`), so the
+        records are ordered key-pointer style and moved only once."""
         if not self._buffer:
             return
-        machine = self.machine
-        order = argsort(self._buffer, self._key)
-        permuted = take(self._buffer, order)
-        run = self._stream_cls(
-            machine, name=f"{self._name}/run/{len(self._runs)}"
-        )
-        try:
-            with machine.trace(f"{self._name}-runs"):
-                B = machine.B
-                for offset in range(0, len(permuted), B):
-                    run.append_block(permuted[offset:offset + B])
-            self._runs.append(run.finalize())
-        except BaseException:
-            run.delete()
-            raise
+        with self.machine.trace(f"{self._name}-runs"):
+            run = write_run(
+                self.machine, self._buffer, self._key, self._stream_cls,
+                f"{self._name}/run/{len(self._runs)}",
+            )
+        self._runs.append(run)
         self._buffer = []
 
     def _release_memoryload(self) -> None:
@@ -239,15 +226,24 @@ class Sorter:
         )
         readers = [self._prefetcher.block_reader(i)
                    for i in range(len(self._runs))]
-        self._pull = self._pull_iter(
-            BlockMerger.over(readers, key=self._key)
-        )
+        merger = BlockMerger([next(reader, None) for reader in readers],
+                             key=self._key)
+        self._pull = self._pull_iter(merger, readers)
         return self._pull
 
-    def _pull_iter(self, merger: BlockMerger) -> Iterator[Any]:
+    def _pull_iter(self, merger: BlockMerger,
+                   readers: List[Iterator[Any]]) -> Iterator[Any]:
         try:
-            for record in merger.records():
-                yield record
+            for item in merger.segments():
+                if item.__class__ is int:
+                    # A refill request: run ``item``'s next block.
+                    merger.feed(next(readers[item], None))
+                    continue
+                payload, start, stop = item
+                if start == 0 and stop == len(payload):
+                    yield from payload
+                else:
+                    yield from payload[start:stop]
         finally:
             # Exhaustion and generator close both land here: reader
             # frames released, run blocks freed eagerly.

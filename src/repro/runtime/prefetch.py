@@ -13,19 +13,23 @@ Two read schedules from the survey:
   runs, one per idle disk, so a ``D``-disk merge approaches one block per
   disk per step instead of one block per step.
 
-Both schedules stage prefetched payloads in pinned frames charged to the
-machine's memory budget (:meth:`~repro.runtime.scheduler.IOScheduler.
-try_pin`); staging never exceeds the spare frames, and on a single disk
-no prefetch happens at all, keeping transfer and step counts identical to
-the demand-paged path.
+Both schedules stage prefetched payloads in pinned frames charged to a
+memory budget by one rule (:func:`~repro.runtime.scheduler.pin_frame`):
+read-ahead pins through the scheduler on the machine's budget, the
+forecasting prefetcher on its merge's budget (a tenant's share under
+the query service).  Staging never exceeds the spare frames, and on a
+single disk no prefetch happens at all, keeping transfer and step
+counts identical to the demand-paged path.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Iterator, List, Sequence
+from typing import Any, Callable, Deque, Iterator, List, Sequence, Tuple
 
 from ..core.disk import Block
+from ..core.intents import StreamRead, drive
+from .scheduler import pin_frame
 
 
 def read_ahead(runtime, block_ids: Sequence[int]) -> Iterator[Block]:
@@ -103,10 +107,18 @@ class ForecastingPrefetcher:
             output writer shares the spare frames (a one-block-at-a-time
             writer batching through write-behind) passes ``D - 1`` here
             to keep a write window possible.
+        budget: the ledger charged for the reader frames and the staging
+            pins — a tenant's :class:`~repro.core.memory.SubBudget` when
+            a cooperative merge runs under the service; defaults to the
+            machine's budget.
 
-    Use :meth:`reader` to obtain one record iterator per run, feed them
-    to the merge, and call :meth:`close` when the merge ends (normally or
-    not) so staged frames are returned to the budget.
+    :meth:`next_block` is the one fetch schedule: a sub-generator that
+    yields each forecast batch as a
+    :class:`~repro.core.intents.StreamRead`, so a cooperative merge
+    hands the batch to its driver.  :meth:`block_reader` serves the same
+    schedule eagerly as one payload iterator per run.  Call
+    :meth:`close` when the merge ends (normally or not) so staged
+    frames are returned to the budget.
     """
 
     def __init__(
@@ -115,64 +127,92 @@ class ForecastingPrefetcher:
         run_block_ids: Sequence[Sequence[int]],
         key: Callable[[Any], Any],
         pin_slack: int = 0,
+        budget=None,
     ):
         self.runtime = runtime
-        self.scheduler = runtime.scheduler
+        machine = runtime.machine
         self._key = key
         self._pin_slack = pin_slack
+        self._budget = budget if budget is not None else machine.budget
         self._runs = [_RunState(ids) for ids in run_block_ids]
         # One frame per run's *current* block, reserved for the whole
         # merge up front (every reader stays live until the merge ends).
         # Reserving lazily instead would let opportunistic pins starve a
         # reader that has not started yet.
-        machine = runtime.machine
         self._reader_reserve = machine.block_size * len(self._runs)
-        machine.budget.acquire(self._reader_reserve)
+        self._budget.acquire(self._reader_reserve)
 
     # ------------------------------------------------------------------
     def reader(self, index: int) -> Iterator[Any]:
         """Record iterator over run ``index``, fed by forecasted fetches.
 
         The run's current block lives in a frame reserved by the
-        prefetcher; staged blocks are pinned separately by the scheduler.
+        prefetcher; staged blocks are pinned separately.
         """
         for payload in self.block_reader(index):
             for record in payload:
                 yield record
 
     def block_reader(self, index: int) -> Iterator[Block]:
-        """Whole-payload iterator over run ``index`` — the batch merge's
-        counterpart of :meth:`reader`, identical fetch schedule and
-        counters, no per-record interpreter loop."""
+        """Whole-payload iterator over run ``index``: :meth:`next_block`
+        driven eagerly, each batch read as it is yielded."""
+        machine = self.runtime.machine
         while True:
-            payload = self._next_block(index)
+            payload = drive(machine, self.next_block(index))
             if payload is None:
-                self._drop(index)
                 return
             yield payload
+
+    def next_block(self, index: int):
+        """Run ``index``'s next block, or ``None`` past its end.
+
+        A sub-generator: a staged block comes after a bare ``yield`` (a
+        checkpoint, so a driver interleaving jobs gets one block of
+        merge work per round whether the block was staged or read);
+        otherwise the run's next block is batched with the next block of
+        each most urgent other run on an idle disk, the batch is yielded
+        as one ``StreamRead``, and the payloads sent back are staged.
+        """
+        run = self._runs[index]
+        if run.staged:
+            yield
+            self._unpin(1)
+            return run.staged.popleft()
+        if run.exhausted:
+            return None
+        batch = self._forecast_batch(index)
+        try:
+            payloads = yield StreamRead([block_id for _, block_id in batch])
+        except BaseException:
+            # The read died: its staging pins were never filled.
+            self._unpin(len(batch) - 1)
+            raise
+        result = None
+        for (j, _), payload in zip(batch, payloads):
+            self._runs[j].tail_key = self._key(payload[-1])
+            if j == index:
+                result = payload
+            else:
+                self._runs[j].staged.append(payload)
+        return result
 
     def close(self) -> None:
         """Drop every staged block, unpin its frame, and release the
         reader frames (idempotent)."""
-        for index in range(len(self._runs)):
-            self._drop(index)
+        for run in self._runs:
+            run.next_fetch = len(run.block_ids)
+            self._unpin(len(run.staged))
+            run.staged.clear()
         if self._reader_reserve:
-            self.runtime.machine.budget.release(self._reader_reserve)
+            self._budget.release(self._reader_reserve)
             self._reader_reserve = 0
 
     # ------------------------------------------------------------------
-    def _next_block(self, index: int) -> Block:
-        run = self._runs[index]
-        if run.staged:
-            self.scheduler.unpin()
-            return run.staged.popleft()
-        if run.exhausted:
-            return None
-        return self._fetch(index)
-
-    def _fetch(self, lead: int) -> Block:
-        """Fetch the lead run's next block, batched with the next block
-        of each most-urgent other run on an idle disk."""
+    def _forecast_batch(self, lead: int) -> List[Tuple[int, int]]:
+        """``(run, block id)`` pairs to read together: the lead run's
+        next block, then — on several disks — the next block of each
+        most-urgent other run on a still idle disk, each staged in a
+        frame pinned from the budget."""
         machine = self.runtime.machine
         disk_of = machine.disk.disk_of
         runs = self._runs
@@ -189,22 +229,13 @@ class ForecastingPrefetcher:
                 disk = disk_of(block_id)
                 if disk in used:
                     continue
-                if not self.scheduler.try_pin(self._pin_slack):
+                if not pin_frame(self._budget, machine.block_size,
+                                 self._pin_slack):
                     break
                 used.add(disk)
                 batch.append((j, block_id))
                 other.next_fetch += 1
-        for _, block_id in batch:
-            self.runtime.writer.ensure_flushed(block_id)
-        payloads = self.scheduler.read_batch([b for _, b in batch])
-        result = None
-        for (j, _), payload in zip(batch, payloads):
-            runs[j].tail_key = self._key(payload[-1])
-            if j == lead:
-                result = payload
-            else:
-                runs[j].staged.append(payload)
-        return result
+        return batch
 
     def _forecast_order(self, lead: int) -> List[int]:
         """Runs still needing blocks, most urgent first: never-fetched
@@ -220,9 +251,6 @@ class ForecastingPrefetcher:
         )
         return candidates
 
-    def _drop(self, index: int) -> None:
-        run = self._runs[index]
-        if run.staged:
-            self.scheduler.unpin(len(run.staged))
-            run.staged.clear()
-        run.next_fetch = len(run.block_ids)
+    def _unpin(self, count: int) -> None:
+        if count:
+            self._budget.release(count * self.runtime.machine.block_size)

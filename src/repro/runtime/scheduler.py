@@ -8,8 +8,8 @@ touches each disk at most once.  Algorithms that issue single-block
 :meth:`drain` partitions them into *waves* — at most one request per disk
 — issuing each wave as a single parallel I/O.
 
-The scheduler also owns the *pinned-frame* account used by the prefetcher
-and write-behind buffer.  A pinned frame holds one staged block (``B``
+The scheduler also owns the *pinned-frame* account used by read-ahead
+and the write-behind buffer.  A pinned frame holds one staged block (``B``
 records) and is charged to the machine's :class:`~repro.core.memory.
 MemoryBudget`; the pin count can never exceed the buffer pool's frame
 budget ``m``, so prefetch depth is bounded by internal memory exactly as
@@ -26,6 +26,26 @@ from typing import Any, Deque, Dict, List, Sequence, Tuple
 from ..core.disk import Block
 from ..core.exceptions import ConfigurationError, MemoryLimitExceeded
 from ..faults.retry import RetryPolicy
+
+
+def pin_frame(budget, block_size: int, slack_frames: int = 0) -> bool:
+    """Charge one staged frame (``block_size`` records) to ``budget``
+    if ``slack_frames`` more frames stay available after it — the one
+    pin rule of the scheduler and the forecasting prefetcher.
+
+    Returns False instead of raising when the frame does not fit.
+    ``available`` ignores the buffer pool's reclaimable frames, so the
+    acquire may need the reclaimer to evict cache; if even that cannot
+    make room, the caller skips the optimisation rather than surface
+    :class:`~repro.core.exceptions.MemoryLimitExceeded` from a pin.
+    """
+    if budget.available < (1 + slack_frames) * block_size:
+        return False
+    try:
+        budget.acquire(block_size)
+    except MemoryLimitExceeded:
+        return False
+    return True
 
 
 class IOScheduler:
@@ -182,19 +202,9 @@ class IOScheduler:
                 for lazily acquired writer buffers.  Callers that have
                 pre-reserved every consumer (the merge) pin with no slack.
         """
-        machine = self.machine
-        if self.pinned >= machine.memory_blocks:
-            return False
-        needed = (1 + slack_frames) * machine.block_size
-        if machine.budget.available < needed:
-            return False
-        try:
-            # `available` ignores the buffer pool's reclaimable frames,
-            # so this acquire may need the reclaimer to evict cache; if
-            # even that cannot make room, skip the optimisation rather
-            # than surface MemoryLimitExceeded from a staging pin.
-            machine.budget.acquire(machine.block_size)
-        except MemoryLimitExceeded:
+        if self.pinned >= self.machine.memory_blocks or not pin_frame(
+                self.machine.budget, self.machine.block_size,
+                slack_frames):
             return False
         self.pinned += 1
         return True

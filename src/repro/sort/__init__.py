@@ -3,6 +3,9 @@
 Public surface:
 
 * :func:`~repro.sort.merge.external_merge_sort` — the workhorse sorter.
+* :func:`~repro.sort.steps.merge_sort_steps` — the same sort as an
+  intent-yielding generator, for the query service or
+  :func:`~repro.core.intents.drive`.
 * :func:`~repro.sort.merge.merge_streams` / :class:`~repro.sort.merge.LoserTree`
   — single merge passes.
 * :func:`~repro.sort.distribution.distribution_sort` — the distribution
@@ -10,6 +13,17 @@ Public surface:
 * :func:`~repro.sort.naive.two_way_merge_sort` — the restricted-fan-in
   baseline showing the ``log_{M/B}`` advantage.
 * run-formation strategies and verification helpers.
+
+The load-sort schedule exists once, as three cooperative generators
+that yield their reads as ``StreamRead`` intents and reserve every
+frame from a ``budget``:
+:func:`~repro.sort.runs.form_runs_steps` (memoryload runs),
+:func:`~repro.sort.merge.merge_group_steps` (one forecast-prefetched
+group merge) and :func:`~repro.sort.merge.merge_pass_steps` (one merge
+pass).  The eager :func:`~repro.sort.runs.form_runs_load_sort`,
+:func:`~repro.sort.merge.merge_streams` and
+:func:`~repro.sort.merge.merge_pass` are ``drive`` loops over them, and
+``merge_sort_steps`` composes them.
 """
 
 from .distribution import distribution_sort

@@ -11,15 +11,25 @@ Two merge engines are provided:
 * :class:`LoserTree` — a tournament tree of losers (Knuth 5.4.1) over
   record iterators: ``O(log k)`` comparisons per emitted record.  Used
   where inputs only exist as record iterators (the sequence heap).
-* :class:`BlockMerger` — the engine every block merge runs, eager
-  (:func:`merge_streams`, the pipelined ``Sorter``) and cooperative
-  (:func:`repro.sort.steps.merge_sort_steps`).  It consumes whole block
-  payloads and refills a run only when its resident block is used up.
-  Typed payloads merge in incremental rounds of a constant number of
-  numpy calls and are never unpacked into Python objects; other
-  payloads gallop by binary search and move records as slices.
+* :class:`BlockMerger` — the engine every block merge runs: the
+  sort's group merge and the pipelined ``Sorter``'s pulled merge.  It
+  consumes whole block payloads and asks for a run's next block only
+  when its resident block is used up.  Typed payloads merge in
+  incremental rounds of a constant number of numpy calls and are never
+  unpacked into Python objects; other payloads gallop by binary search
+  and move records as slices.
 
 Both are stable: ties are broken by ascending source index.
+
+The merge phase of the sort is two cooperative generators, the only
+merge-phase code: :func:`merge_group_steps` merges one group, its
+refills yielded as forecast ``StreamRead`` batches
+(:meth:`~repro.runtime.prefetch.ForecastingPrefetcher.next_block`), and
+:func:`merge_pass_steps` merges the groups of one pass.  The eager
+:func:`merge_streams` and :func:`merge_pass` are
+:func:`~repro.core.intents.drive` loops over them; the cooperative
+:func:`~repro.sort.steps.merge_sort_steps` runs them under the query
+service.
 """
 
 from __future__ import annotations
@@ -33,6 +43,7 @@ from typing import Any, Callable, Iterator, List, Optional, Sequence, \
 from ..analysis.sanitizer import io_bound
 from ..core.bounds import scan_io, sort_io
 from ..core.exceptions import ConfigurationError, StreamError
+from ..core.intents import drive
 from ..core.machine import Machine
 from ..core.records import BlockBuilder, concat, key_column, key_list, np
 from ..core.stream import FileStream
@@ -151,16 +162,13 @@ class BlockMerger:
 
     The merger starts from each run's first block and asks for a run's
     next block only when that run's resident block is used up — the
-    same refill order as a record-at-a-time heap merge, so both drivers
-    keep their exact I/O schedules:
-
-    * the eager path (:meth:`over`) pulls refills from per-run block
-      iterators, e.g. ``ForecastingPrefetcher.block_reader``;
-    * the cooperative path (:func:`repro.sort.steps.merge_sort_steps`)
-      passes no ``fetch`` hook: :meth:`segments` then *yields* the run
-      index it needs and takes the block back via ``send`` (``None``
-      once the run is exhausted), so the caller can turn each refill
-      into a ``StreamRead`` intent.
+    same refill order as a record-at-a-time heap merge.  It does no I/O
+    itself: :meth:`segments` and :meth:`blocks` *yield* the index of
+    the run they need next, and the caller answers with :meth:`feed`
+    (``None`` once the run is exhausted).  The sort's group merge
+    (:func:`merge_group_steps`) turns each refill into a forecast
+    ``StreamRead``; the pipelined ``Sorter``'s pulled merge answers from
+    ``ForecastingPrefetcher.block_reader``.
 
     Two engines sit behind :meth:`segments`:
 
@@ -190,40 +198,29 @@ class BlockMerger:
         key: key extraction function (defaults to identity; pass
             :func:`repro.core.records.field` to keep column extraction
             vectorized on structured arrays).
-        fetch: ``fetch(run)`` returns the run's next block, or ``None``
-            once it is exhausted.
     """
 
     def __init__(
         self,
         heads: List[Optional[Sequence[Any]]],
         key: Optional[Callable[[Any], Any]] = None,
-        fetch: Optional[Callable[[int], Optional[Sequence[Any]]]] = None,
     ):
-        if not heads:
-            raise ConfigurationError(
-                "BlockMerger needs at least one source"
-            )
         self._heads = list(heads)
         self._key = key or identity
-        self._fetch = fetch
+        self._fed: Optional[Sequence[Any]] = None
 
-    @classmethod
-    def over(
-        cls,
-        sources: List[Iterator[Sequence[Any]]],
-        key: Optional[Callable[[Any], Any]] = None,
-    ) -> "BlockMerger":
-        """A merger that pulls each run's blocks from its iterator."""
-        return cls([next(source, None) for source in sources], key,
-                   fetch=lambda run: next(sources[run], None))
+    def feed(self, block: Optional[Sequence[Any]]) -> None:
+        """Answer the refill request just yielded: the run's next
+        block, or ``None`` once it is exhausted."""
+        self._fed = block
 
     def _refill(self, run: int):
         """The next non-empty block of ``run``, or ``None`` at its end
-        (a sub-generator: without a fetch hook it yields ``run``)."""
-        fetch = self._fetch
+        (a sub-generator: yields ``run``, then reads the answer given
+        to :meth:`feed`)."""
         while True:
-            block = fetch(run) if fetch is not None else (yield run)
+            yield run
+            block = self._fed
             if block is None or len(block):
                 return block
 
@@ -236,7 +233,7 @@ class BlockMerger:
 
     def segments(self) -> Iterator[Tuple[Sequence[Any], int, int]]:
         """Yield the merge as ``(payload, start, stop)`` segments, in
-        key order (and, without a fetch hook, the refill requests)."""
+        key order, between the refill requests."""
         live = [head for head in self._heads if head is not None]
         column = key_column(live[0], self._key) if live else None
         if column is not None and column.dtype != object and all(
@@ -248,7 +245,6 @@ class BlockMerger:
     def _typed_rounds(self, dtype):
         key = self._key
         by_value = key is identity
-        fetch = self._fetch
         parts, tags, heap = [], [], []
         for run, head in enumerate(self._heads):
             if head is not None and not len(head):
@@ -283,9 +279,7 @@ class BlockMerger:
             yield payload, 0, cut
             keys, tags = keys[cut:], tags[cut:]
             payload = keys if by_value else payload[cut:]
-            block = fetch(run) if fetch is not None else (yield run)
-            if block is not None and not len(block):
-                block = yield from self._refill(run)
+            block = yield from self._refill(run)
             if block is None:
                 heapq.heappop(heap)
                 continue
@@ -361,25 +355,20 @@ class BlockMerger:
         """Yield the merge re-blocked into exactly-``block_size``-record
         payloads (the last may be short) — fed straight to
         ``append_block``, so output block counts match the seed's
-        record-at-a-time writer."""
+        record-at-a-time writer.  The refill requests (run indexes)
+        are passed through."""
         pending: deque = deque()
         builder = BlockBuilder(block_size, pending.append)
-        for payload, start, stop in self.segments():
-            builder.push(payload, start, stop)
+        for item in self.segments():
+            if item.__class__ is int:
+                yield item
+                continue
+            builder.push(*item)
             while pending:
                 yield pending.popleft()
         builder.flush()
         while pending:
             yield pending.popleft()
-
-    def records(self) -> Iterator[Any]:
-        """Yield the merge record by record — the drop-in replacement
-        for iterating a :class:`LoserTree`."""
-        for payload, start, stop in self.segments():
-            if start == 0 and stop == len(payload):
-                yield from payload
-            else:
-                yield from payload[start:stop]
 
 
 def _place(resident, new, where, rest):
@@ -389,6 +378,73 @@ def _place(resident, new, where, rest):
     out[where] = new
     out[rest] = resident
     return out
+
+
+def merge_group_steps(
+    machine: Machine,
+    group: List[FileStream],
+    key: Optional[Callable[[Any], Any]] = None,
+    stream_cls=FileStream,
+    name: str = "merged",
+    budget=None,
+):
+    """Merge the sorted runs of ``group`` into one run; a cooperative
+    generator.
+
+    Holds the output writer's frames (1, or ``D`` for a striped writer)
+    and one reader frame per run, reserved from ``budget`` (default:
+    the machine's) before any staging pin is taken, so pins consume
+    only true spares.  The merge is a :class:`BlockMerger`; each block
+    it asks for comes from
+    :meth:`~repro.runtime.prefetch.ForecastingPrefetcher.next_block`,
+    whose forecast batches the refill with the next blocks of the most
+    urgent other runs, one per idle disk — yielded as one
+    :class:`~repro.core.intents.StreamRead` and staged in frames pinned
+    from ``budget``.  Each full output block is appended as it
+    completes.  One read per input block and one write per output
+    block.
+
+    Returns the finalized output run.  A fault (or a driver ``throw``)
+    deletes the half-written output, so the group can be re-merged
+    from its inputs.
+    """
+    key = key or identity
+    budget = budget if budget is not None else machine.budget
+    for run in group:
+        if not run.is_finalized:
+            raise StreamError(
+                f"stream {run.name!r} must be finalized before merging"
+            )
+    out = stream_cls(machine, name=name)
+    writer_frames = stream_cls.writer_frames(machine)
+    # A writer that stages its own full stripe leaves the forecast free
+    # to pin every spare frame; a one-block writer needs D-1 of them
+    # kept available for its write-behind window.
+    pin_slack = 0 if writer_frames >= machine.num_disks \
+        else machine.num_disks - 1
+    try:
+        with budget.reserve(writer_frames * machine.B):
+            prefetcher = ForecastingPrefetcher(
+                machine.runtime, [run.block_ids for run in group],
+                key=key, pin_slack=pin_slack, budget=budget,
+            )
+            try:
+                heads = []
+                for index in range(len(group)):
+                    heads.append((yield from prefetcher.next_block(index)))
+                merger = BlockMerger(heads, key)
+                for item in merger.blocks(machine.B):
+                    if item.__class__ is int:
+                        # A refill request: run ``item``'s next block.
+                        merger.feed((yield from prefetcher.next_block(item)))
+                    else:
+                        out.append_block(item)
+            finally:
+                prefetcher.close()
+            return out.finalize()
+    except BaseException:
+        out.delete()
+        raise
 
 
 # Transfers, not steps: the envelope is D-independent (see runs.py).
@@ -405,56 +461,18 @@ def merge_streams(
 ) -> FileStream:
     """Merge sorted ``streams`` into one sorted stream in a single pass.
 
-    Uses one input frame per stream and one output frame, so
-    ``len(streams) + 1`` must not exceed ``m`` (the memory budget raises
-    otherwise).  Costs one read per input block and one write per output
-    block.
+    The eager driver of :func:`merge_group_steps`: one input frame per
+    stream plus the output writer's frames must fit in ``M`` (the
+    memory budget raises otherwise).  Costs one read per input block and
+    one write per output block.
 
     On a multi-disk machine the input reads are scheduled by the
-    *forecasting* prefetcher (the run whose newest block has the smallest
+    *forecasting* rule (the run whose newest block has the smallest
     last key is fetched next, batched one block per idle disk), so the
     merge approaches ``D`` transfers per parallel step instead of one.
     """
-    key = key or identity
-    if not streams:
-        return stream_cls(machine, name=name).finalize()
-    for stream in streams:
-        if not stream.is_finalized:
-            raise StreamError(
-                f"stream {stream.name!r} must be finalized before merging"
-            )
-    output = stream_cls(machine, name=name)
-    try:
-        # Reserve the output buffer and every reader frame before any
-        # opportunistic prefetch pin is taken: pins consume only true
-        # spares and can never starve a frame the merge is guaranteed to
-        # need.
-        output.reserve_writer()
-        # A writer that stages its own full stripe leaves the forecast
-        # free to pin every spare frame; a one-block writer needs D-1 of
-        # them kept available for its write-behind window.
-        pin_slack = (
-            0 if stream_cls.writer_frames(machine) >= machine.num_disks
-            else machine.num_disks - 1)
-        prefetcher = ForecastingPrefetcher(
-            machine.runtime, [stream.block_ids for stream in streams],
-            key=key, pin_slack=pin_slack,
-        )
-        try:
-            readers = [prefetcher.block_reader(i)
-                       for i in range(len(streams))]
-            merger = BlockMerger.over(readers, key=key)
-            for block in merger.blocks(machine.B):
-                output.append_block(block)
-        finally:
-            prefetcher.close()
-        return output.finalize()
-    except BaseException:
-        # A fault mid-merge (retry exhaustion, checksum mismatch, crash)
-        # must not leak the half-written output: drop its blocks and
-        # writer frame so recovery can re-run the merge from its inputs.
-        output.delete()
-        raise
+    return drive(machine, merge_group_steps(
+        machine, streams, key, stream_cls, name))
 
 
 RUN_STRATEGIES = {
@@ -477,13 +495,15 @@ def plan_merge_arity(
     num_runs: int = 0,
     fan_in: Optional[int] = None,
     stream_cls=FileStream,
+    budget=None,
 ) -> int:
-    """The merge arity :func:`external_merge_sort` will use.
+    """The merge arity a sort of ``num_runs`` runs will use.
 
     One input frame per run plus the output writer's frames (1, or ``D``
-    for a striped writer) must fit in the *available* budget: callers
-    holding resident frames (an open block file) lower the arity instead
-    of overflowing ``M``.  On a multi-disk machine the arity additionally
+    for a striped writer) must fit in the *available* ``budget``
+    (default: the machine's): callers holding resident frames (an open
+    block file, a tenant's other jobs) lower the arity instead of
+    overflowing ``M``.  On a multi-disk machine the arity additionally
     shrinks toward prefetch/write-behind headroom — but never enough to
     add a merge pass over ``num_runs`` runs, since an extra pass costs a
     whole scan and headroom only steps.
@@ -491,20 +511,23 @@ def plan_merge_arity(
     Deterministic given the same free budget, so a resumed
     checkpointed sort recomputes the same pass structure it crashed in.
     Raises :class:`~repro.core.exceptions.ConfigurationError` when even
-    a binary merge cannot fit.
+    a binary merge cannot fit, or when a caller's ``fan_in`` needs more
+    frames than are free — before the sort spends any I/O.
     """
-    frames = machine.budget.available // machine.B
+    budget = budget if budget is not None else machine.budget
+    frames = budget.available // machine.B
     writer_frames = stream_cls.writer_frames(machine)
-    if fan_in is not None:
-        arity = fan_in
-    else:
-        arity = min(machine.fan_in, frames - writer_frames)
+    most = frames - writer_frames
+    if fan_in is not None and fan_in > most:
+        raise ConfigurationError(
+            f"merge fan-in {fan_in} needs {fan_in + writer_frames} "
+            f"frames but only {frames} are free"
+        )
+    arity = fan_in if fan_in is not None else min(machine.fan_in, most)
     if arity < 2:
         raise ConfigurationError(f"merge fan-in must be >= 2, got {arity}")
     if fan_in is None and machine.num_disks > 1 and num_runs > 1:
-        target = max(2, min(arity,
-                            frames - writer_frames
-                            - 2 * (machine.num_disks - 1)))
+        target = max(2, min(arity, most - 2 * (machine.num_disks - 1)))
         if target < arity:
             passes = _merge_levels(num_runs, arity)
             low, high = 2, arity
@@ -518,6 +541,46 @@ def plan_merge_arity(
     return arity
 
 
+def merge_pass_steps(
+    machine: Machine,
+    runs: List[FileStream],
+    arity: int,
+    key: Optional[Callable[[Any], Any]] = None,
+    stream_cls=FileStream,
+    level: int = 1,
+    name_prefix: str = "merge",
+    delete_inputs: bool = True,
+    out: Optional[List[FileStream]] = None,
+    budget=None,
+):
+    """One merge pass as a cooperative generator: consecutive groups
+    of ``arity`` runs are each merged by :func:`merge_group_steps`.
+
+    A lone straggler run is carried forward untouched (it then appears
+    in both the input and output lists — don't double-delete it).  With
+    ``delete_inputs``, every group's inputs are deleted the moment its
+    merge lands, keeping peak disk usage ``O(N/B)`` blocks.  ``out``,
+    when given, is used as the output list and filled incrementally, so
+    a caller can see which group outputs already landed when the pass
+    dies mid-merge and clean them up.  Returns the output list.
+    """
+    next_runs: List[FileStream] = [] if out is None else out
+    for start in range(0, len(runs), arity):
+        group = runs[start:start + arity]
+        if len(group) == 1:
+            next_runs.append(group[0])
+            continue
+        merged = yield from merge_group_steps(
+            machine, group, key, stream_cls,
+            f"{name_prefix}/{level}/{len(next_runs)}", budget,
+        )
+        if delete_inputs:
+            for run in group:
+                run.delete()
+        next_runs.append(merged)
+    return next_runs
+
+
 def merge_pass(
     machine: Machine,
     runs: List[FileStream],
@@ -529,42 +592,19 @@ def merge_pass(
     delete_inputs: bool = True,
     out: Optional[List[FileStream]] = None,
 ) -> List[FileStream]:
-    """One merge pass: consecutive groups of ``arity`` runs are each
-    merged into a single run.
+    """One merge pass: the eager driver of :func:`merge_pass_steps`,
+    traced as the phase ``{name_prefix}-pass-{level}``.
 
-    With ``delete_inputs`` (the default), every group's inputs are
-    deleted the moment its merge lands, keeping peak disk usage
-    ``O(N/B)`` blocks.  The checkpointed sort passes ``False`` and
-    deletes inputs only after the pass's manifest commits, so a pass
-    that dies mid-merge can be re-run from its surviving inputs.  A
-    lone straggler run is carried forward untouched (it then appears in
-    both the input and output lists — don't double-delete it).
-
-    ``out``, when given, is used as the output list and filled
-    incrementally, so a caller can see which group outputs already
-    landed when the pass dies mid-merge and clean them up.
+    The checkpointed sort passes ``delete_inputs=False`` and deletes
+    inputs only after the pass's manifest commits, so a pass that dies
+    mid-merge can be re-run from its surviving inputs; its ``out`` list
+    shows which group outputs already landed.
     """
-    next_runs: List[FileStream] = [] if out is None else out
     with machine.trace(f"{name_prefix}-pass-{level}"):
-        for start in range(0, len(runs), arity):
-            group = runs[start:start + arity]
-            if len(group) == 1:
-                # A lone straggler run needs no merging; carry it
-                # forward without spending a copy pass on it.
-                next_runs.append(group[0])
-                continue
-            merged = merge_streams(
-                machine,
-                group,
-                key=key,
-                stream_cls=stream_cls,
-                name=f"{name_prefix}/{level}/{len(next_runs)}",
-            )
-            if delete_inputs:
-                for run in group:
-                    run.delete()
-            next_runs.append(merged)
-    return next_runs
+        return drive(machine, merge_pass_steps(
+            machine, runs, arity, key, stream_cls, level, name_prefix,
+            delete_inputs, out,
+        ))
 
 
 def _merge_sort_theory(machine: Machine, n: int, call: dict) -> int:
@@ -605,7 +645,6 @@ def external_merge_sort(
     Returns a finalized sorted stream.  Intermediate runs are deleted, so
     peak disk usage stays ``O(N/B)`` blocks.  The sort is stable.
     """
-    key = key or identity
     if run_strategy not in RUN_STRATEGIES:
         raise ConfigurationError(
             f"unknown run strategy {run_strategy!r}; "

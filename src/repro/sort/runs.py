@@ -4,7 +4,9 @@ Two strategies from the survey are implemented:
 
 * :func:`form_runs_load_sort` — read a full memoryload of ``M`` records,
   sort it internally, write it out.  Produces ``ceil(N/M)`` runs of exactly
-  ``M`` records (except the last).
+  ``M`` records (except the last).  It is the eager driver of
+  :func:`form_runs_steps`, the intent-yielding generator that the
+  cooperative sort (:func:`~repro.sort.steps.merge_sort_steps`) runs.
 * :func:`form_runs_replacement_selection` — stream records through an
   ``M``-record tournament (here a binary heap): always emit the smallest
   key that can still extend the current run.  On random input the expected
@@ -22,8 +24,9 @@ from typing import Any, Callable, List, Optional
 from ..analysis.sanitizer import io_bound
 from ..core.bounds import scan_io
 from ..core.exceptions import ConfigurationError
+from ..core.intents import StreamRead, drive
 from ..core.machine import Machine
-from ..core.records import argsort, take
+from ..core.records import argsort, concat, take
 from ..core.stream import FileStream
 
 
@@ -68,6 +71,82 @@ def memoryload_blocks(machine: Machine, available: int,
     return blocks
 
 
+def write_run(machine: Machine, chunk,
+              key: Optional[Callable[[Any], Any]], stream_cls,
+              name: str) -> FileStream:
+    """Order one memoryload and write it as a finalized run.
+
+    Arge–Thorup: sort (key, pointer), then move each record exactly
+    once through its pointer — payload size stays out of the
+    comparisons, ties keep input order (stability).  On a typed chunk
+    both calls are single vectorized passes.  The caller holds (and
+    has reserved) the chunk, so the blocks are written straight from it
+    with no staging frame; a write that dies deletes the run.
+    """
+    permuted = take(chunk, argsort(chunk, key))
+    B = machine.B
+    run = stream_cls(machine, name=name)
+    try:
+        run.append_blocks([permuted[offset:offset + B]
+                           for offset in range(0, len(permuted), B)])
+        return run.finalize()
+    except BaseException:
+        run.delete()
+        raise
+
+
+def form_runs_steps(
+    machine: Machine,
+    stream: FileStream,
+    key: Optional[Callable[[Any], Any]] = None,
+    stream_cls=FileStream,
+    map_fn: Optional[Callable[[Any], Any]] = None,
+    filter_fn: Optional[Callable[[Any], bool]] = None,
+    budget=None,
+    name: str = "run",
+):
+    """Load-sort run formation as a cooperative generator.
+
+    Each memoryload is sized by :func:`memoryload_blocks` over the
+    *available* ``budget`` (default: the machine's) — a caller holding
+    resident frames, or a tenant with a small share, forms shorter runs
+    instead of overflowing — and is counted in *input* records, so the
+    reservation covers a filter that drops nothing.  The load is one
+    yielded :class:`~repro.core.intents.StreamRead`; ``filter_fn`` then
+    ``map_fn`` run on it (a load the filter empties forms no run), and
+    :func:`write_run` orders and writes it through ``stream_cls``.
+    One read and one write per input block.
+
+    Returns the finalized runs, in input order, named ``name/i``.  A
+    fault or a driver ``throw`` deletes every run formed so far, so the
+    caller can retry the whole pass (the checkpointed sort does).
+    """
+    budget = budget if budget is not None else machine.budget
+    block_ids = list(stream.block_ids)
+    blocks_per_run = memoryload_blocks(machine, budget.available,
+                                       stream_cls)
+    runs: List[FileStream] = []
+    try:
+        for start in range(0, len(block_ids), blocks_per_run):
+            wanted = block_ids[start:start + blocks_per_run]
+            with budget.reserve(len(wanted) * machine.B):
+                chunk = concat((yield StreamRead(wanted)))
+                if filter_fn is not None:
+                    chunk = [record for record in chunk
+                             if filter_fn(record)]
+                    if not chunk:
+                        continue
+                if map_fn is not None:
+                    chunk = [map_fn(record) for record in chunk]
+                runs.append(write_run(machine, chunk, key, stream_cls,
+                                      f"{name}/{len(runs)}"))
+    except BaseException:
+        for formed in runs:
+            formed.delete()
+        raise
+    return runs
+
+
 @io_bound(_run_formation_theory, factor=2.0)
 def form_runs_load_sort(
     machine: Machine,
@@ -77,52 +156,17 @@ def form_runs_load_sort(
 ) -> List[FileStream]:
     """Split ``stream`` into sorted runs of ``M`` records each.
 
-    Each memoryload occupies the *available* memory budget (up to ``m``
-    blocks, see :func:`memoryload_blocks`) — callers holding resident
-    frames (an open block file, a priority queue) shorten the runs
-    rather than overflow ``M``.  Blocks are read and written directly so
-    no extra staging frames are needed.  Costs one read and one write
-    I/O per block of input.
+    The eager driver of :func:`form_runs_steps`: each memoryload
+    occupies the *available* memory budget (up to ``m`` blocks, see
+    :func:`memoryload_blocks`) and is read and written directly, so no
+    extra staging frames are needed.  Costs one read and one write I/O
+    per block of input.
 
     Returns the list of finalized run streams, in input order.
     """
-    key = key or identity
-    runs: List[FileStream] = []
-    num_blocks = stream.num_blocks
-    blocks_per_run = memoryload_blocks(
-        machine, machine.budget.available, stream_cls
-    )
-    run: Optional[FileStream] = None
     with machine.trace("run-formation"):
-        try:
-            for start in range(0, num_blocks, blocks_per_run):
-                end = min(start + blocks_per_run, num_blocks)
-                with machine.budget.reserve((end - start) * machine.B):
-                    chunk = stream.read_block_range(start, end)
-                    # Arge–Thorup: sort (key, pointer), then move each
-                    # record exactly once through its pointer — payload
-                    # size stays out of the comparisons, ties keep input
-                    # order (stability).  On a typed chunk both calls
-                    # are single vectorized passes.
-                    order = argsort(chunk, key)
-                    permuted = take(chunk, order)
-                    run = stream_cls(machine, name=f"run/{len(runs)}")
-                    run.append_blocks([
-                        permuted[offset:offset + machine.B]
-                        for offset in range(0, len(permuted), machine.B)
-                    ])
-                    runs.append(run.finalize())
-                    run = None
-        except BaseException:
-            # A fault mid-formation must not leak runs: delete the
-            # half-written one and every finished one so the caller can
-            # retry the whole pass (checkpointed sort does exactly that).
-            if run is not None:
-                run.delete()
-            for formed in runs:
-                formed.delete()
-            raise
-    return runs
+        return drive(machine, form_runs_steps(
+            machine, stream, key, stream_cls))
 
 
 @io_bound(_run_formation_theory, factor=3.0)

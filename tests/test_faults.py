@@ -294,6 +294,23 @@ class TestCheckpointedSort:
         assert (m.stats() - before).total == 0
         assert list(again) == sorted(data)
 
+    def test_manifest_of_another_version_rejected(self):
+        import json
+        m = machine()
+        stream = FileStream.from_records(m, shuffled(100, seed=12))
+        manifest = SortManifest()
+        checkpointed_merge_sort(m, stream, manifest, fan_in=2)
+        text = manifest.to_json()
+        assert SortManifest.from_json(text).done
+        for version in (None, 0, 2, "1"):
+            data = json.loads(text)
+            if version is None:
+                del data["version"]
+            else:
+                data["version"] = version
+            with pytest.raises(ConfigurationError, match="version"):
+                SortManifest.from_json(json.dumps(data))
+
 
 class TestFileBackedFaults:
     """The whole fault stack — injection, retries, torn writes,

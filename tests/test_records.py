@@ -315,14 +315,21 @@ class TestTypePreservation:
         stream = FileStream.from_payload(m, data)
         written = []
         append_block = FileStream.append_block
+        append_blocks = FileStream.append_blocks
 
         def spy(self, records):
             written.append(records)
             append_block(self, records)
 
+        def spy_batch(self, payloads):
+            written.extend(payloads)
+            append_blocks(self, payloads)
+
         monkeypatch.setattr(FileStream, "append_block", spy)
+        monkeypatch.setattr(FileStream, "append_blocks", spy_batch)
         out = drive(m, merge_sort_steps(m, stream))
-        # Runs and merge outputs are both written block by block.
+        # Runs (one batch per memoryload) and merge outputs (block by
+        # block) are both written as whole blocks.
         assert len(written) > 2 * stream.num_blocks
         for block in written + list(out.iter_blocks()):
             assert isinstance(block, np.ndarray)

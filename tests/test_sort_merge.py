@@ -205,6 +205,16 @@ class TestExternalMergeSort:
         with pytest.raises(ConfigurationError):
             external_merge_sort(m, s, fan_in=1)
 
+    def test_fan_in_beyond_free_frames_rejected_before_any_io(self):
+        # 8 frames: at most 7 readers beside the output writer.
+        m = machine(B=16, m=8)
+        s = FileStream.from_records(m, uniform_ints(2000, seed=3))
+        m.reset_stats()
+        with pytest.raises(ConfigurationError):
+            external_merge_sort(m, s, fan_in=64)
+        assert m.stats().total == 0
+        assert m.budget.in_use == 0
+
     def test_empty_stream(self):
         m = machine()
         out = external_merge_sort(m, FileStream(m).finalize())

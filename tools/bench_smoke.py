@@ -5,12 +5,13 @@ Runs the F1 (sort scaling) and F12 (parallel disks) experiments at small
 sizes — seconds, not minutes — and writes a JSON summary so CI uploads a
 machine-readable record of the runtime's scheduling quality per commit:
 
-    python tools/bench_smoke.py [--output BENCH_pr10.json]
+    python tools/bench_smoke.py [--output BENCH.json]
 
 The JSON reports, per disk count, the parallel steps, total transfers,
-and the steps/optimal ratio (optimal = ceil(transfers / D)); the sort
-must stay within 1.5x of its step-optimal schedule, the same bound the
-full F12 benchmark enforces.
+and the steps/optimal ratio (optimal = ceil(transfers / D)) of the eager
+striped sort and of the cooperative sort (``drive(merge_sort_steps)``);
+both must stay within 1.5x of their step-optimal schedule, the same
+bound the full F12 benchmark enforces.
 
 A raw-speed record compares the key-pointer sort (typed payloads,
 blockwise permutation) against the seed's record-object path — same
@@ -82,7 +83,12 @@ from repro.faults import (  # noqa: E402
 )
 from repro.pq import ExternalPriorityQueue  # noqa: E402
 from repro.search import BPlusTree  # noqa: E402
-from repro.sort import LoserTree, external_merge_sort  # noqa: E402
+from repro.core.intents import drive  # noqa: E402
+from repro.sort import (  # noqa: E402
+    LoserTree,
+    external_merge_sort,
+    merge_sort_steps,
+)
 from repro.sort.merge import plan_merge_arity  # noqa: E402
 from repro.workloads import uniform_ints  # noqa: E402
 
@@ -248,31 +254,40 @@ def _raw_close(machine, backend):
 
 
 def f12_smoke():
-    """Scheduled striped sort steps vs ceil(transfers/D) per disk count."""
+    """Scheduled sort steps vs ceil(transfers/D) per disk count, for the
+    eager striped sort and the cooperative sort under ``drive`` — the
+    same phase generators, so both stay within the same bound."""
     points = []
-    for num_disks in (1, 2, 4, 8):
-        machine = Machine(block_size=F12_B, memory_blocks=F12_M_BLOCKS,
-                          num_disks=num_disks)
-        data = uniform_ints(F12_N, seed=13)
-        stream = StripedStream.from_records(machine, data)
-        machine.reset_stats()
-        result = external_merge_sort(machine, stream,
-                                     stream_cls=StripedStream)
-        stats = machine.stats()
-        assert len(result) == F12_N
-        optimal = ceil(stats.total / num_disks)
-        ratio = stats.total_steps / optimal
-        assert ratio <= RATIO_BOUND, (
-            f"D={num_disks}: {stats.total_steps} steps vs "
-            f"{optimal} optimal (ratio {ratio:.3f})"
-        )
-        points.append({
-            "num_disks": num_disks,
-            "transfers": stats.total,
-            "steps": stats.total_steps,
-            "steps_optimal": optimal,
-            "steps_over_optimal": round(ratio, 4),
-        })
+    for driver in ("eager", "cooperative"):
+        for num_disks in (1, 2, 4, 8):
+            machine = Machine(block_size=F12_B, memory_blocks=F12_M_BLOCKS,
+                              num_disks=num_disks)
+            data = uniform_ints(F12_N, seed=13)
+            if driver == "eager":
+                stream = StripedStream.from_records(machine, data)
+                machine.reset_stats()
+                result = external_merge_sort(machine, stream,
+                                             stream_cls=StripedStream)
+            else:
+                stream = FileStream.from_records(machine, data)
+                machine.reset_stats()
+                result = drive(machine, merge_sort_steps(machine, stream))
+            stats = machine.stats()
+            assert len(result) == F12_N
+            optimal = ceil(stats.total / num_disks)
+            ratio = stats.total_steps / optimal
+            assert ratio <= RATIO_BOUND, (
+                f"{driver} D={num_disks}: {stats.total_steps} steps vs "
+                f"{optimal} optimal (ratio {ratio:.3f})"
+            )
+            points.append({
+                "driver": driver,
+                "num_disks": num_disks,
+                "transfers": stats.total,
+                "steps": stats.total_steps,
+                "steps_optimal": optimal,
+                "steps_over_optimal": round(ratio, 4),
+            })
     return {"name": "f12_parallel_disks", "B": F12_B,
             "M": F12_B * F12_M_BLOCKS, "n": F12_N,
             "ratio_bound": RATIO_BOUND, "points": points}
@@ -655,7 +670,7 @@ def service_smoke():
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--output", default="BENCH_pr10.json",
+    parser.add_argument("--output", default="BENCH.json",
                         help="path of the JSON summary (default: %(default)s)")
     args = parser.parse_args(argv)
     summary = {"benchmarks": [f1_smoke(), raw_speed_smoke(), f12_smoke(),
