@@ -327,7 +327,8 @@ def _merge_pass_checkpointed(
             )
         except BaseException:
             # The in-flight group's output was already deleted by
-            # merge_streams; completed groups' outputs survive on disk.
+            # merge_group_steps; completed groups' outputs survive on
+            # disk.
             # Record them so resume can reclaim their blocks.
             manifest.record_partial(
                 [run for run in landed if id(run) not in inputs]
