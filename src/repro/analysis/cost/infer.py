@@ -614,7 +614,7 @@ class Inferencer:
             if isinstance(node.func, ast.Attribute) \
                     and node.func.attr in STREAM_METHODS:
                 return "stream", [_N], subjects, True
-            # stream combinators (LoserTree over run readers etc.):
+            # stream combinators (a merge over run readers etc.):
             # any stream-ish argument makes this a merged record loop
             for arg in ast.walk(node):
                 if isinstance(arg, ast.Name) and (

@@ -45,6 +45,9 @@ from ..sort.merge import RUN_STRATEGIES, merge_pass, plan_merge_arity
 from ..sort.runs import identity
 
 _MANIFEST_VERSION = 1
+# Redo budget per pass for ``verify_outputs``: a pass whose fresh
+# output fails its checksum is redone at most this many times.
+MAX_REDOS = 3
 
 
 def _describe(stream: FileStream) -> Dict[str, Any]:
@@ -179,10 +182,8 @@ def checkpointed_merge_sort(
     manifest: SortManifest,
     key: Optional[Callable[[Any], Any]] = None,
     fan_in: Optional[int] = None,
-    run_strategy: str = "load",
     stream_cls=FileStream,
     verify_outputs: bool = False,
-    max_redos: int = 3,
 ) -> FileStream:
     """External merge sort that commits ``manifest`` after every pass.
 
@@ -197,10 +198,10 @@ def checkpointed_merge_sort(
     Args:
         verify_outputs: re-read each pass's fresh output before
             committing it; a pass whose output fails its checksum (torn
-            write) is deleted and redone, up to ``max_redos`` times,
-            after which :class:`~repro.core.exceptions.RetryExhaustedError`
-            is raised.
-        max_redos: redo budget per pass for ``verify_outputs``.
+            write) is deleted and redone, up to :data:`MAX_REDOS`
+            times, after which
+            :class:`~repro.core.exceptions.RetryExhaustedError` is
+            raised.
 
     Returns the finalized sorted stream (also recorded in
     ``manifest.result``).
@@ -224,8 +225,7 @@ def checkpointed_merge_sort(
 
     if not manifest.passes:
         runs = _form_runs_checkpointed(
-            machine, stream, key, run_strategy, stream_cls,
-            verify_outputs, max_redos, manifest,
+            machine, stream, key, stream_cls, verify_outputs, manifest,
         )
         manifest.commit_pass(runs)
         _sync_device(machine)
@@ -255,7 +255,7 @@ def checkpointed_merge_sort(
         level = manifest.committed_passes  # formation was pass 0
         next_runs = _merge_pass_checkpointed(
             machine, runs, arity, key, stream_cls, level,
-            verify_outputs, max_redos, manifest,
+            verify_outputs, manifest,
         )
         manifest.commit_pass(next_runs)
         _sync_device(machine)
@@ -277,18 +277,16 @@ def _form_runs_checkpointed(
     machine: Machine,
     stream: FileStream,
     key: Callable[[Any], Any],
-    run_strategy: str,
     stream_cls,
     verify_outputs: bool,
-    max_redos: int,
     manifest: SortManifest,
 ) -> List[FileStream]:
     """Run formation with the verify-and-redo loop.  Run formation
     cleans up its own partial output on error, so a crash here leaves
     nothing for the manifest to track."""
-    form = RUN_STRATEGIES[run_strategy]
+    form = RUN_STRATEGIES["load"]
     last_error: Optional[ChecksumError] = None
-    for _ in range(max_redos + 1):
+    for _ in range(MAX_REDOS + 1):
         runs = form(machine, stream, key=key, stream_cls=stream_cls)
         if not verify_outputs:
             return runs
@@ -298,7 +296,7 @@ def _form_runs_checkpointed(
         manifest.passes_redone += 1
         for run in runs:
             run.delete()
-    raise RetryExhaustedError(max_redos + 1, last_error)
+    raise RetryExhaustedError(MAX_REDOS + 1, last_error)
 
 
 def _merge_pass_checkpointed(
@@ -309,7 +307,6 @@ def _merge_pass_checkpointed(
     stream_cls,
     level: int,
     verify_outputs: bool,
-    max_redos: int,
     manifest: SortManifest,
 ) -> List[FileStream]:
     """One merge pass with crash bookkeeping and the verify-and-redo
@@ -317,7 +314,7 @@ def _merge_pass_checkpointed(
     the pass commits."""
     inputs = {id(run) for run in runs}
     last_error: Optional[ChecksumError] = None
-    for _ in range(max_redos + 1):
+    for _ in range(MAX_REDOS + 1):
         landed: List[FileStream] = []
         try:
             next_runs = merge_pass(
@@ -343,4 +340,4 @@ def _merge_pass_checkpointed(
         manifest.passes_redone += 1
         for run in fresh:
             run.delete()
-    raise RetryExhaustedError(max_redos + 1, last_error)
+    raise RetryExhaustedError(MAX_REDOS + 1, last_error)

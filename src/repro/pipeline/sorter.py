@@ -211,11 +211,19 @@ class Sorter:
         level = 0
         while len(self._runs) > width:
             level += 1
-            self._runs = merge_pass(
-                machine, self._runs, arity, key=self._key,
-                stream_cls=self._stream_cls, level=level,
-                name_prefix=f"{self._name}/merge",
-            )
+            landed: List[FileStream] = []
+            try:
+                self._runs = merge_pass(
+                    machine, self._runs, arity, key=self._key,
+                    stream_cls=self._stream_cls, level=level,
+                    name_prefix=f"{self._name}/merge", out=landed,
+                )
+            except BaseException:
+                # The pass's inputs stay in ``_runs`` for close(); the
+                # outputs that already landed are this pass's to free.
+                for run in landed:
+                    run.delete()
+                raise
         # One reader frame per surviving run; opportunistic prefetch
         # pins leave D-1 spares for whatever writer the consumer stages
         # its own output through.

@@ -8,6 +8,13 @@ runs each, and a level that fills is k-way merged into a single run one
 level up.  ``delete_min`` takes the minimum over the in-memory heap and
 the head record of every on-disk run.
 
+It is batched merge sort turned into a priority queue, and runs the
+sort's own machinery: a spill is run formation's writer
+(:func:`~repro.sort.runs.write_run`: key-pointer order, one write
+batch), a level merge is the sort's one merge engine
+(:class:`~repro.sort.merge.BlockMerger`, fed whole blocks), and every
+run is read a block at a time.
+
 This is the structure behind time-forward processing and external Dijkstra
 in the survey; a B-tree used as a priority queue pays ``Θ(log_B N)`` I/Os
 per operation instead, which the priority-queue experiment quantifies.
@@ -16,48 +23,51 @@ per operation instead, which the priority-queue experiment quantifies.
 from __future__ import annotations
 
 import heapq
-from itertools import chain
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from ..core.exceptions import ConfigurationError, EMError
 from ..core.machine import Machine
 from ..core.stream import FileStream
-from ..sort.merge import LoserTree
+from ..sort.merge import BlockMerger
+from ..sort.runs import write_run
 
 
 class _Run:
-    """A sorted on-disk run with a one-record lookahead head.
+    """A sorted on-disk run, read a block at a time, with its head.
 
-    An open run pins one ``B``-record reader frame (the stream reader
-    acquires it on the first ``next``); the frame is released when the
-    reader is exhausted — or deterministically by :meth:`close`.
+    ``block`` is the resident block and ``pos`` the index of ``head``
+    in it.  An open run pins one ``B``-record reader frame (the block
+    reader acquires it on the first ``next``); the frame is released
+    when the reader is exhausted — or deterministically by
+    :meth:`close`.
     """
 
-    __slots__ = ("stream", "reader", "head")
+    __slots__ = ("stream", "blocks", "block", "pos", "head")
 
     def __init__(self, stream: FileStream):
         self.stream = stream
-        self.reader = iter(stream)
-        self.head: Optional[tuple] = next(self.reader, None)
+        self.blocks = stream.iter_blocks()
+        self._load()
+
+    def _load(self) -> None:
+        self.block = next(self.blocks, None)
+        self.pos = 0
+        self.head = None if self.block is None else self.block[0]
 
     def advance(self) -> None:
-        self.head = next(self.reader, None)
+        self.pos += 1
+        if self.pos < len(self.block):
+            self.head = self.block[self.pos]
+            return
+        self._load()
         if self.head is None:
             self.stream.delete()
-
-    def records(self) -> Iterator[tuple]:
-        """All remaining records including the head."""
-        if self.head is None:
-            return iter(())
-        return chain([self.head], self.reader)
 
     def close(self) -> None:
         """Release the reader frame (generator ``close`` runs the
         reader's ``finally``) and free the run's blocks.  Idempotent;
         safe mid-iteration and on never-started runs."""
-        closer = getattr(self.reader, "close", None)
-        if closer is not None:
-            closer()
+        self.blocks.close()
         self.stream.delete()
         self.head = None
 
@@ -84,10 +94,11 @@ class ExternalPriorityQueue:
 
     Every open on-disk run pins one ``B``-record reader frame, charged
     to the machine's budget like any other frame.  When fewer than two
-    spare frames remain (the next spill needs a writer frame and then a
-    reader frame), the queue merges a level *early* — run proliferation
-    therefore converts into merge I/O instead of a memory-budget
-    overflow, and peak memory stays at most ``M``.
+    spare frames remain (the next spill pins a reader frame, and the
+    level merge it may trigger a writer frame), the queue merges a
+    level *early* — run proliferation therefore converts into merge I/O
+    instead of a memory-budget overflow, and peak memory stays at most
+    ``M``.
 
     Ties between equal priorities are broken by insertion order (FIFO).
     """
@@ -221,29 +232,28 @@ class ExternalPriorityQueue:
     def _spill_heap(self) -> None:
         """Write the insertion heap as a sorted run into level 0."""
         self._ensure_spill_frames()
-        # em: ok(EM004) insertion heap ≤ insertion_capacity, reserved
-        # for the queue's lifetime at construction
-        records = sorted(self._heap)
+        # The heap is reserved for the queue's lifetime, so the run is
+        # written straight from it, one batch, with no staging frame.
+        stream = write_run(self.machine, self._heap, None, FileStream,
+                           "pq/run")
         self._heap = []
-        stream = FileStream(self.machine, name="pq/run")
-        for record in records:
-            stream.append(record)
-        stream.finalize()
         self._add_run(0, _Run(stream))
 
     def _ensure_spill_frames(self) -> None:
         """Frame-accounting guard run before every spill.
 
-        A spill transiently needs one writer frame and then pins one
-        reader frame for the new run, so two spare frames must be
-        available.  While they are not, merge runs early: each merge of
-        ``r`` runs closes ``r`` reader frames and opens one, netting
-        ``r - 1`` frames (the transient merge writer fits in the one
-        spare frame the queue's invariant preserves).  Prefer the lowest
-        level holding at least two runs (cheapest records to move); when
-        every level is a singleton, collapse all runs into one.  If no
-        two runs remain to merge, fall through and let the budget raise
-        — memory is genuinely exhausted, not fragmented into readers.
+        A spill is written straight from the reserved heap, then pins
+        one reader frame for the new run, whose arrival may trigger a
+        level merge that needs a writer frame — so two spare frames
+        must be available.  While they are not, merge runs early: each
+        merge of ``r`` runs closes ``r`` reader frames and opens one,
+        netting ``r - 1`` frames (the transient merge writer fits in the
+        one spare frame the queue's invariant preserves).  Prefer the
+        lowest level holding at least two runs (cheapest records to
+        move); when every level is a singleton, collapse all runs into
+        one.  If no two runs remain to merge, fall through and let the
+        budget raise — memory is genuinely exhausted, not fragmented
+        into readers.
         """
         B = self.machine.B
         while self.machine.budget.available < 2 * B:
@@ -282,12 +292,23 @@ class ExternalPriorityQueue:
 
     def _merge_runs(self, runs: List[_Run], name: str) -> FileStream:
         """k-way merge ``runs`` into one finalized stream, closing every
-        input run (frames released, blocks freed).  Costs one read and
-        one write per block of live records."""
+        input run (frames released, blocks freed).  A
+        :class:`~repro.sort.merge.BlockMerger` starts from each run's
+        unread tail and is refilled from the run's own block reader.
+        Costs one read and one write per block of live records."""
         merged = FileStream(self.machine, name=name)
         try:
-            for record in LoserTree([run.records() for run in runs]):
-                merged.append(record)
+            # append_block charges no frame: count the output block.
+            merged.reserve_writer()
+            merger = BlockMerger([
+                None if run.block is None else run.block[run.pos:]
+                for run in runs
+            ])
+            for item in merger.blocks(self.machine.B):
+                if item.__class__ is int:
+                    merger.feed(next(runs[item].blocks, None))
+                else:
+                    merged.append_block(item)
             merged.finalize()
         except BaseException:
             # Faulted merge: reclaim the half-written output.  The

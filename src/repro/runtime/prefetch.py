@@ -143,19 +143,11 @@ class ForecastingPrefetcher:
         self._budget.acquire(self._reader_reserve)
 
     # ------------------------------------------------------------------
-    def reader(self, index: int) -> Iterator[Any]:
-        """Record iterator over run ``index``, fed by forecasted fetches.
-
-        The run's current block lives in a frame reserved by the
-        prefetcher; staged blocks are pinned separately.
-        """
-        for payload in self.block_reader(index):
-            for record in payload:
-                yield record
-
     def block_reader(self, index: int) -> Iterator[Block]:
         """Whole-payload iterator over run ``index``: :meth:`next_block`
-        driven eagerly, each batch read as it is yielded."""
+        driven eagerly, each batch read as it is yielded.  The run's
+        current block lives in a frame reserved by the prefetcher;
+        staged blocks are pinned separately."""
         machine = self.runtime.machine
         while True:
             payload = drive(machine, self.next_block(index))

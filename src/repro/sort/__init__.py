@@ -6,8 +6,9 @@ Public surface:
 * :func:`~repro.sort.steps.merge_sort_steps` — the same sort as an
   intent-yielding generator, for the query service or
   :func:`~repro.core.intents.drive`.
-* :func:`~repro.sort.merge.merge_streams` / :class:`~repro.sort.merge.LoserTree`
-  — single merge passes.
+* :func:`~repro.sort.merge.merge_streams` — a single merge pass, run
+  by :class:`~repro.sort.merge.BlockMerger`, the one merge engine
+  (the sequence heap and the pipelined ``Sorter`` merge with it too).
 * :func:`~repro.sort.distribution.distribution_sort` — the distribution
   (bucket) paradigm.
 * :func:`~repro.sort.naive.two_way_merge_sort` — the restricted-fan-in
@@ -27,7 +28,7 @@ pass).  The eager :func:`~repro.sort.runs.form_runs_load_sort`,
 """
 
 from .distribution import distribution_sort
-from .merge import LoserTree, external_merge_sort, merge_streams
+from .merge import external_merge_sort, merge_streams
 from .naive import two_way_merge_sort
 from .selection import external_median, external_select
 from .strings import external_string_sort
@@ -46,7 +47,6 @@ __all__ = [
     "distribution_sort",
     "two_way_merge_sort",
     "merge_streams",
-    "LoserTree",
     "form_runs_load_sort",
     "form_runs_replacement_selection",
     "average_run_length",

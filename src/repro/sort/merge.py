@@ -1,4 +1,4 @@
-"""k-way merging with a loser tree, and external merge sort.
+"""k-way block merging, and external merge sort.
 
 The merge pass is the second half of external merge sort: up to ``m - 1``
 sorted runs are merged in a single pass (one input frame per run plus one
@@ -6,20 +6,14 @@ output frame), so the total cost is ``2·(N/B)`` I/Os per pass and the pass
 count is ``1 + ceil(log_{m-1} ceil(N/M))`` — the survey's
 ``Θ((N/B) log_{M/B}(N/B))`` sorting bound.
 
-Two merge engines are provided:
-
-* :class:`LoserTree` — a tournament tree of losers (Knuth 5.4.1) over
-  record iterators: ``O(log k)`` comparisons per emitted record.  Used
-  where inputs only exist as record iterators (the sequence heap).
-* :class:`BlockMerger` — the engine every block merge runs: the
-  sort's group merge and the pipelined ``Sorter``'s pulled merge.  It
-  consumes whole block payloads and asks for a run's next block only
-  when its resident block is used up.  Typed payloads merge in
-  incremental rounds of a constant number of numpy calls and are never
-  unpacked into Python objects; other payloads gallop by binary search
-  and move records as slices.
-
-Both are stable: ties are broken by ascending source index.
+:class:`BlockMerger` is the one merge engine: the sort's group merge,
+the pipelined ``Sorter``'s pulled merge and the sequence heap's level
+merges all run it.  It consumes whole block payloads and asks for a
+run's next block only when its resident block is used up.  Typed
+payloads merge in incremental rounds of a constant number of numpy
+calls and are never unpacked into Python objects; other payloads gallop
+by binary search and move records as slices.  It is stable: ties are
+broken by ascending source index.
 
 The merge phase of the sort is two cooperative generators, the only
 merge-phase code: :func:`merge_group_steps` merges one group, its
@@ -51,112 +45,6 @@ from ..runtime.prefetch import ForecastingPrefetcher
 from .runs import form_runs_load_sort, form_runs_replacement_selection, identity
 
 
-class LoserTree:
-    """Merge ``k`` sorted iterators into one sorted iterator.
-
-    Args:
-        sources: sorted input iterators.
-        key: key extraction function (defaults to identity).
-
-    The tree keeps one *current* record per source plus ``k - 1`` internal
-    loser slots; memory use is ``O(k)`` records.  Exhausted sources act as
-    ``+infinity`` sentinels.  Ties are won by the lower source index,
-    making the merge stable when earlier sources hold earlier records.
-    """
-
-    def __init__(
-        self,
-        sources: List[Iterator[Any]],
-        key: Optional[Callable[[Any], Any]] = None,
-    ):
-        if not sources:
-            raise ConfigurationError("LoserTree needs at least one source")
-        self._key = key or identity
-        self._k = len(sources)
-        self._sources = sources
-        self._records: List[Any] = [None] * self._k
-        self._keys: List[Any] = [None] * self._k
-        self._exhausted = [False] * self._k
-        self._active = 0
-        for index in range(self._k):
-            self._fetch(index)
-            if not self._exhausted[index]:
-                self._active += 1
-        # Internal loser slots 1..k-1; slot 0 holds the champion.
-        self._tree = [-1] * max(1, self._k)
-        if self._k == 1:
-            self._tree[0] = 0
-        else:
-            for source in range(self._k):
-                self._play_initial(source)
-
-    # ------------------------------------------------------------------
-    def _fetch(self, source: int) -> None:
-        """Advance ``source`` to its next record (or mark it exhausted)."""
-        try:
-            record = next(self._sources[source])
-        except StopIteration:
-            self._records[source] = None
-            self._keys[source] = None
-            self._exhausted[source] = True
-        else:
-            self._records[source] = record
-            self._keys[source] = self._key(record)
-
-    def _beats(self, a: int, b: int) -> bool:
-        """Whether source ``a``'s current record should be emitted before
-        source ``b``'s (exhausted sources lose to everything)."""
-        if self._exhausted[a]:
-            return False
-        if self._exhausted[b]:
-            return True
-        if self._keys[a] != self._keys[b]:
-            return self._keys[a] < self._keys[b]
-        return a < b  # stability: lower source index wins ties
-
-    def _play_initial(self, source: int) -> None:
-        """Insert a leaf during construction: walk up depositing the loser
-        in the first empty slot, or the overall champion in slot 0."""
-        node = (source + self._k) >> 1
-        contender = source
-        while node > 0:
-            occupant = self._tree[node]
-            if occupant == -1:
-                self._tree[node] = contender
-                return
-            if self._beats(occupant, contender):
-                self._tree[node], contender = contender, occupant
-            node >>= 1
-        self._tree[0] = contender
-
-    def _replay(self, source: int) -> None:
-        """After refilling ``source``, replay its path to the root."""
-        node = (source + self._k) >> 1
-        contender = source
-        while node > 0:
-            occupant = self._tree[node]
-            if self._beats(occupant, contender):
-                self._tree[node], contender = contender, occupant
-            node >>= 1
-        self._tree[0] = contender
-
-    # ------------------------------------------------------------------
-    def __iter__(self) -> Iterator[Any]:
-        return self
-
-    def __next__(self) -> Any:
-        if self._active == 0:
-            raise StopIteration
-        champion = self._tree[0]
-        record = self._records[champion]
-        self._fetch(champion)
-        if self._exhausted[champion]:
-            self._active -= 1
-        if self._k > 1:
-            self._replay(champion)
-        return record
-
-
 class BlockMerger:
     """Merge ``k`` sorted runs given as whole block payloads.
 
@@ -168,7 +56,8 @@ class BlockMerger:
     (``None`` once the run is exhausted).  The sort's group merge
     (:func:`merge_group_steps`) turns each refill into a forecast
     ``StreamRead``; the pipelined ``Sorter``'s pulled merge answers from
-    ``ForecastingPrefetcher.block_reader``.
+    ``ForecastingPrefetcher.block_reader``, and the sequence heap's
+    level merge from each run's own block reader.
 
     Two engines sit behind :meth:`segments`:
 
@@ -643,7 +532,8 @@ def external_merge_sort(
             as runs are formed.
 
     Returns a finalized sorted stream.  Intermediate runs are deleted, so
-    peak disk usage stays ``O(N/B)`` blocks.  The sort is stable.
+    peak disk usage stays ``O(N/B)`` blocks — also when a merge pass
+    fails.  The sort is stable.
     """
     if run_strategy not in RUN_STRATEGIES:
         raise ConfigurationError(
@@ -663,15 +553,24 @@ def external_merge_sort(
     if not runs:
         return stream_cls(machine, name="sorted").finalize()
 
-    arity = plan_merge_arity(
-        machine, len(runs), fan_in=fan_in, stream_cls=stream_cls
-    )
-
-    level = 0
-    while len(runs) > 1:
-        level += 1
-        runs = merge_pass(
-            machine, runs, arity,
-            key=key, stream_cls=stream_cls, level=level,
+    landed: List[FileStream] = []
+    try:
+        arity = plan_merge_arity(
+            machine, len(runs), fan_in=fan_in, stream_cls=stream_cls
         )
+        level = 0
+        while len(runs) > 1:
+            level += 1
+            landed = []
+            runs = merge_pass(
+                machine, runs, arity,
+                key=key, stream_cls=stream_cls, level=level, out=landed,
+            )
+    except BaseException:
+        # A failed pass leaves its surviving inputs and the outputs
+        # that already landed; delete() is idempotent, so a straggler
+        # in both lists (or an input already merged) is harmless.
+        for run in runs + landed:
+            run.delete()
+        raise
     return runs[0]

@@ -12,6 +12,7 @@ import random
 import pytest
 
 from repro.core import ConfigurationError, Machine, StreamError
+from repro.core.exceptions import RetryExhaustedError
 from repro.core.stream import FileStream
 from repro.faults import FaultPlan
 from repro.graph import (
@@ -169,6 +170,21 @@ class TestSorter:
         next(pull)  # start but do not exhaust
         sorter.close()
         assert m.disk.allocated_blocks == baseline
+
+    @pytest.mark.parametrize("D", [1, 4])
+    def test_failed_merge_pass_frees_landed_outputs(self, D):
+        # Run formation writes blocks 0-249; write 310 falls in the
+        # first materialized pass after its first group has landed.
+        m = Machine(block_size=16, memory_blocks=8, num_disks=D)
+        baseline = m.disk.allocated_blocks
+        sorter = Sorter(m)
+        with pytest.raises(RetryExhaustedError):
+            with m.inject_faults(FaultPlan(write_errors=range(310, 318))):
+                sorter.consume(shuffled(4000, seed=1))
+                sorter.finish()
+        sorter.close()
+        assert m.disk.allocated_blocks == baseline
+        assert m.budget.in_use == 0
 
     def test_bad_final_fan_in_rejected(self):
         m = machine()

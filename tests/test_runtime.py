@@ -234,7 +234,10 @@ class TestForecastingPrefetcher:
         )
         try:
             for index, run in enumerate(runs):
-                assert list(prefetcher.reader(index)) == list(run)
+                records = [record
+                           for payload in prefetcher.block_reader(index)
+                           for record in payload]
+                assert records == list(run)
         finally:
             prefetcher.close()
         assert machine.budget.in_use == 0
@@ -247,7 +250,7 @@ class TestForecastingPrefetcher:
             key=lambda r: r,
         )
         assert machine.budget.in_use == 3 * machine.B  # reader frames
-        next(prefetcher.reader(0))
+        next(prefetcher.block_reader(0))
         prefetcher.close()
         prefetcher.close()
         assert machine.budget.in_use == 0

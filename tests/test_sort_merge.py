@@ -1,4 +1,8 @@
-"""Tests for the loser tree, merge passes, and external merge sort."""
+"""Tests for the block merger, the benchmark's loser-tree baseline,
+merge passes, and external merge sort."""
+
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,14 +19,21 @@ from repro.core import (
     scan_io,
     sort_io,
 )
+from repro.core.exceptions import RetryExhaustedError
+from repro.faults import FaultPlan
 from repro.sort import (
-    LoserTree,
     external_merge_sort,
     is_sorted_stream,
     merge_streams,
     two_way_merge_sort,
 )
+from repro.sort.merge import BlockMerger
 from repro.workloads import uniform_ints
+
+# The record-at-a-time loser tree is the raw-speed gate's baseline in
+# tools/bench_smoke.py; its correctness keeps its tests.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+from bench_smoke import LoserTree  # noqa: E402
 
 
 def machine(B=16, m=8):
@@ -82,6 +93,75 @@ class TestLoserTree:
         chunks = [data[i::k] for i in range(k)]
         tree = LoserTree([iter(c) for c in chunks])
         assert list(tree) == data
+
+
+def block_merge(sources, key=None, B=3, typed=False):
+    """Merge sorted ``sources`` with a :class:`BlockMerger`, answering
+    each refill request from the source's list of ``B``-record blocks."""
+    blocks = [
+        iter([np.asarray(source[i:i + B], dtype=np.int64) if typed
+              else source[i:i + B] for i in range(0, len(source), B)])
+        for source in sources
+    ]
+    merger = BlockMerger([next(run, None) for run in blocks], key)
+    merged = []
+    for item in merger.blocks(B):
+        if item.__class__ is int:
+            merger.feed(next(blocks[item], None))
+        else:
+            assert 0 < len(item) <= B
+            merged.extend(item.tolist() if typed else item)
+    return merged
+
+
+class TestBlockMerger:
+    def test_merges_two_sources(self):
+        assert block_merge([[1, 3, 5], [2, 4, 6]]) == [1, 2, 3, 4, 5, 6]
+
+    def test_single_source_passthrough(self):
+        assert block_merge([[1, 2, 3, 4]]) == [1, 2, 3, 4]
+
+    def test_empty_sources(self):
+        assert block_merge([[], []]) == []
+
+    def test_mixed_empty_and_nonempty(self):
+        assert block_merge([[], [2, 4], [], [1]]) == [1, 2, 4]
+
+    def test_no_sources_merge_to_nothing(self):
+        assert block_merge([]) == []
+
+    def test_stability_ties_go_to_lower_source(self):
+        a = [("x", 0), ("x", 1), ("x", 2), ("x", 3)]
+        b = [("x", 4)]
+        merged = block_merge([a, b], key=lambda r: r[0])
+        assert merged == a + b
+
+    def test_key_function(self):
+        a = [(3, "a"), (1, "b")]
+        b = [(2, "c")]
+        merged = block_merge([sorted(a), b], key=lambda r: r[0])
+        assert [r[0] for r in merged] == [1, 2, 3]
+
+    @given(
+        st.lists(
+            st.lists(st.integers(-1000, 1000), max_size=50),
+            min_size=1,
+            max_size=9,
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_sorted_concatenation(self, lists, typed):
+        sources = [sorted(chunk) for chunk in lists]
+        expected = sorted(x for chunk in lists for x in chunk)
+        assert block_merge(sources, typed=typed) == expected
+
+    @given(st.integers(2, 33), st.integers(0, 400))
+    @settings(max_examples=40, deadline=None)
+    def test_arbitrary_arity_round_robin_split(self, k, n):
+        data = sorted(uniform_ints(n, seed=k))
+        chunks = [data[i::k] for i in range(k)]
+        assert block_merge(chunks) == data
 
 
 class TestMergeStreams:
@@ -238,6 +318,21 @@ class TestExternalMergeSort:
         out = external_merge_sort(m, s)
         # input + output only; no leaked run blocks
         assert m.disk.allocated_blocks == blocks_before + out.num_blocks
+
+    @pytest.mark.parametrize("D", [1, 4])
+    def test_failed_merge_pass_deletes_its_runs(self, D):
+        # Write 300 falls in the first merge pass, after some group
+        # outputs have landed; eight failures in a row exhaust retries.
+        m = Machine(block_size=16, memory_blocks=8, num_disks=D)
+        data = uniform_ints(4000, seed=5)
+        s = FileStream.from_records(m, data)
+        blocks_before = m.disk.allocated_blocks
+        with pytest.raises(RetryExhaustedError):
+            with m.inject_faults(FaultPlan(write_errors=range(300, 308))):
+                external_merge_sort(m, s)
+        assert m.disk.allocated_blocks == blocks_before
+        assert m.budget.in_use == 0
+        assert list(s) == data  # the input survives
 
     def test_keep_input_false_frees_input(self):
         m = machine()

@@ -25,8 +25,9 @@ Two fault-layer records ride along: the transfer overhead of a
 seeded-fault checkpointed sort over the clean sort (retries re-transfer
 failed blocks, verification re-reads each pass), and the bench_f19
 sequence-heap configuration (B=64, m=16, one caller-resident frame,
-~32k queue operations) that used to overflow the memory budget — it
-must now complete with peak memory <= M.
+~32k queue operations, D=1 and D=4) that used to overflow the memory
+budget — it must now complete with peak memory <= M and, once closed,
+hold no frame and no block.
 
 Two buffer-pool records cover the cached path: the pool hit rate of a
 skewed B+-tree query workload (with the pool's frames charged to the
@@ -62,6 +63,7 @@ import sys
 import time
 from math import ceil
 from pathlib import Path
+from typing import Any, Callable, Iterator, List, Optional
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -84,9 +86,10 @@ from repro.faults import (  # noqa: E402
 from repro.pq import ExternalPriorityQueue  # noqa: E402
 from repro.search import BPlusTree  # noqa: E402
 from repro.core.intents import drive  # noqa: E402
+from repro.core.exceptions import ConfigurationError  # noqa: E402
 from repro.sort import (  # noqa: E402
-    LoserTree,
     external_merge_sort,
+    identity,
     merge_sort_steps,
 )
 from repro.sort.merge import plan_merge_arity  # noqa: E402
@@ -99,6 +102,7 @@ RATIO_BOUND = 1.5
 FAULT_B, FAULT_M_BLOCKS, FAULT_N = 32, 8, 6_000
 FAULT_OVERHEAD_BOUND = 2.0
 F19_B, F19_M_BLOCKS, F19_OPS = 64, 16, 32_000
+F19_DISKS = (1, 4)
 POOL_B, POOL_M_BLOCKS, POOL_N, POOL_QUERIES = 16, 8, 2_000, 1_500
 POOL_FAULT_OVERHEAD_BOUND = 2.0
 POOL_UPSERT_EVERY = 4  # faulted-query mix: dirty pages for torn writes
@@ -134,6 +138,112 @@ def f1_smoke():
         })
     return {"name": "f1_sort_scaling", "B": F1_B,
             "M": F1_B * F1_M_BLOCKS, "points": points}
+
+
+class LoserTree:
+    """Merge ``k`` sorted iterators into one sorted iterator.
+
+    Args:
+        sources: sorted input iterators.
+        key: key extraction function (defaults to identity).
+
+    The tree keeps one *current* record per source plus ``k - 1`` internal
+    loser slots; memory use is ``O(k)`` records.  Exhausted sources act as
+    ``+infinity`` sentinels.  Ties are won by the lower source index,
+    making the merge stable when earlier sources hold earlier records.
+    """
+
+    def __init__(
+        self,
+        sources: List[Iterator[Any]],
+        key: Optional[Callable[[Any], Any]] = None,
+    ):
+        if not sources:
+            raise ConfigurationError("LoserTree needs at least one source")
+        self._key = key or identity
+        self._k = len(sources)
+        self._sources = sources
+        self._records: List[Any] = [None] * self._k
+        self._keys: List[Any] = [None] * self._k
+        self._exhausted = [False] * self._k
+        self._active = 0
+        for index in range(self._k):
+            self._fetch(index)
+            if not self._exhausted[index]:
+                self._active += 1
+        # Internal loser slots 1..k-1; slot 0 holds the champion.
+        self._tree = [-1] * max(1, self._k)
+        if self._k == 1:
+            self._tree[0] = 0
+        else:
+            for source in range(self._k):
+                self._play_initial(source)
+
+    # ------------------------------------------------------------------
+    def _fetch(self, source: int) -> None:
+        """Advance ``source`` to its next record (or mark it exhausted)."""
+        try:
+            record = next(self._sources[source])
+        except StopIteration:
+            self._records[source] = None
+            self._keys[source] = None
+            self._exhausted[source] = True
+        else:
+            self._records[source] = record
+            self._keys[source] = self._key(record)
+
+    def _beats(self, a: int, b: int) -> bool:
+        """Whether source ``a``'s current record should be emitted before
+        source ``b``'s (exhausted sources lose to everything)."""
+        if self._exhausted[a]:
+            return False
+        if self._exhausted[b]:
+            return True
+        if self._keys[a] != self._keys[b]:
+            return self._keys[a] < self._keys[b]
+        return a < b  # stability: lower source index wins ties
+
+    def _play_initial(self, source: int) -> None:
+        """Insert a leaf during construction: walk up depositing the loser
+        in the first empty slot, or the overall champion in slot 0."""
+        node = (source + self._k) >> 1
+        contender = source
+        while node > 0:
+            occupant = self._tree[node]
+            if occupant == -1:
+                self._tree[node] = contender
+                return
+            if self._beats(occupant, contender):
+                self._tree[node], contender = contender, occupant
+            node >>= 1
+        self._tree[0] = contender
+
+    def _replay(self, source: int) -> None:
+        """After refilling ``source``, replay its path to the root."""
+        node = (source + self._k) >> 1
+        contender = source
+        while node > 0:
+            occupant = self._tree[node]
+            if self._beats(occupant, contender):
+                self._tree[node], contender = contender, occupant
+            node >>= 1
+        self._tree[0] = contender
+
+    # ------------------------------------------------------------------
+    def __iter__(self) -> Iterator[Any]:
+        return self
+
+    def __next__(self) -> Any:
+        if self._active == 0:
+            raise StopIteration
+        champion = self._tree[0]
+        record = self._records[champion]
+        self._fetch(champion)
+        if self._exhausted[champion]:
+            self._active -= 1
+        if self._k > 1:
+            self._replay(champion)
+        return record
 
 
 def _seed_record_sort(machine, stream):
@@ -334,32 +444,47 @@ def faulted_sort_smoke():
 
 def f19_pq_budget_smoke():
     """The bench_f19 sequence-heap configuration that used to overflow:
-    run proliferation now triggers early merges and peak stays <= M."""
-    machine = Machine(block_size=F19_B, memory_blocks=F19_M_BLOCKS)
-    machine.budget.acquire(F19_B)  # caller-resident frame (sssp table)
-    rng = random.Random(20)
-    machine.reset_stats()
-    with ExternalPriorityQueue(machine) as queue:
-        pending = 0
-        for op in range(F19_OPS):
-            queue.insert(rng.randrange(10**6), op)
-            pending += 1
-            if op % 5 == 4:
-                queue.delete_min()
-                pending -= 1
-        drained = [queue.delete_min()[0] for _ in range(pending)]
-    assert drained == sorted(drained)
-    stats = machine.stats()
-    peak = machine.budget.peak
-    assert peak <= machine.M, f"peak {peak} exceeds M={machine.M}"
-    machine.budget.release(F19_B)
+    run proliferation now triggers early merges and peak stays <= M, at
+    one disk and at four.  After ``close()`` the queue must have handed
+    back every frame and every block it took."""
+    points = []
+    for disks in F19_DISKS:
+        machine = Machine(block_size=F19_B, memory_blocks=F19_M_BLOCKS,
+                          num_disks=disks)
+        machine.budget.acquire(F19_B)  # caller-resident frame (sssp table)
+        in_use = machine.budget.in_use
+        allocated = machine.disk.allocated_blocks
+        rng = random.Random(20)
+        machine.reset_stats()
+        with ExternalPriorityQueue(machine) as queue:
+            pending = 0
+            for op in range(F19_OPS):
+                queue.insert(rng.randrange(10**6), op)
+                pending += 1
+                if op % 5 == 4:
+                    queue.delete_min()
+                    pending -= 1
+            drained = [queue.delete_min()[0] for _ in range(pending)]
+        assert drained == sorted(drained)
+        stats = machine.stats()
+        peak = machine.budget.peak
+        assert peak <= machine.M, \
+            f"D={disks}: peak {peak} exceeds M={machine.M}"
+        assert machine.budget.in_use == in_use, \
+            f"D={disks}: queue kept {machine.budget.in_use - in_use} records"
+        assert machine.disk.allocated_blocks == allocated, (
+            f"D={disks}: queue kept "
+            f"{machine.disk.allocated_blocks - allocated} blocks")
+        machine.budget.release(F19_B)
+        points.append({
+            "disks": disks,
+            "transfers": stats.total,
+            "steps": stats.total_steps,
+            "peak_memory": peak,
+            "memory_capacity": machine.M,
+        })
     return {"name": "f19_pq_frame_budget", "B": F19_B,
-            "M": F19_B * F19_M_BLOCKS, "ops": F19_OPS,
-            "points": [{
-                "transfers": stats.total,
-                "peak_memory": peak,
-                "memory_capacity": machine.M,
-            }]}
+            "M": F19_B * F19_M_BLOCKS, "ops": F19_OPS, "points": points}
 
 
 def _btree_query_workload(machine, tree, seed=3, upsert_every=0):
