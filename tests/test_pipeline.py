@@ -173,8 +173,8 @@ class TestSorter:
 
     @pytest.mark.parametrize("D", [1, 4])
     def test_failed_merge_pass_frees_landed_outputs(self, D):
-        # Run formation writes blocks 0-249; write 310 falls in the
-        # first materialized pass after its first group has landed.
+        # Run formation is writes 0-249; write 310 falls in the first
+        # materialized pass, after its first group has landed.
         m = Machine(block_size=16, memory_blocks=8, num_disks=D)
         baseline = m.disk.allocated_blocks
         sorter = Sorter(m)
