@@ -16,6 +16,11 @@ input::
     except SimulatedCrash:
         result = checkpointed_merge_sort(machine, stream, manifest)
 
+Run formation and every merge pass share one verify-and-commit step
+(``_commit_pass``): run the pass, record the outputs that already
+landed if it dies, re-read its fresh outputs when asked, then commit
+the manifest and sync the device.
+
 Resume costs no I/O by itself: committed runs are re-opened with
 :meth:`~repro.core.stream.FileStream.adopt`, which only validates that
 the recorded blocks are still allocated.  Unlike the plain sort, a
@@ -129,9 +134,14 @@ class SortManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "SortManifest":
-        """Rebuild a manifest written by :meth:`to_json`; a manifest of
-        any other format version is rejected, never half-read."""
+        """Rebuild a manifest written by :meth:`to_json`.  Anything
+        else — another format version, a JSON value that is not an
+        object, or an object without ``passes`` or ``done`` — raises
+        :class:`~repro.core.exceptions.ConfigurationError`: a manifest
+        is rejected, never half-read."""
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ConfigurationError("sort manifest is not a JSON object")
         version = data.get("version")
         if version != _MANIFEST_VERSION:
             raise ConfigurationError(
@@ -139,38 +149,69 @@ class SortManifest:
                 f"(expected {_MANIFEST_VERSION})"
             )
         manifest = cls()
-        manifest.passes = data["passes"]
+        try:
+            manifest.passes = data["passes"]
+            manifest.done = data["done"]
+        except KeyError as missing:
+            raise ConfigurationError(
+                f"sort manifest has no {missing} entry") from None
         manifest.partial_runs = data.get("partial_runs", [])
         manifest.arity = data.get("arity")
-        manifest.done = data["done"]
         manifest.result = data.get("result")
         manifest.passes_redone = data.get("passes_redone", 0)
         return manifest
 
 
-# ----------------------------------------------------------------------
-# verification helpers
-# ----------------------------------------------------------------------
-def _scan_for_corruption(machine: Machine, stream: FileStream
-                         ) -> Optional[ChecksumError]:
-    """Re-read every block of ``stream`` (charged reads, with the
-    scheduler's transient-fault retry) and report the first checksum
-    mismatch, or ``None`` if the stream is intact."""
-    for block_id in stream.block_ids:
-        try:
-            machine.runtime.read_block(block_id)
-        except ChecksumError as error:
-            return error
-    return None
-
-
-def _verify_or_none(machine: Machine, streams: List[FileStream]
-                    ) -> Optional[ChecksumError]:
+def _first_corruption(machine: Machine, streams: List[FileStream]
+                      ) -> Optional[ChecksumError]:
+    """Re-read every block of ``streams`` (charged reads, with the
+    scheduler's transient-fault retry) and return the first checksum
+    mismatch, or ``None`` if every stream is intact."""
     for stream in streams:
-        error = _scan_for_corruption(machine, stream)
-        if error is not None:
-            return error
+        for block_id in stream.block_ids:
+            try:
+                machine.runtime.read_block(block_id)
+            except ChecksumError as error:
+                return error
     return None
+
+
+def _commit_pass(machine: Machine, manifest: SortManifest,
+                 verify_outputs: bool, inputs: List[FileStream],
+                 run_pass: Callable[[List[FileStream]], List[FileStream]]
+                 ) -> List[FileStream]:
+    """Run one pass and commit its output generation to ``manifest``.
+
+    ``run_pass(landed)`` runs the pass: run formation, or one merge
+    pass that appends its group outputs to ``landed`` as they land.
+    If it dies, the landed outputs are recorded as partial runs, so a
+    resume reclaims their blocks.  With ``verify_outputs`` the fresh
+    outputs are re-read and a torn pass is deleted and redone, up to
+    :data:`MAX_REDOS` times.  ``inputs`` are never deleted here; a
+    straggler carried forward from them is not fresh output.
+    """
+    carried = {id(run) for run in inputs}
+    error: Optional[ChecksumError] = None
+    for _ in range(MAX_REDOS + 1):
+        landed: List[FileStream] = []
+        try:
+            runs = run_pass(landed)
+        except BaseException:
+            # The in-flight group's output was already deleted by
+            # merge_group_steps; completed groups' outputs survive.
+            manifest.record_partial(
+                [run for run in landed if id(run) not in carried])
+            raise
+        fresh = [run for run in runs if id(run) not in carried]
+        error = _first_corruption(machine, fresh) if verify_outputs else None
+        if error is None:
+            manifest.commit_pass(runs)
+            _sync_device(machine)
+            return runs
+        manifest.passes_redone += 1
+        for run in fresh:
+            run.delete()
+    raise RetryExhaustedError(MAX_REDOS + 1, error)
 
 
 # ----------------------------------------------------------------------
@@ -207,58 +248,41 @@ def checkpointed_merge_sort(
     ``manifest.result``).
     """
     key = key or identity
-    if manifest.done:
-        described = manifest.result
+
+    def adopt(described: Dict[str, Any], name: str) -> FileStream:
         return stream_cls.adopt(
-            machine, described["blocks"], described["length"],
-            name="sorted",
-        )
+            machine, described["blocks"], described["length"], name=name)
+
+    if manifest.done:
+        return adopt(manifest.result, "sorted")
 
     # Debris from a pass that died mid-merge: its completed group
     # outputs will be regenerated when the pass is re-run.
     for described in manifest.partial_runs:
-        stream_cls.adopt(
-            machine, described["blocks"], described["length"],
-            name="ckpt-partial",
-        ).delete()
+        adopt(described, "ckpt-partial").delete()
     manifest.partial_runs = []
 
-    if not manifest.passes:
-        runs = _form_runs_checkpointed(
-            machine, stream, key, stream_cls, verify_outputs, manifest,
-        )
-        manifest.commit_pass(runs)
-        _sync_device(machine)
-    else:
+    if manifest.passes:
         generation = manifest.committed_passes - 1
-        runs = [
-            stream_cls.adopt(
-                machine, described["blocks"], described["length"],
-                name=f"ckpt/{generation}/{index}",
-            )
-            for index, described in enumerate(manifest.passes[-1])
-        ]
-
-    if not runs:
-        empty = stream_cls(machine, name="sorted").finalize()
-        manifest.commit_result(empty)
-        _sync_device(machine)
-        return empty
-
-    if manifest.arity is None:
+        runs = [adopt(described, f"ckpt/{generation}/{index}")
+                for index, described in enumerate(manifest.passes[-1])]
+    else:
+        # Run formation cleans up its own partial output on error.
+        runs = _commit_pass(
+            machine, manifest, verify_outputs, [],
+            lambda landed: RUN_STRATEGIES["load"](
+                machine, stream, key=key, stream_cls=stream_cls))
+    if runs and manifest.arity is None:
         manifest.arity = plan_merge_arity(
-            machine, len(runs), fan_in=fan_in, stream_cls=stream_cls
-        )
-    arity = manifest.arity
+            machine, len(runs), fan_in=fan_in, stream_cls=stream_cls)
 
     while len(runs) > 1:
         level = manifest.committed_passes  # formation was pass 0
-        next_runs = _merge_pass_checkpointed(
-            machine, runs, arity, key, stream_cls, level,
-            verify_outputs, manifest,
-        )
-        manifest.commit_pass(next_runs)
-        _sync_device(machine)
+        next_runs = _commit_pass(
+            machine, manifest, verify_outputs, runs,
+            lambda landed: merge_pass(
+                machine, runs, manifest.arity, key=key, stream_cls=stream_cls,
+                level=level, delete_inputs=False, out=landed))
         # Only now is the previous generation safe to drop.  A lone
         # straggler is *carried forward* (same object in both lists) —
         # deleting it would destroy part of the committed pass.
@@ -268,76 +292,7 @@ def checkpointed_merge_sort(
                 run.delete()
         runs = next_runs
 
-    manifest.commit_result(runs[0])
+    result = runs[0] if runs else stream_cls(machine, name="sorted").finalize()
+    manifest.commit_result(result)
     _sync_device(machine)
-    return runs[0]
-
-
-def _form_runs_checkpointed(
-    machine: Machine,
-    stream: FileStream,
-    key: Callable[[Any], Any],
-    stream_cls,
-    verify_outputs: bool,
-    manifest: SortManifest,
-) -> List[FileStream]:
-    """Run formation with the verify-and-redo loop.  Run formation
-    cleans up its own partial output on error, so a crash here leaves
-    nothing for the manifest to track."""
-    form = RUN_STRATEGIES["load"]
-    last_error: Optional[ChecksumError] = None
-    for _ in range(MAX_REDOS + 1):
-        runs = form(machine, stream, key=key, stream_cls=stream_cls)
-        if not verify_outputs:
-            return runs
-        last_error = _verify_or_none(machine, runs)
-        if last_error is None:
-            return runs
-        manifest.passes_redone += 1
-        for run in runs:
-            run.delete()
-    raise RetryExhaustedError(MAX_REDOS + 1, last_error)
-
-
-def _merge_pass_checkpointed(
-    machine: Machine,
-    runs: List[FileStream],
-    arity: int,
-    key: Callable[[Any], Any],
-    stream_cls,
-    level: int,
-    verify_outputs: bool,
-    manifest: SortManifest,
-) -> List[FileStream]:
-    """One merge pass with crash bookkeeping and the verify-and-redo
-    loop.  Inputs are never deleted here — the caller drops them after
-    the pass commits."""
-    inputs = {id(run) for run in runs}
-    last_error: Optional[ChecksumError] = None
-    for _ in range(MAX_REDOS + 1):
-        landed: List[FileStream] = []
-        try:
-            next_runs = merge_pass(
-                machine, runs, arity,
-                key=key, stream_cls=stream_cls, level=level,
-                delete_inputs=False, out=landed,
-            )
-        except BaseException:
-            # The in-flight group's output was already deleted by
-            # merge_group_steps; completed groups' outputs survive on
-            # disk.
-            # Record them so resume can reclaim their blocks.
-            manifest.record_partial(
-                [run for run in landed if id(run) not in inputs]
-            )
-            raise
-        if not verify_outputs:
-            return next_runs
-        fresh = [run for run in next_runs if id(run) not in inputs]
-        last_error = _verify_or_none(machine, fresh)
-        if last_error is None:
-            return next_runs
-        manifest.passes_redone += 1
-        for run in fresh:
-            run.delete()
-    raise RetryExhaustedError(MAX_REDOS + 1, last_error)
+    return result

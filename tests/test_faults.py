@@ -27,6 +27,7 @@ from repro.faults import (
     SortManifest,
     checkpointed_merge_sort,
 )
+from repro.faults.checkpoint import MAX_REDOS
 from repro.sort.merge import external_merge_sort
 
 
@@ -310,6 +311,80 @@ class TestCheckpointedSort:
                 data["version"] = version
             with pytest.raises(ConfigurationError, match="version"):
                 SortManifest.from_json(json.dumps(data))
+        # Malformed manifests are rejected too, not half-read.
+        for entry in ("passes", "done"):
+            data = json.loads(text)
+            del data[entry]
+            with pytest.raises(ConfigurationError, match=entry):
+                SortManifest.from_json(json.dumps(data))
+        with pytest.raises(ConfigurationError, match="object"):
+            SortManifest.from_json("[]")
+
+    @pytest.mark.parametrize("num_disks", [1, 4])
+    @pytest.mark.parametrize("stream_cls", [FileStream, StripedStream])
+    @pytest.mark.parametrize("fan_in", [2, None])
+    def test_costs_what_the_plain_sort_costs(self, num_disks, stream_cls,
+                                             fan_in):
+        # Without faults or verification the checkpoint adds no I/O:
+        # the same passes, transfers, steps, peak memory and phases.
+        data = list(range(3000))
+        random.Random(1).shuffle(data)
+        options = dict(fan_in=fan_in, stream_cls=stream_cls)
+        sorts = (
+            lambda m, s: external_merge_sort(m, s, **options),
+            lambda m, s: checkpointed_merge_sort(m, s, SortManifest(),
+                                                 **options),
+        )
+        costs = []
+        for sort in sorts:
+            m = machine(m=12, D=num_disks)
+            stream = stream_cls.from_records(m, data)
+            m.reset_stats()
+            tracer = m.runtime.start_trace()
+            out = sort(m, stream)
+            tracer.stop()
+            labels = {label for label, _, _ in tracer._spans}
+            costs.append((m.stats(), m.budget.peak, labels))
+            assert list(out) == sorted(data)
+        assert costs[0] == costs[1]
+
+    def test_every_write_torn_exhausts_redos(self):
+        data = shuffled(300, seed=13)
+        m = machine()
+        stream = FileStream.from_records(m, data)
+        manifest = SortManifest()
+        with pytest.raises(RetryExhaustedError):
+            with m.inject_faults(FaultPlan(torn_writes=range(10_000))):
+                checkpointed_merge_sort(
+                    m, stream, manifest, fan_in=2, verify_outputs=True
+                )
+        assert manifest.passes_redone == MAX_REDOS + 1
+        assert manifest.committed_passes == 0
+        # Every torn attempt was deleted before the next one.
+        assert m.disk.allocated_blocks == stream.num_blocks
+        assert m.budget.in_use == 0
+
+    @pytest.mark.parametrize("crash_after", [10, 40, 90, 160, 200])
+    @pytest.mark.parametrize("torn", [{3}, {70}, {3, 120}])
+    def test_resume_after_crash_and_torn_writes(self, crash_after, torn):
+        data = shuffled(300, seed=14)
+        m = machine()
+        stream = FileStream.from_records(m, data)
+        manifest = SortManifest()
+        plan = FaultPlan(crash_after_writes=crash_after, torn_writes=torn)
+        try:
+            with m.inject_faults(plan):
+                out = checkpointed_merge_sort(
+                    m, stream, manifest, fan_in=2, verify_outputs=True
+                )
+        except SimulatedCrash:
+            manifest = SortManifest.from_json(manifest.to_json())
+            out = checkpointed_merge_sort(
+                m, stream, manifest, fan_in=2, verify_outputs=True
+            )
+        assert list(out) == sorted(data)
+        assert m.disk.allocated_blocks == stream.num_blocks + out.num_blocks
+        assert m.budget.in_use == 0
 
 
 class TestFileBackedFaults:
