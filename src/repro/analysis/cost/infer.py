@@ -49,15 +49,16 @@ _BLOCK_METHODS = {"read_block", "write_block", "append_block", "put",
 _RECORD_WRITES = {"append", "push", "add", "appendleft"}
 #: block-payload iterators — one block per trip, N/B trips total.
 #: ``iter_blocks`` scans a stream (its reads are charged here);
-#: ``blocks`` re-emits payloads from readers charged at their source.
-_BLOCK_STREAM_ITERS = {"iter_blocks", "blocks"}
+#: ``blocks`` re-emits payloads from readers charged at their source,
+#: and so does a sorter's ``finish_segments`` (charged by its contract).
+_BLOCK_STREAM_ITERS = {"iter_blocks", "blocks", "finish_segments"}
 #: cooperative read intents — a generator yields them to its driver,
 #: which reads the requested blocks as one batch
 _READ_INTENTS = {"StreamRead"}
 #: distributive (already whole-input) transfers
 _BATCHED_METHODS = {"get_many", "read_many", "read_block_range",
                     "write_block_range", "extend", "append_blocks",
-                    "put_batch"}
+                    "put_batch", "append_payload"}
 #: free bookkeeping on model objects
 _FREE_METHODS = {"finalize", "delete", "close", "sync", "flush",
                  "flush_all", "drop_all", "clear", "reset_stats",
@@ -98,11 +99,14 @@ _STRUCTURE_COSTS: Dict[str, Dict[str, Cost]] = {
     },
     "Sorter": {
         # pipelined sort: push amortizes the run write plus this
-        # record's share of the intermediate merge passes; finish
-        # reads the final merge back through the pull iterator.
+        # record's share of the intermediate merge passes (push_block:
+        # its payload's share, see _AGGREGATE_CONTRACTS); finish reads
+        # the final merge back through the pull iterator.
         "push": [Term(1, {"B": -1, "logm": 1})],
+        "push_block": [Term(1, {"N": 1, "B": -1, "logm": 1})],
         "consume": [Term(1, {"N": 1, "B": -1, "logm": 1})],
         "finish": [Term(1, {"N": 1, "B": -1})],
+        "finish_segments": [Term(1, {"N": 1, "B": -1})],
     },
     "BlockBuilder": {
         # re-blocking plumbing, not a device: the blocks it emits are
@@ -122,6 +126,11 @@ _STRUCTURE_COSTS: Dict[str, Dict[str, Cost]] = {
         "popleft": [Term(1, {"B": -1})],
     },
 }
+
+#: contract methods charged as an aggregate over their payload
+#: argument: loop iterations that pass disjoint pieces of the data sum
+#: to one whole-input charge (linearity), as a stream's ``extend`` does
+_AGGREGATE_CONTRACTS = {"push_block"}
 
 _SCAN = Term(1, {"N": 1, "B": -1})
 _N = Term(1, {"N": 1})
@@ -419,7 +428,8 @@ class Inferencer:
             if cls is not None and cls.name in _STRUCTURE_COSTS:
                 contract = _STRUCTURE_COSTS[cls.name].get(attr)
                 if contract is not None:
-                    return [Item(t, False, subjects,
+                    return [Item(t, attr in _AGGREGATE_CONTRACTS,
+                                 subjects,
                                  f"{cls.name}.{attr}() at {origin}")
                             for t in contract]
             pool_like = recv_key.endswith("pool") or (

@@ -18,7 +18,7 @@ from typing import Any, Iterable, Iterator, List, Optional, Sequence
 from ..runtime.prefetch import read_ahead
 from .exceptions import StreamError
 from .machine import Machine
-from .records import concat
+from .records import concat, copy_payload
 
 
 class FileStream:
@@ -59,7 +59,12 @@ class FileStream:
         if not self._buffer_reserved:
             self.machine.budget.acquire(self._writer_reserve)
             self._buffer_reserved = True
-        self._buffer.append(record)
+        try:
+            self._buffer.append(record)
+        except AttributeError:
+            # A typed tail left by append_payload: continue as a list.
+            self._buffer = list(self._buffer)
+            self._buffer.append(record)
         self._length += 1
         if len(self._buffer) == self.machine.block_size:
             self._flush_buffer()
@@ -68,6 +73,41 @@ class FileStream:
         """Append every record of ``records`` in order."""
         for record in records:
             self.append(record)
+
+    def append_payload(self, payload: Sequence[Any]) -> None:
+        """Append every record of ``payload`` in order, through the
+        staging buffer — :meth:`append` a payload at a time.
+
+        The writer frame is reserved on the first record and blocks are
+        cut at exactly the record counts :meth:`append` would cut them,
+        so transfers, steps and budget are those of the per-record
+        loop.  A typed payload stays typed: full blocks are written
+        straight from its slices and a short tail is held as a typed
+        copy until the next call, :meth:`sync` or :meth:`finalize`.
+        """
+        self._check_writable()
+        count = len(payload)
+        if count == 0:
+            return
+        if not self._buffer_reserved:
+            self.machine.budget.acquire(self._writer_reserve)
+            self._buffer_reserved = True
+        self._length += count
+        block_size = self.machine.block_size
+        start = 0
+        pending = len(self._buffer)
+        if pending:
+            start = min(block_size - pending, count)
+            self._buffer = concat([self._buffer, payload[:start]])
+            if len(self._buffer) < block_size:
+                return
+            self._flush_buffer()
+        while count - start >= block_size:
+            self._buffer = payload[start:start + block_size]
+            self._flush_buffer()
+            start += block_size
+        if start < count:
+            self._buffer = copy_payload(payload[start:])
 
     def append_block(self, records: Sequence[Any]) -> None:
         """Write ``records`` (at most ``B``) directly as one block.
@@ -79,7 +119,7 @@ class FileStream:
         interleaved with buffered records.
         """
         self._check_writable()
-        if self._buffer:
+        if len(self._buffer):
             raise StreamError(
                 f"stream {self.name!r}: append_block while records are "
                 "buffered would reorder data"
@@ -111,7 +151,7 @@ class FileStream:
         batching costs no extra frames.
         """
         self._check_writable()
-        if self._buffer:
+        if len(self._buffer):
             raise StreamError(
                 f"stream {self.name!r}: append_blocks while records are "
                 "buffered would reorder data"
@@ -175,7 +215,7 @@ class FileStream:
         hold a memory frame between batches.  Costs at most one write I/O.
         """
         self._check_writable()
-        if self._buffer:
+        if len(self._buffer):
             self._flush_buffer()
         if self._buffer_reserved:
             self.machine.budget.release(self._writer_reserve)
@@ -190,7 +230,7 @@ class FileStream:
             raise StreamError(f"stream {self.name!r} has been deleted")
         if self._finalized:
             return self
-        if self._buffer:
+        if len(self._buffer):
             self._flush_buffer()
         if self._buffer_reserved:
             self.machine.budget.release(self._writer_reserve)

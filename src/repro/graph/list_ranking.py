@@ -14,10 +14,19 @@ tree labelling, and connectivity all bootstrap from it.
 Input format: an iterable of ``(node, successor)`` pairs, nodes numbered
 arbitrarily, ``-1`` marking the tail.  Output: ``{node: rank}`` with the
 head at rank 0.
+
+The contraction rounds run a block or merge segment at a time on typed
+``int64`` records (numpy structured arrays sorted by
+:func:`~repro.core.records.field` keys): every sort takes the typed
+merge round and every merge-join is a ``searchsorted`` of a batch.
+I/O happens between the same records as in a record-at-a-time round
+(see :func:`_rank_recursive`), so transfers, steps and the budget peak
+are unchanged; only wall time moves.
 """
 
 from __future__ import annotations
 
+from itertools import islice, repeat
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..analysis.sanitizer import io_bound
@@ -25,12 +34,22 @@ from ..core.blockfile import BlockFile
 from ..core.bounds import scan_io, sort_io
 from ..core.exceptions import ConfigurationError, MemoryLimitExceeded
 from ..core.machine import Machine
+from ..core.records import concat, field, np
 from ..core.stream import FileStream
 from ..pipeline.sorter import Sorter
 from ..search.hashing import _hash_bits
 from ..sort.merge import external_merge_sort
 
 _TAIL = -1
+_INT64_MAX = 2 ** 63 - 1
+
+# The contraction's record types, all int64 and sorted by a field key.
+_NODE = np.dtype([("node", np.int64), ("succ", np.int64),
+                  ("w", np.int64)])
+_PRED = np.dtype([("at", np.int64), ("pred", np.int64)])
+_REMOVED = np.dtype([("node", np.int64), ("pred", np.int64),
+                     ("succ", np.int64), ("w", np.int64)])
+_RANK = np.dtype([("node", np.int64), ("rank", np.int64)])
 
 
 def _ranking_theory(machine: Machine, n: int) -> float:
@@ -117,14 +136,13 @@ def list_ranking(
 
     Every sort in the contraction is pipelined (see
     :func:`_rank_recursive`); :func:`list_ranking_materialized` keeps
-    the stream-to-stream rounds as the measured control.
+    the stream-to-stream rounds as the measured control.  Node ids
+    follow :func:`weighted_list_ranking`'s input rule.
     """
-    ordered = _ordered_input(
-        machine, ((node, successor, 1) for node, successor in pairs)
-    )
+    ordered = _ordered_input(machine, pairs, weighted=False)
     ranked = _rank_recursive(machine, ordered, seed)
     ordered.delete()
-    ranks = {node: rank for node, rank in ranked}
+    ranks = _ranks_of(ranked)
     ranked.delete()
     return ranks
 
@@ -169,34 +187,184 @@ def weighted_list_ranking(
     it computes prefix sums along the list — the primitive behind Euler
     tour tree labelling (depths via ±1 weights).  Same ``O(Sort(N))``
     expected cost.
+
+    Input rule: node ids, successors and weights are integers (Python
+    or numpy; ``bool`` counts as 0/1) that fit ``int64``, and the
+    absolute weights sum to at most ``2**63 - 1``, so no rank can
+    overflow.  Negative node ids are allowed; ``-1`` is the tail
+    marker, never a node.  Anything else — a float (even ``2.0``), a
+    string, an id beyond ``int64``, a tuple of the wrong length —
+    raises :class:`~repro.core.exceptions.ConfigurationError`; nothing
+    is rounded or truncated.
     """
-    ordered = _ordered_input(machine, triples)
+    ordered = _ordered_input(machine, triples, weighted=True)
     ranked = _rank_recursive(machine, ordered, seed)
     ordered.delete()
-    ranks = {node: rank for node, rank in ranked}
+    ranks = _ranks_of(ranked)
     ranked.delete()
     return ranks
 
 
+def _typed_chunks(
+    items: Iterable[Tuple[int, ...]],
+    size: int,
+    weighted: bool,
+) -> Iterator["np.ndarray"]:
+    """The input as ``(node, succ, w)`` record blocks of ``size``
+    items: pairs get weight 1.  Values that break
+    :func:`weighted_list_ranking`'s input rule raise
+    :class:`~repro.core.exceptions.ConfigurationError` rather than
+    being truncated."""
+    width = 3 if weighted else 2
+    magnitude = 0  # sum of |weight| so far: bounds every rank
+    items = iter(items)
+    while True:
+        chunk = list(islice(items, size))
+        if not chunk:
+            return
+        try:
+            values = np.array(chunk)
+        except (TypeError, ValueError):
+            values = None
+        if values is None or values.ndim != 2 \
+                or values.shape[1] != width:
+            raise ConfigurationError(
+                f"list ranking expects {width}-tuples "
+                f"(node, successor{', weight' if weighted else ''})"
+            )
+        kind = values.dtype.kind
+        if kind not in "biu" or (
+                kind == "u" and values.max() > _INT64_MAX):
+            raise ConfigurationError(
+                "list ranking takes integer node ids"
+                f"{' and weights' if weighted else ''} that fit int64; "
+                f"got {values.dtype} values"
+            )
+        records = np.empty(len(chunk), _NODE)
+        records["node"] = values[:, 0]
+        records["succ"] = values[:, 1]
+        if weighted:
+            magnitude += sum(map(abs, values[:, 2].tolist()))
+            if magnitude > _INT64_MAX:
+                raise ConfigurationError(
+                    "list ranking weights must sum to at most 2**63 - 1 "
+                    "in absolute value, so that every rank fits int64"
+                )
+            records["w"] = values[:, 2]
+        else:
+            records["w"] = 1
+        yield records
+
+
 def _ordered_input(
     machine: Machine,
-    triples: Iterable[Tuple[int, int, int]],
+    items: Iterable[Tuple[int, ...]],
+    weighted: bool,
 ) -> FileStream:
-    """Sort ``(node, succ, weight)`` triples by node id straight off the
-    producer: the unsorted input is pushed into a pipelined sorter and
-    only the node-ordered recursion input is ever written."""
+    """Sort the input's ``(node, succ, w)`` records by node id straight
+    off the producer: the input is converted a block at a time and
+    pushed into a pipelined sorter, and only the node-ordered recursion
+    input is ever written."""
     out = FileStream(machine, name="listrank/input")
     try:
         with Sorter(
-            machine, key=lambda r: r[0], name="listrank/input-sort"
+            machine, key=field("node"), name="listrank/input-sort"
         ) as sorter:
-            sorter.consume(triples)
-            for record in sorter.finish():
-                out.append(record)
+            for records in _typed_chunks(items, machine.B, weighted):
+                sorter.push_block(records)
+            for segment in sorter.finish_segments():
+                out.append_payload(segment)
         return out.finalize()
     except BaseException:
         out.delete()
         raise
+
+
+def _ranks_of(ranked: FileStream) -> Dict[int, int]:
+    """``{node: rank}`` from a stream of ``(node, rank)`` records."""
+    ranks: Dict[int, int] = {}
+    for block in ranked.iter_blocks():
+        ranks.update(zip(block["node"].tolist(), block["rank"].tolist()))
+    return ranks
+
+
+class _Cursor:
+    """One side of a merge-join: a key-sorted payload source and the
+    payload that the per-record join's entry stands in.
+
+    The per-record join steps its entry past every key below the
+    current record's and reads the source's next payload when it steps
+    off the end of the held one.  :func:`_pieces` cuts a batch where
+    those reads fall, so each read happens between the same records as
+    in the per-record loop.
+    """
+
+    __slots__ = ("source", "name", "rows")
+
+    def __init__(self, source: Iterator["np.ndarray"], name: str):
+        self.source = source
+        self.name = name
+        self.rows = next(source, None)
+
+    def reach(self, keys: "np.ndarray") -> int:
+        """How many of the sorted ``keys`` the held payload serves."""
+        if self.rows is None:
+            return len(keys)
+        return int(keys.searchsorted(self.rows[self.name].item(-1),
+                                     "right"))
+
+    def cover(self, key: int) -> None:
+        """Read on, as the per-record entry does for ``key``."""
+        while self.rows is not None \
+                and self.rows[self.name].item(-1) < key:
+            self.rows = next(self.source, None)
+
+    def lookup(self, keys: "np.ndarray"):
+        """``(index, found)``: where each of ``keys`` (all served) sits
+        in the held payload, and whether it is there."""
+        if self.rows is None:
+            return np.zeros(len(keys), np.intp), np.zeros(len(keys), bool)
+        index = self.rows[self.name].searchsorted(keys)
+        return index, self.rows[self.name][index] == keys
+
+    def close(self) -> None:
+        self.source.close()
+
+
+def _pieces(keys: "np.ndarray", *cursors: _Cursor
+            ) -> Iterator[Tuple[int, int]]:
+    """Cut a batch of sorted ``keys`` into ``(start, stop)`` pieces the
+    cursors' held payloads serve.  Between pieces each cursor, in
+    order, reads on for the next key, as the per-record join would."""
+    start, count = 0, len(keys)
+    while True:
+        stop = min(cursor.reach(keys) for cursor in cursors)
+        if stop > start:
+            yield start, stop
+        if stop >= count:
+            return
+        for cursor in cursors:
+            cursor.cover(keys.item(stop))
+        start = stop
+
+
+def _writer_events(written: int, count: int, block_size: int
+                   ) -> List[int]:
+    """Indexes, among the next ``count`` records appended to a stream
+    already holding ``written``, of those that make its writer act:
+    the first record ever reserves the frame, and each record that
+    fills a block writes it."""
+    events = list(range((-written - 1) % block_size, count, block_size))
+    if written == 0 and count and (not events or events[0]):
+        events.insert(0, 0)
+    return events
+
+
+def _coins(nodes: "np.ndarray", salt: int) -> "np.ndarray":
+    """Each node's coin, ``_hash_bits((node, salt)) & 1``, as bools."""
+    bits = np.fromiter(map(_hash_bits, zip(nodes.tolist(), repeat(salt))),
+                       np.uint64, len(nodes))
+    return (bits & 1).astype(bool)
 
 
 def _rank_recursive(
@@ -204,8 +372,9 @@ def _rank_recursive(
     records: FileStream,
     salt: int,
 ) -> FileStream:
-    """Rank a list given as a stream of ``(node, succ, weight)`` sorted by
-    node id; returns a stream of ``(node, rank)`` sorted by node id.
+    """Rank a list given as a stream of ``(node, succ, w)`` records
+    sorted by node id; returns a stream of ``(node, rank)`` records
+    sorted by node id.
 
     The input stream is read but never deleted — the caller owns it (and
     may still need it after the call, e.g. for reintegration weights).
@@ -222,14 +391,23 @@ def _rank_recursive(
     across-the-recursion disk footprint, so the peak stays ``O(N/B)``
     blocks over all depths (the geometric series), a property
     regression-tested in ``test_pipeline.py``.
+
+    A round moves one block or merge segment at a time: the records are
+    ``int64`` structured arrays (``(node, succ, w)``, ``(at, pred)``,
+    ``(node, pred, succ, w)``, ``(node, rank)``) sorted by
+    :func:`~repro.core.records.field` keys, so every sort takes the
+    typed merge round, and each merge-join is a ``searchsorted`` of a
+    batch against a :class:`_Cursor`.  Batches are cut wherever the
+    per-record loop would read a block or make the ``removed`` writer
+    act, and the sorters and writers cut runs and blocks at the
+    per-record counts, so every read, write and reservation falls
+    between the same records: transfers, steps and the budget peak are
+    those of a record-at-a-time round, at any ``D``.
     """
     n = len(records)
     base_capacity = machine.M - 2 * machine.B
     if n <= base_capacity:
         return _rank_in_memory(machine, records)
-
-    def coin(node: int) -> bool:
-        return bool(_hash_bits((node, salt)) & 1)
 
     # Each pulled final merge runs concurrently with up to two plain
     # scans, one writer, and the next sorter's run buffer; cap the pull
@@ -241,49 +419,63 @@ def _rank_recursive(
     try:
         # --- 1. attach predecessors: pred[succ] = node, pushed
         # straight into a sorter keyed by successor -------------------
-        preds = Sorter(machine, key=lambda r: r[0],
+        preds = Sorter(machine, key=field("at"),
                        name="listrank/preds", final_fan_in=width)
         sorters.append(preds)
-        preds.consume(
-            (successor, node)
-            for node, successor, _ in records
-            if successor != _TAIL
-        )
+        for block in records.iter_blocks():
+            linked = block[block["succ"] != _TAIL]
+            pairs = np.empty(len(linked), _PRED)
+            pairs["at"] = linked["succ"]
+            pairs["pred"] = linked["node"]
+            preds.push_block(pairs)
 
         # --- 2. classify: independent set = coin(v) & ~coin(pred(v)).
-        # Merge records (by node) with the pulled preds (by node);
+        # Join records (by node) with the pulled preds (by node);
         # survivors go straight into the splice sorter keyed by
         # *successor*, removed nodes land on a side stream — appended
         # in node order, so it never needs sorting. -------------------
-        pred_iter = iter(preds.finish())
+        pred_cursor = _Cursor(preds.finish_segments(), "at")
         # headroom: the same loop that pushes survivors appends removed
         # nodes to a side stream whose writer frame is acquired lazily.
-        by_succ = Sorter(machine, key=lambda r: r[1],
+        by_succ = Sorter(machine, key=field("succ"),
                          name="listrank/by-succ", final_fan_in=width,
                          headroom=1)
         sorters.append(by_succ)
         removed = FileStream(machine, name="listrank/removed")
-        pred_entry = next(pred_iter, None)
-        for node, successor, weight in records:
-            while pred_entry is not None and pred_entry[0] < node:
-                pred_entry = next(pred_iter, None)
-            predecessor = (
-                pred_entry[1]
-                if pred_entry is not None and pred_entry[0] == node
-                else None
-            )
-            in_set = (
-                predecessor is not None
-                and coin(node)
-                and not coin(predecessor)
-            )
-            if in_set:
+        for block in records.iter_blocks():
+            for start, stop in _pieces(block["node"], pred_cursor):
+                piece = block[start:stop]
+                nodes = piece["node"]
+                index, in_set = pred_cursor.lookup(nodes)
+                in_set &= _coins(nodes, salt)
+                predecessors = pred_cursor.rows["pred"][index[in_set]] \
+                    if in_set.any() else index[:0]
+                keep = ~_coins(predecessors, salt)
+                in_set[in_set] = keep
+                gone = piece[in_set]
                 # (node, pred, succ, weight): enough to splice and
                 # restore.
-                removed.append((node, predecessor, successor, weight))
-            else:
-                by_succ.push((node, successor, weight))
-        pred_iter.close()  # release the pull's reader frames eagerly
+                side = np.empty(len(gone), _REMOVED)
+                side["node"] = gone["node"]
+                side["pred"] = predecessors[keep]
+                side["succ"] = gone["succ"]
+                side["w"] = gone["w"]
+                # Cut at the side rows that make ``removed`` reserve
+                # its frame or write a block, so each of those events
+                # falls between the same survivor pushes as in the
+                # per-record loop.
+                survivors = piece[~in_set]
+                gone_at = in_set.nonzero()[0]
+                kept = taken = 0
+                for event in _writer_events(len(removed), len(side),
+                                            machine.B):
+                    upto = int(gone_at[event]) - event  # survivors ahead
+                    by_succ.push_block(survivors[kept:upto])
+                    removed.append_payload(side[taken:event + 1])
+                    kept, taken = upto, event + 1
+                by_succ.push_block(survivors[kept:])
+                removed.append_payload(side[taken:])
+        pred_cursor.close()  # release the pull's reader frames eagerly
         removed.finalize()
 
         if len(removed) == 0:
@@ -294,39 +486,34 @@ def _rank_recursive(
 
         # --- 3. splice: survivors whose successor was removed now
         # point to the removed node's successor and absorb its weight.
-        # The pulled by-successor order merges against a plain scan of
+        # The pulled by-successor order joins against a plain scan of
         # ``removed`` (node order); patched pieces go straight into the
         # next sorter, back toward node order. ------------------------
-        removed_iter = iter(removed)
-        removed_entry = next(removed_iter, None)
-        by_succ_iter = iter(by_succ.finish())
-        contractor = Sorter(machine, key=lambda r: r[0],
+        removed_cursor = _Cursor(removed.iter_blocks(), "node")
+        by_succ_segments = by_succ.finish_segments()
+        contractor = Sorter(machine, key=field("node"),
                             name="listrank/contracted",
                             final_fan_in=width)
         sorters.append(contractor)
-        for node, successor, weight in by_succ_iter:
-            while removed_entry is not None \
-                    and removed_entry[0] < successor:
-                removed_entry = next(removed_iter, None)
-            if (
-                successor != _TAIL
-                and removed_entry is not None
-                and removed_entry[0] == successor
-            ):
-                _, _, removed_succ, removed_weight = removed_entry
-                contractor.push(
-                    (node, removed_succ, weight + removed_weight)
-                )
-            else:
-                contractor.push((node, successor, weight))
-        removed_iter.close()
+        for segment in by_succ_segments:
+            for start, stop in _pieces(segment["succ"], removed_cursor):
+                patched = segment[start:stop].copy()
+                successors = patched["succ"]
+                index, spliced = removed_cursor.lookup(successors)
+                spliced &= successors != _TAIL
+                if spliced.any():
+                    held = removed_cursor.rows[index[spliced]]
+                    patched["succ"][spliced] = held["succ"]
+                    patched["w"][spliced] += held["w"]
+                contractor.push_block(patched)
+        removed_cursor.close()
 
         # The contracted list is the one intermediate that must be
         # materialized: it is the recursion input and, afterwards, the
         # predecessor-weight lookup.
         contracted = FileStream(machine, name="listrank/contracted")
-        for record in contractor.finish():
-            contracted.append(record)
+        for segment in contractor.finish_segments():
+            contracted.append_payload(segment)
         contracted.finalize()
 
         # --- 4. recurse ----------------------------------------------
@@ -335,58 +522,87 @@ def _rank_recursive(
         # --- 5. reintegrate: rank(removed) = rank(pred) + weight(pred
         # at time of removal) = rank(pred) + (pred's contracted weight
         # - removed node's own weight).  Removed records are re-pushed
-        # keyed by *predecessor* and the pull merges against scans of
+        # keyed by *predecessor* and the pull joins against scans of
         # sub_ranks and contracted (both in node order). --------------
-        by_pred = Sorter(machine, key=lambda r: r[1],
+        by_pred = Sorter(machine, key=field("pred"),
                          name="listrank/by-pred", final_fan_in=width)
         sorters.append(by_pred)
-        by_pred.consume(iter(removed))
-        by_pred_iter = iter(by_pred.finish())
-        restored = Sorter(machine, key=lambda r: r[0],
+        for block in removed.iter_blocks():
+            by_pred.push_block(block)
+        by_pred_segments = by_pred.finish_segments()
+        restored = Sorter(machine, key=field("node"),
                           name="listrank/restored", final_fan_in=width)
         sorters.append(restored)
-        rank_iter = iter(sub_ranks)
-        info_iter = iter(contracted)
-        rank_entry = next(rank_iter, None)
-        info_entry = next(info_iter, None)
-        for node, predecessor, _, weight in by_pred_iter:
-            while rank_entry is not None and rank_entry[0] < predecessor:
-                rank_entry = next(rank_iter, None)
-            while info_entry is not None and info_entry[0] < predecessor:
-                info_entry = next(info_iter, None)
-            assert rank_entry is not None and rank_entry[0] == predecessor
-            assert info_entry is not None and info_entry[0] == predecessor
-            pred_rank = rank_entry[1]
-            pred_weight_now = info_entry[2]
-            restored.push(
-                (node, pred_rank + (pred_weight_now - weight))
-            )
-        rank_iter.close()
-        info_iter.close()
+        rank_cursor = _Cursor(sub_ranks.iter_blocks(), "node")
+        info_cursor = _Cursor(contracted.iter_blocks(), "node")
+        for segment in by_pred_segments:
+            for start, stop in _pieces(segment["pred"], rank_cursor,
+                                       info_cursor):
+                piece = segment[start:stop]
+                rank_at, rank_found = rank_cursor.lookup(piece["pred"])
+                info_at, info_found = info_cursor.lookup(piece["pred"])
+                assert rank_found.all() and info_found.all()
+                ranked = np.empty(len(piece), _RANK)
+                ranked["node"] = piece["node"]
+                ranked["rank"] = rank_cursor.rows["rank"][rank_at] \
+                    + (info_cursor.rows["w"][info_at] - piece["w"])
+                restored.push_block(ranked)
+        rank_cursor.close()
+        info_cursor.close()
         contracted.delete()
         removed.delete()
 
         # --- 6. merge sub_ranks with the pulled restored order (both
         # sorted by node) into the result stream. ---------------------
         merged = FileStream(machine, name="listrank/ranks")
-        a_iter = iter(sub_ranks)
-        b_iter = iter(restored.finish())
-        a = next(a_iter, None)
-        b = next(b_iter, None)
-        while a is not None or b is not None:
-            if b is None or (a is not None and a[0] < b[0]):
-                merged.append(a)
-                a = next(a_iter, None)
-            else:
-                merged.append(b)
-                b = next(b_iter, None)
-        a_iter.close()
+        for piece in _merged_by_node(sub_ranks.iter_blocks(),
+                                     restored.finish_segments()):
+            merged.append_payload(piece)
         merged.finalize()
         sub_ranks.delete()
         return merged
     finally:
         for sorter in sorters:
             sorter.close()
+
+
+def _merged_by_node(a_iter: Iterator["np.ndarray"],
+                    b_iter: Iterator["np.ndarray"]
+                    ) -> Iterator["np.ndarray"]:
+    """Merge two node-sorted payload sources into node-sorted pieces,
+    ``b``'s record first on a tie, as a record merge would: each side's
+    held payload is emitted up to the other side's last key, and the
+    side whose payload ran out is read next, where a record merge
+    reads it."""
+    try:
+        a = next(a_iter, None)
+        b = next(b_iter, None)
+        while a is not None or b is not None:
+            if b is None:
+                yield a
+                a = next(a_iter, None)
+            elif a is None:
+                yield b
+                b = next(b_iter, None)
+            elif a["node"].item(-1) < b["node"].item(-1):
+                cut = b["node"].searchsorted(a["node"].item(-1), "right")
+                yield _by_node(b[:cut], a)
+                b = b[cut:]
+                a = next(a_iter, None)
+            else:
+                cut = a["node"].searchsorted(b["node"].item(-1))
+                yield _by_node(b, a[:cut])
+                a = a[cut:]
+                b = next(b_iter, None)
+    finally:
+        a_iter.close()
+
+
+def _by_node(first: "np.ndarray", second: "np.ndarray") -> "np.ndarray":
+    """Two node-sorted payloads merged, ``first``'s records ahead on a
+    tie."""
+    both = concat([first, second])
+    return both[both["node"].argsort(kind="stable")]
 
 
 def _rank_recursive_materialized(
@@ -555,19 +771,29 @@ def _rank_recursive_materialized(
 
 
 def _rank_in_memory(machine: Machine, records: FileStream) -> FileStream:
-    """Base case: the list fits in memory; walk it directly."""
+    """Base case: the list fits in memory; walk it directly.
+
+    Serves both representations: typed ``(node, succ, w)`` records give
+    typed ``(node, rank)`` records, tuples (the materialized control)
+    give tuples."""
     if len(records) > machine.M:
         raise MemoryLimitExceeded(
             len(records), machine.budget.in_use, machine.M)
     with machine.budget.reserve(len(records)):
-        successor: Dict[int, int] = {}
-        weight: Dict[int, int] = {}
-        targets = set()
-        for node, succ, w in records:
-            successor[node] = succ
-            weight[node] = w
-            if succ != _TAIL:
-                targets.add(succ)
+        table = concat(list(records.iter_blocks()))
+        typed = isinstance(table, np.ndarray)
+        if typed:
+            nodes = table["node"].tolist()
+            succs = table["succ"].tolist()
+            weights = table["w"].tolist()
+        else:
+            nodes = [node for node, _, _ in table]
+            succs = [succ for _, succ, _ in table]
+            weights = [w for _, _, w in table]
+        successor: Dict[int, int] = dict(zip(nodes, succs))
+        weight: Dict[int, int] = dict(zip(nodes, weights))
+        targets = set(succs)
+        targets.discard(_TAIL)
         ranks: Dict[int, int] = {}
         if successor:
             heads = [v for v in successor if v not in targets]
@@ -584,6 +810,12 @@ def _rank_in_memory(machine: Machine, records: FileStream) -> FileStream:
                 node = successor[node]
         output = FileStream(machine, name="listrank/ranks")
         # em: ok(EM004) base case: ≤ M - 2B nodes, reserved above
-        for node in sorted(ranks):
-            output.append((node, ranks[node]))
+        order = sorted(ranks)
+        if typed:
+            ranked = np.empty(len(order), _RANK)
+            ranked["node"] = order
+            ranked["rank"] = [ranks[node] for node in order]
+        else:
+            ranked = [(node, ranks[node]) for node in order]
+        output.append_payload(ranked)
         return output.finalize()

@@ -14,20 +14,29 @@ idiom.  The *push* phase accepts records straight from the producer
 Arge–Thorup RAM-efficient sorting line — orders each run by sorting
 ``(key, index)`` pairs and emitting records through the index pointers
 rather than comparing full records.  The *pull* phase exposes the final
-k-way merge as an iterator (forecasting prefetch + galloping block
-merge, exactly the machinery of
-:func:`~repro.sort.merge.merge_group_steps`) so the
-consumer reads the sorted order without it ever being written.  Total
-cost for a fits-in-one-merge sort: ``2·(N/DB)`` I/Os — write the runs,
-read them back — against ``6·(N/DB)`` for the materialized chain.
+k-way merge as an iterator (forecasting prefetch + block merge,
+exactly the machinery of :func:`~repro.sort.merge.merge_group_steps`)
+so the consumer reads the sorted order without it ever being written.
+Total cost for a fits-in-one-merge sort: ``2·(N/DB)`` I/Os — write the
+runs, read them back — against ``6·(N/DB)`` for the materialized chain.
+
+Both phases also move whole payloads: :meth:`Sorter.push_block` pushes
+a block and cuts runs at the record counts of :meth:`Sorter.push`, and
+:meth:`Sorter.finish_segments` pulls the merge as the payload segments
+it produces — the record pull is a flatten of that same generator.
+With a structured dtype and a :func:`~repro.core.records.field` key,
+every run is ordered and every merge round is taken in vectorized
+passes, never a record at a time.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, List, Optional
+from typing import Any, Callable, Iterable, Iterator, List, Optional, \
+    Sequence
 
 from ..core.exceptions import ConfigurationError, StreamError
 from ..core.machine import Machine
+from ..core.records import concat
 from ..core.stream import FileStream
 from ..runtime.prefetch import ForecastingPrefetcher
 from ..sort.merge import BlockMerger, merge_pass, plan_merge_arity
@@ -75,6 +84,9 @@ class Sorter:
             for record in sorter:               # pull phase
                 ...
 
+    :meth:`push_block` and :meth:`finish_segments` are the same two
+    phases a payload at a time, with the same I/O and budget.
+
     The sort is stable.  Exhausting the pull iterator deletes the run
     files eagerly; an abandoned pull is reclaimed by :meth:`close`.
     """
@@ -115,11 +127,14 @@ class Sorter:
                 f"sorter {name!r}: machine has {machine.m} frames, too "
                 f"few for a binary merge plus its output writer"
             )
-        self._buffer: List[Any] = []
+        self._buffer: List[Any] = []    # records pushed one at a time
+        self._parts: List[Sequence[Any]] = []   # pushed before _buffer
         self._capacity = 0          # records reserved for the memoryload
+        self._room = 0              # capacity left beside the parts
         self._runs: List[FileStream] = []
         self._count = 0
         self._state = _PUSH
+        self._segments: Optional[Iterator[Sequence[Any]]] = None
         self._pull: Optional[Iterator[Any]] = None
         self._prefetcher: Optional[ForecastingPrefetcher] = None
 
@@ -137,8 +152,41 @@ class Sorter:
             self._reserve_memoryload()
         self._buffer.append(record)
         self._count += 1
-        if len(self._buffer) >= self._capacity:
+        if len(self._buffer) >= self._room:
             self._spill()
+
+    def push_block(self, payload: Sequence[Any]) -> None:
+        """Push every record of ``payload`` in order — :meth:`push` a
+        payload at a time.
+
+        The memoryload is reserved on the first record and a run is
+        spilled each time the buffer fills, at the same record counts
+        as per-record pushes, so runs, I/O and budget are identical.
+        Typed payloads are buffered as slices and stay typed, so a
+        :func:`~repro.core.records.field` key orders each run in one
+        vectorized pass.
+        """
+        if self._state != _PUSH:
+            raise StreamError(
+                f"sorter {self._name!r} is {self._state}; push refused"
+            )
+        count = len(payload)
+        start = 0
+        while start < count:
+            if self._capacity == 0:
+                self._reserve_memoryload()
+            if self._buffer:
+                # Records pushed one at a time go first.
+                self._room -= len(self._buffer)
+                self._parts.append(self._buffer)
+                self._buffer = []
+            take = min(count - start, self._room)
+            self._parts.append(payload[start:start + take])
+            self._room -= take
+            self._count += take
+            start += take
+            if self._room == 0:
+                self._spill()
 
     def consume(self, records: Iterable[Any]) -> "Sorter":
         """Push every record of ``records``; returns ``self``."""
@@ -155,52 +203,75 @@ class Sorter:
             machine, machine.budget.available, self._stream_cls,
             self._headroom,
         )
-        self._capacity = blocks * machine.B
+        self._capacity = self._room = blocks * machine.B
         machine.budget.acquire(self._capacity)
 
     def _spill(self) -> None:
         """Write the buffered memoryload out as one run — run
         formation's writer (:func:`~repro.sort.runs.write_run`), so the
         records are ordered key-pointer style and moved only once."""
-        if not self._buffer:
+        chunk = self._buffer
+        if self._parts:
+            if chunk:
+                self._parts.append(chunk)
+            chunk = concat(self._parts) if len(self._parts) > 1 \
+                else self._parts[0]
+        if not len(chunk):
             return
         with self.machine.trace(f"{self._name}-runs"):
             run = write_run(
-                self.machine, self._buffer, self._key, self._stream_cls,
+                self.machine, chunk, self._key, self._stream_cls,
                 f"{self._name}/run/{len(self._runs)}",
             )
         self._runs.append(run)
         self._buffer = []
+        self._parts = []
+        self._room = self._capacity
 
     def _release_memoryload(self) -> None:
         if self._capacity:
             self.machine.budget.release(self._capacity)
-            self._capacity = 0
+            self._capacity = self._room = 0
         self._buffer = []
+        self._parts = []
 
     # ------------------------------------------------------------------
     # pull phase
     # ------------------------------------------------------------------
     def finish(self) -> Iterator[Any]:
-        """Seal the push phase and return the sorted iterator.
+        """Seal the push phase and return the sorted record iterator:
+        a flatten of :meth:`finish_segments`' generator, not a second
+        merge.  Idempotent: repeated calls (and ``iter(sorter)``) return
+        the same iterator.
+        """
+        segments = self.finish_segments()
+        if self._pull is None:
+            self._pull = _flatten(segments)
+        return self._pull
+
+    def finish_segments(self) -> Iterator[Sequence[Any]]:
+        """Seal the push phase and return the sorted order as payload
+        segments (slices of merged blocks or merge rounds).
 
         Runs beyond the planned arity are first merged down with
         ordinary materialized passes; the *final* merge is never
-        written — the returned iterator is a galloping
+        written — the segments come from a
         :class:`~repro.sort.merge.BlockMerger` over the forecasting
-        prefetcher's block readers.  Idempotent: repeated
-        calls (and ``iter(sorter)``) return the same iterator.
+        prefetcher's block readers, and a refill is read when the
+        segment before it has been taken, as the record pull reads it.
+        Empty segments are skipped.  Idempotent: repeated calls return
+        the same iterator.
         """
         if self._state == _PULL:
-            return self._pull
+            return self._segments
         if self._state == _CLOSED:
             raise StreamError(f"sorter {self._name!r} is closed")
         self._spill()
         self._release_memoryload()
         self._state = _PULL
         if not self._runs:
-            self._pull = iter(())
-            return self._pull
+            self._segments = self._pull_segments(None, [])
+            return self._segments
         machine = self.machine
         arity = plan_merge_arity(
             machine, len(self._runs), fan_in=self._fan_in,
@@ -236,12 +307,15 @@ class Sorter:
                    for i in range(len(self._runs))]
         merger = BlockMerger([next(reader, None) for reader in readers],
                              key=self._key)
-        self._pull = self._pull_iter(merger, readers)
-        return self._pull
+        self._segments = self._pull_segments(merger, readers)
+        return self._segments
 
-    def _pull_iter(self, merger: BlockMerger,
-                   readers: List[Iterator[Any]]) -> Iterator[Any]:
+    def _pull_segments(self, merger: Optional[BlockMerger],
+                       readers: List[Iterator[Any]]
+                       ) -> Iterator[Sequence[Any]]:
         try:
+            if merger is None:
+                return
             for item in merger.segments():
                 if item.__class__ is int:
                     # A refill request: run ``item``'s next block.
@@ -249,9 +323,9 @@ class Sorter:
                     continue
                 payload, start, stop = item
                 if start == 0 and stop == len(payload):
-                    yield from payload
-                else:
-                    yield from payload[start:stop]
+                    yield payload
+                elif stop > start:
+                    yield payload[start:stop]
         finally:
             # Exhaustion and generator close both land here: reader
             # frames released, run blocks freed eagerly.
@@ -283,8 +357,11 @@ class Sorter:
         self._state = _CLOSED
         self._release_memoryload()
         pull, self._pull = self._pull, None
-        if pull is not None and hasattr(pull, "close"):
-            pull.close()  # runs the generator's finally -> release
+        if pull is not None:
+            pull.close()  # closes the segments below it
+        segments, self._segments = self._segments, None
+        if segments is not None:
+            segments.close()  # runs the generator's finally -> release
         self._release_pull()
 
     def __enter__(self) -> "Sorter":
@@ -299,3 +376,12 @@ class Sorter:
             f"Sorter(name={self._name!r}, records={self._count}, "
             f"runs={len(self._runs)}, {self._state})"
         )
+
+
+def _flatten(segments: Iterator[Sequence[Any]]) -> Iterator[Any]:
+    """The records of ``segments`` in order; closing it closes them."""
+    try:
+        for segment in segments:
+            yield from segment
+    finally:
+        segments.close()

@@ -36,21 +36,45 @@ class _Run:
     """A sorted on-disk run, read a block at a time, with its head.
 
     ``block`` is the resident block and ``pos`` the index of ``head``
-    in it.  An open run pins one ``B``-record reader frame (the block
-    reader acquires it on the first ``next``); the frame is released
-    when the reader is exhausted — or deterministically by
-    :meth:`close`.
+    in it.  An open run pins exactly one ``B``-record reader frame,
+    acquired when the run opens and released when its last block is
+    used up — or deterministically by :meth:`close`.  Blocks are read
+    one at a time on demand (:meth:`next_block`), with no read-ahead:
+    a sequential reader's staging pins would count against the budget
+    that decides when levels must merge early, so on ``D > 1`` disks
+    the queue would merge more often than on one.
     """
 
-    __slots__ = ("stream", "blocks", "block", "pos", "head")
+    __slots__ = ("stream", "index", "frame", "block", "pos", "head")
 
     def __init__(self, stream: FileStream):
         self.stream = stream
-        self.blocks = stream.iter_blocks()
-        self._load()
+        self.index = 0
+        stream.machine.budget.acquire(stream.machine.B)
+        self.frame = True
+        try:
+            self._load()
+        except BaseException:
+            # No one holds the half-opened run: return its frame now.
+            self._release()
+            raise
+
+    def next_block(self):
+        """The run's next block (one read), or ``None`` — releasing the
+        reader frame — once every block has been read."""
+        if self.index < self.stream.num_blocks:
+            self.index += 1
+            return self.stream.read_block(self.index - 1)
+        self._release()
+        return None
+
+    def _release(self) -> None:
+        if self.frame:
+            self.frame = False
+            self.stream.machine.budget.release(self.stream.machine.B)
 
     def _load(self) -> None:
-        self.block = next(self.blocks, None)
+        self.block = self.next_block()
         self.pos = 0
         self.head = None if self.block is None else self.block[0]
 
@@ -64,10 +88,9 @@ class _Run:
             self.stream.delete()
 
     def close(self) -> None:
-        """Release the reader frame (generator ``close`` runs the
-        reader's ``finally``) and free the run's blocks.  Idempotent;
-        safe mid-iteration and on never-started runs."""
-        self.blocks.close()
+        """Release the reader frame and free the run's blocks.
+        Idempotent; safe mid-iteration."""
+        self._release()
         self.stream.delete()
         self.head = None
 
@@ -306,7 +329,7 @@ class ExternalPriorityQueue:
             ])
             for item in merger.blocks(self.machine.B):
                 if item.__class__ is int:
-                    merger.feed(next(runs[item].blocks, None))
+                    merger.feed(runs[item].next_block())
                 else:
                     merged.append_block(item)
             merged.finalize()

@@ -201,6 +201,54 @@ class TestFileStream:
         assert all(a == b for a, b in pairs)
         assert len(pairs) == 16
 
+    @pytest.mark.parametrize("stream_cls", [FileStream, StripedStream])
+    @pytest.mark.parametrize("D", [1, 4])
+    @pytest.mark.parametrize("typed", [False, True])
+    def test_append_payload_cuts_blocks_as_append(self, typed, D,
+                                                  stream_cls):
+        import numpy as np
+
+        values = np.arange(1000, dtype=np.int64)
+        payload = values if typed else values.tolist()
+        sizes = [1, 7, 8, 3, 40, 0, 17, 9, 64, 5]
+        outcomes = []
+        for batched in (False, True):
+            m = Machine(block_size=8, memory_blocks=16, num_disks=D)
+            s = stream_cls(m)
+            start = turn = 0
+            while start < len(payload):
+                size = sizes[turn % len(sizes)]
+                chunk = payload[start:start + size]
+                if batched:
+                    s.append_payload(chunk)
+                else:
+                    for record in chunk:
+                        s.append(record)
+                start += size
+                turn += 1
+            s.finalize()
+            blocks = [m.disk.peek(b) for b in s.block_ids]
+            outcomes.append((m.stats(), m.budget.peak, len(s),
+                             [list(block) for block in blocks]))
+            if batched:
+                # Typed payloads land as typed blocks, the short
+                # tail included.
+                assert all(isinstance(block, np.ndarray) == typed
+                           for block in blocks)
+            assert m.budget.in_use == 0
+        assert outcomes[0] == outcomes[1]
+
+    def test_append_after_typed_tail_keeps_order(self):
+        import numpy as np
+
+        m = Machine(block_size=8, memory_blocks=4)
+        s = FileStream(m)
+        s.append_payload(np.arange(5, dtype=np.int64))
+        s.append(5)
+        s.append_payload([6, 7, 8])
+        s.finalize()
+        assert [int(v) for v in s] == list(range(9))
+
 
 class TestStripedStream:
     def test_round_trip(self):

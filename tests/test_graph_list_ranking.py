@@ -5,7 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ConfigurationError, Machine
-from repro.graph import list_ranking, pointer_chase_ranking
+from repro.graph import (
+    list_ranking,
+    pointer_chase_ranking,
+    weighted_list_ranking,
+)
 from repro.workloads import random_linked_list
 
 
@@ -125,3 +129,84 @@ class TestContractionRanking:
         m = machine(B=8, m=6)
         pairs = random_linked_list(n, seed=seed)
         assert list_ranking(m, pairs) == reference_ranks(pairs)
+
+
+class TestTypedInput:
+    """The contraction runs on int64 records: inputs that do not fit
+    must be rejected, never rounded or truncated."""
+
+    def test_negative_node_ids(self):
+        # 2,000 nodes with ids below -1 and the -1 tail: several rounds.
+        ids = [-(3 * i + 2) for i in range(2000)]
+        import random
+
+        random.Random(9).shuffle(ids)
+        pairs = [(ids[i], ids[i + 1]) for i in range(1999)]
+        pairs.append((ids[-1], -1))
+        random.Random(10).shuffle(pairs)
+        assert list_ranking(machine(), pairs) == reference_ranks(pairs)
+
+    def test_tail_and_int64_extremes(self):
+        top = 2 ** 63 - 1
+        bottom = -(2 ** 63)
+        pairs = [(bottom, top), (top, 0), (0, -1)]
+        assert list_ranking(machine(), pairs) == {bottom: 0, top: 1, 0: 2}
+
+    def test_numpy_and_bool_values_accepted(self):
+        import numpy as np
+
+        pairs = [(np.int64(1), np.int32(0)), (0, -1)]
+        assert list_ranking(machine(), pairs) == {1: 0, 0: 1}
+        triples = [(1, 0, True), (0, -1, False)]
+        assert weighted_list_ranking(machine(), triples) == {1: 0, 0: 1}
+
+    @pytest.mark.parametrize("pairs", [
+        [(0, 1.0), (1.0, -1)],          # integral floats are not ids
+        [(0.5, -1)],
+        [("a", -1)],
+        [(0, None), (None, -1)],
+    ])
+    def test_non_integer_ids_rejected(self, pairs):
+        with pytest.raises(ConfigurationError):
+            list_ranking(machine(), pairs)
+
+    @pytest.mark.parametrize("pairs", [
+        [(0, 2 ** 63), (2 ** 63, -1)],
+        [(0, -(2 ** 63) - 1), (-(2 ** 63) - 1, -1)],
+        [(0, 2 ** 64), (2 ** 64, -1)],
+    ])
+    def test_ids_beyond_int64_rejected(self, pairs):
+        with pytest.raises(ConfigurationError):
+            list_ranking(machine(), pairs)
+
+    def test_malformed_tuples_rejected(self):
+        with pytest.raises(ConfigurationError):
+            list_ranking(machine(), [(0, 1, 5), (1, -1, 5)])
+        with pytest.raises(ConfigurationError):
+            weighted_list_ranking(machine(), [(0, 1), (1, -1)])
+
+    def test_float_weights_rejected(self):
+        with pytest.raises(ConfigurationError):
+            weighted_list_ranking(machine(), [(0, 1, 0.5), (1, -1, 2)])
+        with pytest.raises(ConfigurationError):
+            weighted_list_ranking(machine(), [(0, 1, 2.0), (1, -1, 2)])
+
+    def test_weights_that_could_overflow_rejected(self):
+        big = 2 ** 62
+        with pytest.raises(ConfigurationError):
+            weighted_list_ranking(
+                machine(), [(0, 1, big), (1, 2, big), (2, -1, 1)])
+        # Half the magnitude fits, and ranks exactly.
+        half = 2 ** 61
+        assert weighted_list_ranking(
+            machine(), [(0, 1, half), (1, 2, -half), (2, -1, 1)]
+        ) == {0: 0, 1: half, 2: 0}
+
+    def test_rejection_mid_stream_leaks_nothing(self):
+        m = machine()
+        pairs = random_linked_list(1000, seed=11)
+        pairs[700] = (pairs[700][0], 0.5)
+        with pytest.raises(ConfigurationError):
+            list_ranking(m, pairs)
+        assert m.disk.allocated_blocks == 0
+        assert m.budget.in_use == 0

@@ -445,8 +445,9 @@ def faulted_sort_smoke():
 def f19_pq_budget_smoke():
     """The bench_f19 sequence-heap configuration that used to overflow:
     run proliferation now triggers early merges and peak stays <= M, at
-    one disk and at four.  After ``close()`` the queue must have handed
-    back every frame and every block it took."""
+    one disk and at four, with the same transfers at both.  After
+    ``close()`` the queue must have handed back every frame and every
+    block it took."""
     points = []
     for disks in F19_DISKS:
         machine = Machine(block_size=F19_B, memory_blocks=F19_M_BLOCKS,
@@ -483,6 +484,13 @@ def f19_pq_budget_smoke():
             "peak_memory": peak,
             "memory_capacity": machine.M,
         })
+    # More disks only pack the same transfers into fewer steps: a run
+    # reader whose staging pins count against the budget would make
+    # the queue merge levels early, and the D=4 point would move more.
+    by_disks = {point["disks"]: point["transfers"] for point in points}
+    assert by_disks[4] == by_disks[1], (
+        f"D=4 sequence heap moved {by_disks[4]} blocks, "
+        f"D=1 moved {by_disks[1]}")
     return {"name": "f19_pq_frame_budget", "B": F19_B,
             "M": F19_B * F19_M_BLOCKS, "ops": F19_OPS, "points": points}
 
