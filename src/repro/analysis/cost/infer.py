@@ -99,9 +99,9 @@ _STRUCTURE_COSTS: Dict[str, Dict[str, Cost]] = {
     },
     "Sorter": {
         # pipelined sort: push amortizes the run write plus this
-        # record's share of the intermediate merge passes (push_block:
-        # its payload's share, see _AGGREGATE_CONTRACTS); finish reads
-        # the final merge back through the pull iterator.
+        # record's share of the intermediate merge passes (push_block,
+        # consume: their payload's share, see _AGGREGATE_CONTRACTS);
+        # finish reads the final merge back through the pull iterator.
         "push": [Term(1, {"B": -1, "logm": 1})],
         "push_block": [Term(1, {"N": 1, "B": -1, "logm": 1})],
         "consume": [Term(1, {"N": 1, "B": -1, "logm": 1})],
@@ -130,7 +130,7 @@ _STRUCTURE_COSTS: Dict[str, Dict[str, Cost]] = {
 #: contract methods charged as an aggregate over their payload
 #: argument: loop iterations that pass disjoint pieces of the data sum
 #: to one whole-input charge (linearity), as a stream's ``extend`` does
-_AGGREGATE_CONTRACTS = {"push_block"}
+_AGGREGATE_CONTRACTS = {"push_block", "consume"}
 
 _SCAN = Term(1, {"N": 1, "B": -1})
 _N = Term(1, {"N": 1})

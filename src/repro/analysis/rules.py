@@ -268,12 +268,14 @@ class ComplianceVisitor(ast.NodeVisitor):
         if isinstance(node, ast.Call):
             func = node.func
             if isinstance(func, ast.Name):
-                if func.id in STREAM_CLASSES | STREAM_RETURNING:
+                # a Sorter is a stream too: iterating it pulls the merge
+                if func.id in STREAM_CLASSES | STREAM_RETURNING | {
+                        "Sorter"}:
                     return True
                 if func.id == "iter" and node.args:
                     return self._is_stream_expr(node.args[0])
             if isinstance(func, ast.Attribute):
-                if func.attr in ("from_records", "finalize"):
+                if func.attr in ("from_records", "finalize", "finish"):
                     return True
         return False
 

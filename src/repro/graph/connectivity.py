@@ -7,21 +7,31 @@ resulting pseudo-forest is collapsed to stars by pointer jumping, and the
 edge list is relabelled through the star roots — all with external sorts
 and merge joins, ``O(Sort(E))`` per round and ``O(log V)`` rounds.
 
+Every sort is a pipelined :class:`~repro.pipeline.sorter.Sorter`, so no
+sort input or sorted output is written as a stream.  Only streams read
+twice stay on disk: ``labels`` and the edge list (they outlive a
+round), the pointer-jump pointers (pushed by parent, then scanned as
+the join's lookup) and the round's roots (the lookup of three joins).
+
 Outputs label each vertex with the minimum vertex id of its component,
 which makes results canonical and testable.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from operator import itemgetter
+from typing import Any, Callable, Dict, Iterable, Iterator, Optional, Tuple
 
 from ..analysis.sanitizer import io_bound
 from ..core.bounds import scan_io, sort_io
 from ..core.exceptions import ConfigurationError, MemoryLimitExceeded
 from ..core.machine import Machine
 from ..core.stream import FileStream
-from ..sort.merge import external_merge_sort
+from ..pipeline.sorter import Sorter
 from .adjacency import AdjacencyStore
+
+_first = itemgetter(0)
+_second = itemgetter(1)
 
 
 @io_bound(lambda machine, n: n + scan_io(n, machine.B, machine.D),
@@ -110,30 +120,115 @@ def external_components(
     Returns ``{vertex: component_min_id}``.
     """
     # labels maps original vertex -> current representative.
-    labels = FileStream(machine, name="cc/labels")
-    for v in range(num_vertices):
-        labels.append((v, v))
-    labels.finalize()
+    labels = _written(machine, "cc/labels",
+                      ((v, v) for v in range(num_vertices)))
+    current_edges = roots = None
+    try:
+        current_edges = _normalize_edges(machine, edges, num_vertices)
+        rounds = 0
+        while len(current_edges) > 0:
+            rounds += 1
+            if rounds > max_rounds:
+                raise ConfigurationError(
+                    "hook-and-contract did not converge; malformed edge "
+                    "input?"
+                )
+            roots = _pointer_jump_to_roots(
+                machine, _hook_to_min_neighbor(machine, current_edges))
+            labels, _ = _remap(machine, labels, roots, "cc/labels")
+            contracted = _contract_edges(machine, current_edges, roots)
+            current_edges.delete()
+            current_edges = contracted
+            roots.delete()
+        return {v: rep for v, rep in labels}
+    finally:
+        # delete() is idempotent: whatever a failed round left is freed.
+        for stream in (labels, current_edges, roots):
+            if stream is not None:
+                stream.delete()
 
-    current_edges = _normalize_edges(machine, edges, num_vertices)
 
-    rounds = 0
-    while len(current_edges) > 0:
-        rounds += 1
-        if rounds > max_rounds:
-            raise ConfigurationError(
-                "hook-and-contract did not converge; malformed edge input?"
-            )
-        parents = _hook_to_min_neighbor(machine, current_edges)
-        roots = _pointer_jump_to_roots(machine, parents)
-        labels = _relabel(machine, labels, roots)
-        current_edges = _contract_edges(machine, current_edges, roots)
-        roots.delete()
-    current_edges.delete()
+# ----------------------------------------------------------------------
+# shared round machinery (also Borůvka's)
+# ----------------------------------------------------------------------
+def _width(machine: Machine) -> int:
+    """Final-merge width of every pull: beside it run at most two of a
+    lookup scan, a writer and the next Sorter's run buffer.  The scan
+    and the writer take their frame before the pull opens, and the
+    pull's prefetch staging leaves ``D - 1`` frames free, so the
+    one-block run buffer reserved last always fits."""
+    return max(1, machine.m - 2)
 
-    result = {v: rep for v, rep in labels}
-    labels.delete()
-    return result
+
+def _fill(machine: Machine, sorter: Sorter, records: Iterable[Any],
+          count: int) -> None:
+    """Push ``records`` (at most ``count``) in runs of at most a ``1/D``
+    share: a pull forecasts blocks of *other* runs onto idle disks, so
+    one run reads a block per step where ``D`` runs read ``D``.  The
+    Sorter sizes its run buffer at the first push, so the frames beyond
+    the share are held just across it (no-op on one disk)."""
+    records = iter(records)
+    budget, B, D = machine.budget, machine.B, machine.D
+    for record in records:
+        surplus = budget.available // B - (D - 1) + count // -(D * B)
+        with budget.reserve(max(0, surplus) * B):
+            sorter.push(record)
+        break
+    sorter.consume(records)
+
+
+def _written(machine: Machine, name: str,
+             records: Iterable[Any]) -> FileStream:
+    """``records`` as a finalized stream; a failed write frees it.  The
+    writer's frame is reserved before ``records`` opens a pull."""
+    stream = FileStream(machine, name=name)
+    try:
+        stream.reserve_writer()
+        stream.extend(records)
+        return stream.finalize()
+    except BaseException:
+        stream.delete()
+        raise
+
+
+def _sorted_unique(machine: Machine, records: Iterable[Any], count: int,
+                   name: str, same: Optional[Callable[[Any], Any]] = None
+                   ) -> FileStream:
+    """Sort ``records`` (at most ``count``) and write the first of every
+    run of adjacent records equal under ``same`` (default: the whole
+    record): one Sorter, one written stream."""
+    with Sorter(machine, name=name,
+                final_fan_in=_width(machine)) as ordered:
+        _fill(machine, ordered, records, count)
+
+        def firsts() -> Iterator[Any]:
+            previous = object()
+            for record in ordered:
+                current = record if same is None else same(record)
+                if current != previous:
+                    yield record
+                previous = current
+
+        return _written(machine, name, firsts())
+
+
+def _join_roots(records: Iterable[tuple], roots: FileStream,
+                index: int) -> Iterator[tuple]:
+    """Map field ``index`` of ``records`` (sorted on that field) through
+    the vertex-sorted ``(vertex, root)`` stream ``roots``: one merge join
+    against one scan.  A vertex without an entry is its own root."""
+    lookup = iter(roots)
+    try:
+        entry = next(lookup, None)
+        for record in records:
+            vertex = record[index]
+            while entry is not None and entry[0] < vertex:
+                entry = next(lookup, None)
+            if entry is not None and entry[0] == vertex:
+                record = record[:index] + (entry[1],) + record[index + 1:]
+            yield record
+    finally:
+        lookup.close()
 
 
 # ----------------------------------------------------------------------
@@ -143,26 +238,17 @@ def _normalize_edges(
     machine: Machine, edges: FileStream, num_vertices: int
 ) -> FileStream:
     """Drop self-loops, orient ``u < v``, sort, and de-duplicate."""
-    oriented = FileStream(machine, name="cc/oriented")
-    for u, v in edges:
-        if not (0 <= u < num_vertices and 0 <= v < num_vertices):
-            raise ConfigurationError(
-                f"edge ({u}, {v}) outside vertex range"
-            )
-        if u == v:
-            continue
-        oriented.append((min(u, v), max(u, v)))
-    oriented.finalize()
-    # em: ok(EM103) fusion candidate: single-scan consumer, future Sorter refactor
-    ordered = external_merge_sort(machine, oriented, keep_input=False)
-    unique = FileStream(machine, name="cc/edges")
-    previous = None
-    for edge in ordered:
-        if edge != previous:
-            unique.append(edge)
-        previous = edge
-    ordered.delete()
-    return unique.finalize()
+
+    def oriented() -> Iterator[tuple]:
+        for u, v in edges:
+            if not (0 <= u < num_vertices and 0 <= v < num_vertices):
+                raise ConfigurationError(
+                    f"edge ({u}, {v}) outside vertex range"
+                )
+            if u != v:
+                yield (min(u, v), max(u, v))
+
+    return _sorted_unique(machine, oriented(), len(edges), "cc/edges")
 
 
 def _hook_to_min_neighbor(
@@ -171,136 +257,75 @@ def _hook_to_min_neighbor(
     """For every endpoint, ``parent = min(vertex, min neighbor)``.
 
     Returns a stream of ``(vertex, parent)`` sorted by vertex, covering
-    exactly the vertices incident to an edge."""
-    directed = FileStream(machine, name="cc/directed")
-    for u, v in edges:
-        directed.append((u, v))
-        directed.append((v, u))
-    directed.finalize()
-    # em: ok(EM103) fusion candidate: single-scan consumer, future Sorter refactor
-    ordered = external_merge_sort(machine, directed, keep_input=False)
-    parents = FileStream(machine, name="cc/parents")
-    current = None
-    best = None
-    for source, target in ordered:
-        if source != current:
-            if current is not None:
-                parents.append((current, min(current, best)))
-            current, best = source, target
-        else:
-            best = min(best, target)
-    if current is not None:
-        parents.append((current, min(current, best)))
-    ordered.delete()
-    return parents.finalize()
+    exactly the vertices incident to an edge.  Edges are oriented
+    ``u < v``, so ``u`` offers itself and ``v`` the smaller ``u``: the
+    first offer of each vertex in sorted order is its hook."""
+    offers = (offer for u, v in edges for offer in ((u, u), (v, u)))
+    return _sorted_unique(machine, offers, 2 * len(edges), "cc/parents",
+                          _first)
 
 
 def _pointer_jump_to_roots(
     machine: Machine, parents: FileStream
 ) -> FileStream:
     """Repeat ``p(v) <- p(p(v))`` until stable: every vertex points to its
-    pseudo-tree root.  Each round is one sort + one merge join."""
+    pseudo-tree root.  Consumes ``parents``.  Each round is one remap of
+    the pointers through themselves."""
     current = parents
-    while True:
-        # Join current (keyed by parent) with current (keyed by vertex).
-        # em: ok(EM103) fusion candidate: single-scan consumer, future Sorter refactor
-        by_parent = external_merge_sort(
-            machine, current, key=lambda r: r[1]
-        )
-        jumped = FileStream(machine, name="cc/jumped")
-        changed = False
-        lookup = iter(current)  # sorted by vertex
-        entry = next(lookup, None)
-        for vertex, parent in by_parent:
-            while entry is not None and entry[0] < parent:
-                entry = next(lookup, None)
-            if entry is not None and entry[0] == parent:
-                grandparent = entry[1]
-            else:
-                grandparent = parent  # parent not incident: it is a root
-            if grandparent != parent:
-                changed = True
-            jumped.append((vertex, grandparent))
-        lookup.close()
-        jumped.finalize()
-        by_parent.delete()
+    try:
+        while True:
+            jumped = _remap(machine, current, current, "cc/jumped")
+            current, changed = jumped
+            if not changed:
+                return current
+    except BaseException:
         current.delete()
-        current = external_merge_sort(
-            machine, jumped, key=lambda r: r[0], keep_input=False
-        )
-        if not changed:
-            return current
+        raise
 
 
-def _relabel(
-    machine: Machine, labels: FileStream, roots: FileStream
-) -> FileStream:
-    """Map every original vertex through the round's root assignment."""
-    # em: ok(EM103) fusion candidate: single-scan consumer, future Sorter refactor
-    by_rep = external_merge_sort(
-        machine, labels, key=lambda r: r[1], keep_input=False
-    )
-    updated = FileStream(machine, name="cc/labels")
-    root_iter = iter(roots)
-    root_entry = next(root_iter, None)
-    for vertex, rep in by_rep:
-        while root_entry is not None and root_entry[0] < rep:
-            root_entry = next(root_iter, None)
-        if root_entry is not None and root_entry[0] == rep:
-            updated.append((vertex, root_entry[1]))
-        else:
-            updated.append((vertex, rep))
-    root_iter.close()
-    updated.finalize()
-    by_rep.delete()
-    return external_merge_sort(
-        machine, updated, key=lambda r: r[0], keep_input=False
-    )
+def _remap(machine: Machine, pairs: FileStream, lookup: FileStream,
+           name: str) -> Tuple[FileStream, bool]:
+    """Map the second field of the vertex-sorted ``(vertex, x)`` pairs
+    through ``lookup`` (vertex-sorted ``(vertex, root)``; may be
+    ``pairs`` itself): push the pairs by ``x``, join the pull, write the
+    result back in vertex order.  Consumes ``pairs``; also returns
+    whether any ``x`` changed."""
+    width = _width(machine)
+    changed = False
+
+    def mapped(by_x: Sorter) -> Iterator[tuple]:
+        nonlocal changed
+        # The copy of x in the third field is the one mapped.
+        for vertex, x, root in _join_roots(by_x, lookup, 2):
+            changed = changed or root != x
+            yield (vertex, root)
+
+    with Sorter(machine, key=_second, name=f"{name}/by-x",
+                final_fan_in=width) as by_x, \
+            Sorter(machine, key=_first, name=name,
+                   final_fan_in=width) as by_vertex:
+        _fill(machine, by_x, ((v, x, x) for v, x in pairs), len(pairs))
+        _fill(machine, by_vertex, mapped(by_x), len(pairs))
+        pairs.delete()
+        return _written(machine, name, by_vertex), changed
 
 
 def _contract_edges(
-    machine: Machine, edges: FileStream, roots: FileStream
+    machine: Machine, edges: FileStream, roots: FileStream,
+    same: Optional[Callable[[Any], Any]] = None,
 ) -> FileStream:
-    """Replace both endpoints by their roots; drop loops and duplicates."""
-
-    def map_endpoint(stream: FileStream, index: int) -> FileStream:
-        by_endpoint = external_merge_sort(
-            machine, stream, key=lambda e: e[index], keep_input=False
-        )
-        mapped = FileStream(machine, name="cc/mapped")
-        root_iter = iter(roots)
-        root_entry = next(root_iter, None)
-        for edge in by_endpoint:
-            endpoint = edge[index]
-            while root_entry is not None and root_entry[0] < endpoint:
-                root_entry = next(root_iter, None)
-            if root_entry is not None and root_entry[0] == endpoint:
-                new_endpoint = root_entry[1]
-            else:
-                new_endpoint = endpoint
-            if index == 0:
-                mapped.append((new_endpoint, edge[1]))
-            else:
-                mapped.append((edge[0], new_endpoint))
-        root_iter.close()
-        by_endpoint.delete()
-        return mapped.finalize()
-
-    edges = map_endpoint(edges, 0)
-    edges = map_endpoint(edges, 1)
-    cleaned = FileStream(machine, name="cc/contracted")
-    for u, v in edges:
-        if u != v:
-            cleaned.append((min(u, v), max(u, v)))
-    edges.delete()
-    cleaned.finalize()
-    # em: ok(EM103) fusion candidate: single-scan consumer, future Sorter refactor
-    ordered = external_merge_sort(machine, cleaned, keep_input=False)
-    unique = FileStream(machine, name="cc/edges")
-    previous = None
-    for edge in ordered:
-        if edge != previous:
-            unique.append(edge)
-        previous = edge
-    ordered.delete()
-    return unique.finalize()
+    """Replace both endpoints of every ``(u, v, ...)`` edge by their
+    roots, orient ``u < v``, drop loops, and keep the first of each run
+    of edges equal under ``same`` in full-record order."""
+    width = _width(machine)
+    with Sorter(machine, key=_first, name="cc/by-u",
+                final_fan_in=width) as by_u, \
+            Sorter(machine, key=_second, name="cc/by-v",
+                   final_fan_in=width) as by_v:
+        _fill(machine, by_u, edges, len(edges))
+        _fill(machine, by_v, _join_roots(by_u, roots, 0), len(edges))
+        contracted = (
+            (min(edge[0], edge[1]), max(edge[0], edge[1])) + edge[2:]
+            for edge in _join_roots(by_v, roots, 1) if edge[0] != edge[1])
+        return _sorted_unique(machine, contracted, len(edges), "cc/edges",
+                              same)

@@ -14,19 +14,33 @@ Both return ``(total_weight, mst_edges)`` where ``mst_edges`` are the
 chosen original ``(u, v, w)`` triples (a spanning forest if the graph is
 disconnected).  Ties are broken by edge input position, so results are
 deterministic and the two algorithms select the same forest weight.
+
+Every sort is a pipelined :class:`~repro.pipeline.sorter.Sorter`.
+Borůvka keeps on disk only streams read twice: the loaded edges (round
+one's edge list, then the chosen-id lookup), each later round's edges,
+and the round's vertex-ordered ``parents`` (the mutual-pair join's
+lookup, then the 2-cycle repair's scan).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from operator import itemgetter
+from typing import Iterable, Iterator, List, Set, Tuple
 
 from ..analysis.sanitizer import io_bound
 from ..core.bounds import scan_io, sort_io
 from ..core.exceptions import ConfigurationError, MemoryLimitExceeded
 from ..core.machine import Machine
 from ..core.stream import FileStream
-from ..sort.merge import external_merge_sort
-from .connectivity import _pointer_jump_to_roots
+from ..pipeline.sorter import Sorter
+from .connectivity import (
+    _contract_edges,
+    _fill,
+    _join_roots,
+    _pointer_jump_to_roots,
+    _width,
+    _written,
+)
 
 
 def _kruskal_theory(machine: Machine, n: int) -> float:
@@ -49,19 +63,14 @@ def _boruvka_theory(machine: Machine, n: int) -> float:
                      + 8 * scan_io(size, machine.B, machine.D))
 
 
-def _load_edges(
-    machine: Machine,
-    num_vertices: int,
-    edges: Iterable[Tuple[int, int, int]],
-) -> FileStream:
-    stream = FileStream(machine, name="mst/edges")
+def _positioned(num_vertices: int, edges: Iterable[Tuple[int, int, int]]
+                ) -> Iterator[Tuple[int, int, int, int]]:
+    """Validated ``(u, v, w, input position)`` records, loops dropped."""
     for position, (u, v, w) in enumerate(edges):
         if not (0 <= u < num_vertices and 0 <= v < num_vertices):
             raise ConfigurationError(f"edge ({u}, {v}) outside vertex range")
-        if u == v:
-            continue
-        stream.append((u, v, w, position))
-    return stream.finalize()
+        if u != v:
+            yield (u, v, w, position)
 
 
 @io_bound(_kruskal_theory, factor=4.0)
@@ -79,31 +88,34 @@ def semi_external_kruskal(
         # Semi-external regime: the union-find array must fit in memory.
         raise MemoryLimitExceeded(
             num_vertices, machine.budget.in_use, machine.M)
-    stream = _load_edges(machine, num_vertices, edges)
-    # em: ok(EM103) fusion candidate: single-scan consumer, future Sorter refactor
-    by_weight = external_merge_sort(
-        machine, stream, key=lambda e: (e[2], e[3]), keep_input=False
-    )
-    with machine.budget.reserve(num_vertices):
-        parent = list(range(num_vertices))
+    # The pull's reader frames, plus what its prefetcher stages before
+    # the union-find reserves (one block per other run, at most D - 1),
+    # must leave the union-find its V records.
+    spare = (machine.M - num_vertices) // machine.B
+    width = max(1, spare - min(machine.D - 1, spare // 2))
+    with Sorter(machine, key=itemgetter(2, 3), name="mst/by-weight",
+                final_fan_in=width) as by_weight:
+        by_weight.consume(_positioned(num_vertices, edges))
+        ordered = by_weight.finish()
+        with machine.budget.reserve(num_vertices):
+            parent = list(range(num_vertices))
 
-        def find(x: int) -> int:
-            root = x
-            while parent[root] != root:
-                root = parent[root]
-            while parent[x] != root:
-                parent[x], x = root, parent[x]
-            return root
+            def find(x: int) -> int:
+                root = x
+                while parent[root] != root:
+                    root = parent[root]
+                while parent[x] != root:
+                    parent[x], x = root, parent[x]
+                return root
 
-        chosen: List[Tuple[int, int, int]] = []
-        total = 0
-        for u, v, w, _ in by_weight:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[max(ru, rv)] = min(ru, rv)
-                chosen.append((u, v, w))
-                total += w
-    by_weight.delete()
+            chosen: List[Tuple[int, int, int]] = []
+            total = 0
+            for u, v, w, _ in ordered:
+                ru, rv = find(u), find(v)
+                if ru != rv:
+                    parent[max(ru, rv)] = min(ru, rv)
+                    chosen.append((u, v, w))
+                    total += w
     return total, chosen
 
 
@@ -123,145 +135,94 @@ def external_boruvka(
     the package's semi-external bookkeeping convention; all edge traffic
     is sorted streams.
     """
-    current = _load_edges(machine, num_vertices, edges)
-    # Keep original endpoints/weights addressable by edge position so
-    # chosen ids can be reported; this index stays on disk.
-    originals = FileStream(machine, name="mst/originals")
-    for record in current:
-        originals.append(record)
-    originals.finalize()
-
-    chosen_ids: set = set()
-    rounds = 0
-    while len(current) > 0:
-        rounds += 1
-        if rounds > max_rounds:
-            raise ConfigurationError(
-                "Borůvka did not converge; malformed edge input?"
-            )
-        # --- 1. minimum incident edge per live vertex ----------------
-        directed = FileStream(machine, name="mst/directed")
-        for u, v, w, eid in current:
-            directed.append((u, v, w, eid))
-            directed.append((v, u, w, eid))
-        directed.finalize()
-        # em: ok(EM103) fusion candidate: single-scan consumer, future Sorter refactor
-        ordered = external_merge_sort(
-            machine, directed,
-            key=lambda e: (e[0], e[2], e[3]), keep_input=False
-        )
-        parents = FileStream(machine, name="mst/parents")
-        last_vertex = None
-        for src, dst, w, eid in ordered:
-            if src != last_vertex:
-                # em: ok(EM005) semi-external: ≤ V-1 chosen edge ids,
-                # the package's RAM-resident index convention
-                chosen_ids.add(eid)
-                parents.append((src, dst))  # hook toward the chosen edge
-                last_vertex = src
-        ordered.delete()
-        parents.finalize()
-
-        # Two vertices that pick the same edge hook to each other,
-        # forming a 2-cycle; make the smaller endpoint of each mutual
-        # pair a root so hooks form a forest.
-        lookup = external_merge_sort(
-            machine, parents, key=lambda r: r[0]
-        )
-        # em: ok(EM103) fusion candidate: single-scan consumer, future Sorter refactor
-        by_parent = external_merge_sort(
-            machine, parents, key=lambda r: r[1], keep_input=False
-        )
-        mutual = FileStream(machine, name="mst/mutual")
-        cursor = iter(lookup)
-        cursor_entry = next(cursor, None)
-        for vertex, parent in by_parent:
-            while cursor_entry is not None and cursor_entry[0] < parent:
-                cursor_entry = next(cursor, None)
-            if (
-                cursor_entry is not None
-                and cursor_entry[0] == parent
-                and cursor_entry[1] == vertex
-                and vertex < parent
-            ):
-                mutual.append(vertex)
-        cursor.close()
-        by_parent.delete()
-        # em: ok(EM103) fusion candidate: single-scan consumer, future Sorter refactor
-        mutual_sorted = external_merge_sort(
-            machine, mutual.finalize(), keep_input=False
-        )
-        resolved = FileStream(machine, name="mst/resolved")
-        mutual_iter = iter(mutual_sorted)
-        mutual_entry = next(mutual_iter, None)
-        for vertex, parent in lookup:
-            while mutual_entry is not None and mutual_entry < vertex:
-                mutual_entry = next(mutual_iter, None)
-            is_root = mutual_entry is not None and mutual_entry == vertex
-            resolved.append((vertex, vertex if is_root else parent))
-        mutual_iter.close()
-        mutual_sorted.delete()
-        lookup.delete()
-        resolved.finalize()
-
-        roots = _pointer_jump_to_roots(machine, resolved)
-
-        # --- 2. contract: relabel endpoints, drop loops, keep minimum
-        # weight per component pair. -----------------------------------
-        def map_endpoint(stream: FileStream, index: int) -> FileStream:
-            by_endpoint = external_merge_sort(
-                machine, stream, key=lambda e: e[index], keep_input=False
-            )
-            mapped = FileStream(machine, name="mst/mapped")
-            root_iter = iter(roots)
-            root_entry = next(root_iter, None)
-            for edge in by_endpoint:
-                endpoint = edge[index]
-                while root_entry is not None and root_entry[0] < endpoint:
-                    root_entry = next(root_iter, None)
-                new_endpoint = (
-                    root_entry[1]
-                    if root_entry is not None and root_entry[0] == endpoint
-                    else endpoint
+    # The loaded edges are round one's edge list and, at the end, the
+    # on-disk index from chosen edge ids back to original edges.
+    originals: FileStream = _written(machine, "mst/edges",
+                                     _positioned(num_vertices, edges))
+    current, parents, resolved, roots = originals, None, None, None
+    width = _width(machine)
+    chosen_ids: Set[int] = set()
+    try:
+        rounds = 0
+        while len(current) > 0:
+            rounds += 1
+            if rounds > max_rounds:
+                raise ConfigurationError(
+                    "Borůvka did not converge; malformed edge input?"
                 )
-                record = list(edge)
-                # em: ok(EM005) one 4-field edge record, O(1) space
-                record[index] = new_endpoint
-                mapped.append(tuple(record))
-            root_iter.close()
-            by_endpoint.delete()
-            return mapped.finalize()
+            # --- 1. minimum incident edge per live vertex (its first
+            # pulled record); the hook is also pushed by parent. ------
+            with Sorter(machine, key=itemgetter(0, 2, 3),
+                        name="mst/directed", final_fan_in=width) as directed, \
+                    Sorter(machine, key=itemgetter(1), name="mst/by-parent",
+                           final_fan_in=width) as by_parent, \
+                    Sorter(machine, name="mst/mutual",
+                           final_fan_in=width) as mutual:
+                _fill(machine, directed, (
+                    edge for u, v, w, eid in current
+                    for edge in ((u, v, w, eid), (v, u, w, eid))),
+                    2 * len(current))
+                parents = _written(machine, "mst/parents",
+                                   _hooks(directed, by_parent, chosen_ids))
 
-        relabelled = map_endpoint(map_endpoint(current, 0), 1)
-        cleaned = FileStream(machine, name="mst/cleaned")
-        for u, v, w, eid in relabelled:
-            if u != v:
-                cleaned.append((min(u, v), max(u, v), w, eid))
-        relabelled.delete()
-        cleaned.finalize()
-        # em: ok(EM103) fusion candidate: single-scan consumer, future Sorter refactor
-        deduped = external_merge_sort(
-            machine, cleaned,
-            key=lambda e: (e[0], e[1], e[2], e[3]), keep_input=False
-        )
-        next_edges = FileStream(machine, name="mst/edges")
-        last_pair = None
-        for u, v, w, eid in deduped:
-            if (u, v) != last_pair:
-                next_edges.append((u, v, w, eid))
-                last_pair = (u, v)
-        deduped.delete()
-        roots.delete()
-        current = next_edges.finalize()
-    current.delete()
+                # Two vertices that pick the same edge hook to each
+                # other, forming a 2-cycle; make the smaller endpoint of
+                # each mutual pair a root so hooks form a forest.
+                for vertex, parent, grandparent in _join_roots(
+                        by_parent, parents, 2):
+                    if grandparent == vertex and vertex < parent:
+                        mutual.push(vertex)
+                resolved = _written(
+                    machine, "mst/resolved", _rooted(parents, mutual))
+            parents.delete()
+            roots = _pointer_jump_to_roots(machine, resolved)
 
-    # Collect the chosen original edges.
-    chosen: List[Tuple[int, int, int]] = []
-    total = 0
-    for u, v, w, eid in originals:
-        if eid in chosen_ids:
-            # em: ok(EM005) semi-external: the ≤ V-1 MST output edges
-            chosen.append((u, v, w))
-            total += w
-    originals.delete()
-    return total, chosen
+            # --- 2. contract: relabel endpoints, drop loops, keep the
+            # minimum weight per component pair. -----------------------
+            contracted = _contract_edges(machine, current, roots,
+                                         itemgetter(0, 1))
+            if current is not originals:
+                current.delete()
+            current = contracted
+            roots.delete()
+
+        # Collect the chosen original edges.
+        chosen: List[Tuple[int, int, int]] = []
+        total = 0
+        for u, v, w, eid in originals:
+            if eid in chosen_ids:
+                # em: ok(EM005) semi-external: the ≤ V-1 MST output edges
+                chosen.append((u, v, w))
+                total += w
+        return total, chosen
+    finally:
+        for stream in (originals, current, parents, resolved, roots):
+            if stream is not None:
+                stream.delete()
+
+
+def _hooks(stream: Sorter, by_parent: Sorter,
+           chosen_ids: Set[int]) -> Iterator[Tuple[int, int]]:
+    """Each vertex's hook along its minimum incident edge (its first
+    pulled record), noting the edge id and pushing the hook by parent."""
+    last_vertex = None
+    for src, dst, _, eid in stream:
+        if src != last_vertex:
+            # em: ok(EM005) semi-external: ≤ V-1 chosen edge ids,
+            # the package's RAM-resident index convention
+            chosen_ids.add(eid)
+            by_parent.push((src, dst, dst))
+            yield (src, dst)
+            last_vertex = src
+
+
+def _rooted(parents: FileStream,
+            mutual: Sorter) -> Iterator[Tuple[int, int]]:
+    """``parents`` (vertex order) with every pulled ``mutual`` vertex
+    made its own root."""
+    pulled = iter(mutual)
+    entry = next(pulled, None)
+    for vertex, parent in parents:
+        while entry is not None and entry < vertex:
+            entry = next(pulled, None)
+        yield (vertex, vertex if entry == vertex else parent)

@@ -67,9 +67,14 @@ def read_ahead(runtime, block_ids: Sequence[int]) -> Iterator[Block]:
                     used.add(disk)
                     batch.append(block_ids[index])
                     index += 1
-            for block_id in batch:
-                runtime.writer.ensure_flushed(block_id)
-            payloads = scheduler.read_batch(batch)
+            try:
+                for block_id in batch:
+                    runtime.writer.ensure_flushed(block_id)
+                payloads = scheduler.read_batch(batch)
+            except BaseException:
+                # The read died: its staging pins were never filled.
+                scheduler.unpin(len(batch) - 1)
+                raise
             staged.extend(payloads[1:])
             yield payloads[0]
     finally:

@@ -34,6 +34,7 @@ from repro.analysis.flow import split_by_baseline, write_baseline
 from repro.analysis.rules import COST_RULES, RULES
 
 ALGO = "src/repro/algo/fixture.py"
+REPO = Path(__file__).resolve().parents[1]
 
 
 def cost_findings(sources, rule=None, waived=False):
@@ -141,6 +142,46 @@ class TestEM201:
         assert cost_findings(fixture(src), rule="EM201") == []
         waived = cost_findings(fixture(src), rule="EM201", waived=True)
         assert len(waived) == 1 and waived[0].waived
+
+
+SORTER_ROUNDS = """
+from ..analysis.sanitizer import io_bound
+from ..core.bounds import sort_io
+from ..core.stream import FileStream
+from ..pipeline.sorter import Sorter
+
+@io_bound(lambda machine, n:
+          n.bit_length() * sort_io(n, machine.M, machine.B, machine.D))
+def jump_until_stable(machine, stream):
+    '''``log N`` rounds of one pipelined sort each.'''
+    current = stream
+    while True:
+        with Sorter(machine, key=lambda r: r[1]) as sorter:
+            sorter.consume(current)
+            current = FileStream.from_records(machine, sorter)
+        if _stable(current):
+            return current
+
+def _stable(current):
+    return True
+"""
+
+
+class TestSorterConsume:
+    def test_consume_in_round_loop_is_charged_over_its_iterable(self):
+        # Like push_block, consume is charged for the records it is
+        # given: one round's consume is that round's share of the data,
+        # not N records times the N-bounded round count.
+        sorter_path = "src/repro/pipeline/sorter.py"
+        sources = fixture(SORTER_ROUNDS) + [
+            (sorter_path, (REPO / sorter_path).read_text())]
+        report = {}
+        findings = [f for f in lint_sources(sources, report=report)
+                    if f.path == ALGO and f.rule == "EM201"]
+        assert findings == []
+        entry = report["fixture.jump_until_stable"]
+        assert entry["inferred"] == "N·log_m(n)/B"
+        assert entry["certified"] is True
 
 
 # ---------------------------------------------------------------------

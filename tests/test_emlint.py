@@ -59,6 +59,28 @@ class TestEM001Materialization:
         )
         assert fired(findings) == {"EM001"}
 
+    def test_sorter_pull_is_a_stream(self):
+        findings = lint(
+            """
+            def _drain(machine, records):
+                with Sorter(machine) as sorter:
+                    sorter.consume(records)
+                    return list(sorter.finish())
+            """
+        )
+        assert fired(findings) == {"EM001"}
+
+    def test_sorter_bound_by_assignment_is_a_stream(self):
+        findings = lint(
+            """
+            def _drain(machine, records):
+                sorter = Sorter(machine)
+                sorter.consume(records)
+                return tuple(sorter)
+            """
+        )
+        assert fired(findings) == {"EM001"}
+
     def test_materializing_a_plain_list_is_fine(self):
         findings = lint(
             """
@@ -253,6 +275,32 @@ class TestEM005UnbudgetedAccumulation:
                 for record in stream:
                     out.append(record)
                 return out
+            """
+        )
+        assert "EM005" not in fired(findings)
+
+    def test_append_in_sorter_pull_loop_fires(self):
+        findings = lint(
+            """
+            def _collect(machine, records):
+                out = []
+                with Sorter(machine) as sorter:
+                    sorter.consume(records)
+                    for record in sorter:
+                        out.append(record)
+                return out
+            """
+        )
+        assert fired(findings) == {"EM005"}
+
+    def test_pushing_into_a_sorter_is_fine(self):
+        findings = lint(
+            """
+            def _route(machine, stream):
+                with Sorter(machine) as sorter:
+                    for record in stream:
+                        sorter.push(record)
+                    return FileStream.from_records(machine, sorter)
             """
         )
         assert "EM005" not in fired(findings)

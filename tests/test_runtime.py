@@ -10,6 +10,8 @@ from repro.core import (
     Machine,
     StripedStream,
 )
+from repro.core.exceptions import RetryExhaustedError
+from repro.faults import FaultPlan
 from repro.runtime import ForecastingPrefetcher, read_ahead
 from repro.sort import external_merge_sort, merge_streams
 from repro.workloads import uniform_ints
@@ -202,6 +204,17 @@ class TestReadAhead:
         next(it)  # fetched a batch, staging 3 blocks
         assert machine.budget.in_use > 0
         it.close()
+        assert machine.budget.in_use == 0
+
+    def test_failed_batch_unpins_its_staging(self):
+        # The batch read dies after its successors were pinned: the
+        # pins must come back with the error, not stay held forever.
+        machine, blocks = machine_with_blocks(4, 8, memory_blocks=16)
+        it = read_ahead(machine.runtime, blocks)
+        with machine.inject_faults(
+                FaultPlan(fail_block_reads={blocks[1]: None})):
+            with pytest.raises(RetryExhaustedError):
+                next(it)
         assert machine.budget.in_use == 0
 
     def test_never_pins_beyond_budget(self):
