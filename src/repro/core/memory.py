@@ -53,6 +53,7 @@ class MemoryBudget:
         self.reclaimer = None  # see acquire()
         self._in_use = 0
         self._reclaimable = 0
+        self._pledged = 0
         self._peak = 0
         self._reclaiming = False
 
@@ -80,11 +81,16 @@ class MemoryBudget:
         return self._peak
 
     @property
+    def pledged(self) -> int:
+        """Records set aside by the :meth:`pledge` blocks in force."""
+        return self._pledged
+
+    @property
     def available(self) -> int:
-        """Records an algorithm may still hard-reserve.  Reclaimable
-        (cached) space counts as free here — acquiring it evicts the
-        cache on demand."""
-        return self.capacity - self._in_use
+        """Records an algorithm may still hard-reserve, less any
+        :meth:`pledge` in force.  Reclaimable (cached) space counts as
+        free here — acquiring it evicts the cache on demand."""
+        return self.capacity - self._in_use - self._pledged
 
     def acquire(self, records: int, reclaimable: bool = False) -> None:
         """Reserve ``records`` of working space.
@@ -169,6 +175,24 @@ class MemoryBudget:
             yield
         finally:
             self.release(records)
+
+    @contextmanager
+    def pledge(self, records: int):
+        """Set ``records`` aside for work that will reserve them later.
+
+        While the block runs, :attr:`available` leaves them out, so a
+        plan made inside it — a pipelined sort's pull, a memoryload —
+        leaves them free; :meth:`acquire` is not limited by a pledge.
+        A caller pledges what it will run beside a plan when it cannot
+        hold it yet (the plan's own working space still occupies it).
+        """
+        if records < 0:
+            raise ConfigurationError("cannot pledge a negative amount")
+        self._pledged += records
+        try:
+            yield
+        finally:
+            self._pledged -= records
 
     def reset(self) -> None:
         """Clear hard reservations and the peak (between experiments).

@@ -151,32 +151,6 @@ def external_components(
 # ----------------------------------------------------------------------
 # shared round machinery (also Borůvka's)
 # ----------------------------------------------------------------------
-def _width(machine: Machine) -> int:
-    """Final-merge width of every pull: beside it run at most two of a
-    lookup scan, a writer and the next Sorter's run buffer.  The scan
-    and the writer take their frame before the pull opens, and the
-    pull's prefetch staging leaves ``D - 1`` frames free, so the
-    one-block run buffer reserved last always fits."""
-    return max(1, machine.m - 2)
-
-
-def _fill(machine: Machine, sorter: Sorter, records: Iterable[Any],
-          count: int) -> None:
-    """Push ``records`` (at most ``count``) in runs of at most a ``1/D``
-    share: a pull forecasts blocks of *other* runs onto idle disks, so
-    one run reads a block per step where ``D`` runs read ``D``.  The
-    Sorter sizes its run buffer at the first push, so the frames beyond
-    the share are held just across it (no-op on one disk)."""
-    records = iter(records)
-    budget, B, D = machine.budget, machine.B, machine.D
-    for record in records:
-        surplus = budget.available // B - (D - 1) + count // -(D * B)
-        with budget.reserve(max(0, surplus) * B):
-            sorter.push(record)
-        break
-    sorter.consume(records)
-
-
 def _written(machine: Machine, name: str,
              records: Iterable[Any]) -> FileStream:
     """``records`` as a finalized stream; a failed write frees it.  The
@@ -191,15 +165,14 @@ def _written(machine: Machine, name: str,
         raise
 
 
-def _sorted_unique(machine: Machine, records: Iterable[Any], count: int,
-                   name: str, same: Optional[Callable[[Any], Any]] = None
+def _sorted_unique(machine: Machine, records: Iterable[Any], name: str,
+                   same: Optional[Callable[[Any], Any]] = None
                    ) -> FileStream:
-    """Sort ``records`` (at most ``count``) and write the first of every
+    """Sort ``records`` and write the first of every
     run of adjacent records equal under ``same`` (default: the whole
     record): one Sorter, one written stream."""
-    with Sorter(machine, name=name,
-                final_fan_in=_width(machine)) as ordered:
-        _fill(machine, ordered, records, count)
+    with Sorter(machine, name=name) as ordered:
+        ordered.consume(records)
 
         def firsts() -> Iterator[Any]:
             previous = object()
@@ -248,7 +221,7 @@ def _normalize_edges(
             if u != v:
                 yield (min(u, v), max(u, v))
 
-    return _sorted_unique(machine, oriented(), len(edges), "cc/edges")
+    return _sorted_unique(machine, oriented(), "cc/edges")
 
 
 def _hook_to_min_neighbor(
@@ -261,8 +234,7 @@ def _hook_to_min_neighbor(
     ``u < v``, so ``u`` offers itself and ``v`` the smaller ``u``: the
     first offer of each vertex in sorted order is its hook."""
     offers = (offer for u, v in edges for offer in ((u, u), (v, u)))
-    return _sorted_unique(machine, offers, 2 * len(edges), "cc/parents",
-                          _first)
+    return _sorted_unique(machine, offers, "cc/parents", _first)
 
 
 def _pointer_jump_to_roots(
@@ -290,7 +262,6 @@ def _remap(machine: Machine, pairs: FileStream, lookup: FileStream,
     ``pairs`` itself): push the pairs by ``x``, join the pull, write the
     result back in vertex order.  Consumes ``pairs``; also returns
     whether any ``x`` changed."""
-    width = _width(machine)
     changed = False
 
     def mapped(by_x: Sorter) -> Iterator[tuple]:
@@ -300,12 +271,10 @@ def _remap(machine: Machine, pairs: FileStream, lookup: FileStream,
             changed = changed or root != x
             yield (vertex, root)
 
-    with Sorter(machine, key=_second, name=f"{name}/by-x",
-                final_fan_in=width) as by_x, \
-            Sorter(machine, key=_first, name=name,
-                   final_fan_in=width) as by_vertex:
-        _fill(machine, by_x, ((v, x, x) for v, x in pairs), len(pairs))
-        _fill(machine, by_vertex, mapped(by_x), len(pairs))
+    with Sorter(machine, key=_second, name=f"{name}/by-x") as by_x, \
+            Sorter(machine, key=_first, name=name) as by_vertex:
+        by_x.consume((v, x, x) for v, x in pairs)
+        by_vertex.consume(mapped(by_x))
         pairs.delete()
         return _written(machine, name, by_vertex), changed
 
@@ -317,15 +286,11 @@ def _contract_edges(
     """Replace both endpoints of every ``(u, v, ...)`` edge by their
     roots, orient ``u < v``, drop loops, and keep the first of each run
     of edges equal under ``same`` in full-record order."""
-    width = _width(machine)
-    with Sorter(machine, key=_first, name="cc/by-u",
-                final_fan_in=width) as by_u, \
-            Sorter(machine, key=_second, name="cc/by-v",
-                   final_fan_in=width) as by_v:
-        _fill(machine, by_u, edges, len(edges))
-        _fill(machine, by_v, _join_roots(by_u, roots, 0), len(edges))
+    with Sorter(machine, key=_first, name="cc/by-u") as by_u, \
+            Sorter(machine, key=_second, name="cc/by-v") as by_v:
+        by_u.consume(edges)
+        by_v.consume(_join_roots(by_u, roots, 0))
         contracted = (
             (min(edge[0], edge[1]), max(edge[0], edge[1])) + edge[2:]
             for edge in _join_roots(by_v, roots, 1) if edge[0] != edge[1])
-        return _sorted_unique(machine, contracted, len(edges), "cc/edges",
-                              same)
+        return _sorted_unique(machine, contracted, "cc/edges", same)

@@ -18,16 +18,14 @@ head at rank 0.
 The contraction rounds run a block or merge segment at a time on typed
 ``int64`` records (numpy structured arrays sorted by
 :func:`~repro.core.records.field` keys): every sort takes the typed
-merge round and every merge-join is a ``searchsorted`` of a batch.
-I/O happens between the same records as in a record-at-a-time round
-(see :func:`_rank_recursive`), so transfers, steps and the budget peak
-are unchanged; only wall time moves.
+merge round and every merge-join is a ``searchsorted`` of a batch
+(see :func:`_rank_recursive`).
 """
 
 from __future__ import annotations
 
-from itertools import islice, repeat
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from itertools import chain, islice, repeat
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..analysis.sanitizer import io_bound
 from ..core.blockfile import BlockFile
@@ -139,12 +137,7 @@ def list_ranking(
     the stream-to-stream rounds as the measured control.  Node ids
     follow :func:`weighted_list_ranking`'s input rule.
     """
-    ordered = _ordered_input(machine, pairs, weighted=False)
-    ranked = _rank_recursive(machine, ordered, seed)
-    ordered.delete()
-    ranks = _ranks_of(ranked)
-    ranked.delete()
-    return ranks
+    return _ranked(machine, pairs, False, seed)
 
 
 @io_bound(_ranking_theory, factor=4.0)
@@ -197,12 +190,22 @@ def weighted_list_ranking(
     raises :class:`~repro.core.exceptions.ConfigurationError`; nothing
     is rounded or truncated.
     """
-    ordered = _ordered_input(machine, triples, weighted=True)
-    ranked = _rank_recursive(machine, ordered, seed)
-    ordered.delete()
-    ranks = _ranks_of(ranked)
-    ranked.delete()
-    return ranks
+    return _ranked(machine, triples, True, seed)
+
+
+def _ranked(machine: Machine, items: Iterable[Tuple[int, ...]],
+            weighted: bool, seed: int) -> Dict[int, int]:
+    """``{node: rank}`` of the typed contraction; a failure frees every
+    stream it made."""
+    ordered = _ordered_input(machine, items, weighted)
+    try:
+        ranked = _rank_recursive(machine, ordered, seed)
+    finally:
+        ordered.delete()
+    try:
+        return _ranks_of(ranked)
+    finally:
+        ranked.delete()
 
 
 def _typed_chunks(
@@ -348,18 +351,6 @@ def _pieces(keys: "np.ndarray", *cursors: _Cursor
         start = stop
 
 
-def _writer_events(written: int, count: int, block_size: int
-                   ) -> List[int]:
-    """Indexes, among the next ``count`` records appended to a stream
-    already holding ``written``, of those that make its writer act:
-    the first record ever reserves the frame, and each record that
-    fills a block writes it."""
-    events = list(range((-written - 1) % block_size, count, block_size))
-    if written == 0 and count and (not events or events[0]):
-        events.insert(0, 0)
-    return events
-
-
 def _coins(nodes: "np.ndarray", salt: int) -> "np.ndarray":
     """Each node's coin, ``_hash_bits((node, salt)) & 1``, as bools."""
     bits = np.fromiter(map(_hash_bits, zip(nodes.tolist(), repeat(salt))),
@@ -397,31 +388,30 @@ def _rank_recursive(
     ``(node, pred, succ, w)``, ``(node, rank)``) sorted by
     :func:`~repro.core.records.field` keys, so every sort takes the
     typed merge round, and each merge-join is a ``searchsorted`` of a
-    batch against a :class:`_Cursor`.  Batches are cut wherever the
-    per-record loop would read a block or make the ``removed`` writer
-    act, and the sorters and writers cut runs and blocks at the
-    per-record counts, so every read, write and reservation falls
-    between the same records: transfers, steps and the budget peak are
-    those of a record-at-a-time round, at any ``D``.
+    batch against a :class:`_Cursor`, cut wherever a cursor reads its
+    next block.
+
+    Each pull is planned once the scans and the ``removed`` writer that
+    run beside it hold their frames; the next sorter's run buffer takes
+    the frame every pull leaves, and grows as the pull gives back its
+    resident blocks.
     """
     n = len(records)
     base_capacity = machine.M - 2 * machine.B
     if n <= base_capacity:
         return _rank_in_memory(machine, records)
 
-    # Each pulled final merge runs concurrently with up to two plain
-    # scans, one writer, and the next sorter's run buffer; cap the pull
-    # width to leave them frames.  Width 1 (tiny machines) degrades to
-    # the materialized sort's cost, never worse.
-    width = max(1, machine.m - 4)
-    sorters: List[Sorter] = []
+    # A failed round frees every stream, scan and sorter it opened.
+    opened: List[Any] = []  # sorters and scans, closed on the way out
+    removed = FileStream(machine, name="listrank/removed")
+    contracted = sub_ranks = merged = None
 
     try:
+        removed.reserve_writer()  # step 2's side stream, held throughout
         # --- 1. attach predecessors: pred[succ] = node, pushed
         # straight into a sorter keyed by successor -------------------
-        preds = Sorter(machine, key=field("at"),
-                       name="listrank/preds", final_fan_in=width)
-        sorters.append(preds)
+        preds = Sorter(machine, key=field("at"), name="listrank/preds")
+        opened.append(preds)
         for block in records.iter_blocks():
             linked = block[block["succ"] != _TAIL]
             pairs = np.empty(len(linked), _PRED)
@@ -434,15 +424,13 @@ def _rank_recursive(
         # survivors go straight into the splice sorter keyed by
         # *successor*, removed nodes land on a side stream — appended
         # in node order, so it never needs sorting. -------------------
+        blocks = records.iter_blocks()
+        opened.append(blocks)
+        held = [next(blocks)]  # the scan's frame, held before the plan
         pred_cursor = _Cursor(preds.finish_segments(), "at")
-        # headroom: the same loop that pushes survivors appends removed
-        # nodes to a side stream whose writer frame is acquired lazily.
-        by_succ = Sorter(machine, key=field("succ"),
-                         name="listrank/by-succ", final_fan_in=width,
-                         headroom=1)
-        sorters.append(by_succ)
-        removed = FileStream(machine, name="listrank/removed")
-        for block in records.iter_blocks():
+        by_succ = Sorter(machine, key=field("succ"), name="listrank/by-succ")
+        opened.append(by_succ)
+        for block in chain(held, blocks):
             for start, stop in _pieces(block["node"], pred_cursor):
                 piece = block[start:stop]
                 nodes = piece["node"]
@@ -460,21 +448,8 @@ def _rank_recursive(
                 side["pred"] = predecessors[keep]
                 side["succ"] = gone["succ"]
                 side["w"] = gone["w"]
-                # Cut at the side rows that make ``removed`` reserve
-                # its frame or write a block, so each of those events
-                # falls between the same survivor pushes as in the
-                # per-record loop.
-                survivors = piece[~in_set]
-                gone_at = in_set.nonzero()[0]
-                kept = taken = 0
-                for event in _writer_events(len(removed), len(side),
-                                            machine.B):
-                    upto = int(gone_at[event]) - event  # survivors ahead
-                    by_succ.push_block(survivors[kept:upto])
-                    removed.append_payload(side[taken:event + 1])
-                    kept, taken = upto, event + 1
-                by_succ.push_block(survivors[kept:])
-                removed.append_payload(side[taken:])
+                by_succ.push_block(piece[~in_set])
+                removed.append_payload(side)
         pred_cursor.close()  # release the pull's reader frames eagerly
         removed.finalize()
 
@@ -490,11 +465,11 @@ def _rank_recursive(
         # ``removed`` (node order); patched pieces go straight into the
         # next sorter, back toward node order. ------------------------
         removed_cursor = _Cursor(removed.iter_blocks(), "node")
+        opened.append(removed_cursor)
         by_succ_segments = by_succ.finish_segments()
         contractor = Sorter(machine, key=field("node"),
-                            name="listrank/contracted",
-                            final_fan_in=width)
-        sorters.append(contractor)
+                            name="listrank/contracted")
+        opened.append(contractor)
         for segment in by_succ_segments:
             for start, stop in _pieces(segment["succ"], removed_cursor):
                 patched = segment[start:stop].copy()
@@ -524,17 +499,21 @@ def _rank_recursive(
         # - removed node's own weight).  Removed records are re-pushed
         # keyed by *predecessor* and the pull joins against scans of
         # sub_ranks and contracted (both in node order). --------------
-        by_pred = Sorter(machine, key=field("pred"),
-                         name="listrank/by-pred", final_fan_in=width)
-        sorters.append(by_pred)
+        # Both lookup scans hold their frames before the pull is
+        # planned: one beside the push, one in the frame its scan of
+        # ``removed`` gives back.
+        rank_cursor = _Cursor(sub_ranks.iter_blocks(), "node")
+        opened.append(rank_cursor)
+        by_pred = Sorter(machine, key=field("pred"), name="listrank/by-pred")
+        opened.append(by_pred)
         for block in removed.iter_blocks():
             by_pred.push_block(block)
+        info_cursor = _Cursor(contracted.iter_blocks(), "node")
+        opened.append(info_cursor)
         by_pred_segments = by_pred.finish_segments()
         restored = Sorter(machine, key=field("node"),
-                          name="listrank/restored", final_fan_in=width)
-        sorters.append(restored)
-        rank_cursor = _Cursor(sub_ranks.iter_blocks(), "node")
-        info_cursor = _Cursor(contracted.iter_blocks(), "node")
+                          name="listrank/restored")
+        opened.append(restored)
         for segment in by_pred_segments:
             for start, stop in _pieces(segment["pred"], rank_cursor,
                                        info_cursor):
@@ -555,27 +534,34 @@ def _rank_recursive(
         # --- 6. merge sub_ranks with the pulled restored order (both
         # sorted by node) into the result stream. ---------------------
         merged = FileStream(machine, name="listrank/ranks")
-        for piece in _merged_by_node(sub_ranks.iter_blocks(),
-                                     restored.finish_segments()):
+        for piece in _merged_by_node(sub_ranks.iter_blocks(), restored):
             merged.append_payload(piece)
         merged.finalize()
         sub_ranks.delete()
         return merged
+    except BaseException:
+        # delete() is idempotent: streams already freed are no-ops.
+        removed.delete()
+        for stream in (contracted, sub_ranks, merged):
+            if stream is not None:
+                stream.delete()
+        raise
     finally:
-        for sorter in sorters:
-            sorter.close()
+        for item in opened:
+            item.close()
 
 
-def _merged_by_node(a_iter: Iterator["np.ndarray"],
-                    b_iter: Iterator["np.ndarray"]
+def _merged_by_node(a_iter: Iterator["np.ndarray"], b_sorter: Sorter
                     ) -> Iterator["np.ndarray"]:
-    """Merge two node-sorted payload sources into node-sorted pieces,
-    ``b``'s record first on a tie, as a record merge would: each side's
-    held payload is emitted up to the other side's last key, and the
-    side whose payload ran out is read next, where a record merge
-    reads it."""
+    """Merge a node-sorted payload source and the pull of ``b_sorter``
+    (planned once ``a``'s scan holds its frame) into node-sorted
+    pieces, ``b``'s record first on a tie, as a record merge would:
+    each side's held payload is emitted up to the other side's last
+    key, and the side whose payload ran out is read next, where a
+    record merge reads it."""
     try:
         a = next(a_iter, None)
+        b_iter = b_sorter.finish_segments()
         b = next(b_iter, None)
         while a is not None or b is not None:
             if b is None:
@@ -808,7 +794,6 @@ def _rank_in_memory(machine: Machine, records: FileStream) -> FileStream:
                 ranks[node] = rank
                 rank += weight[node]
                 node = successor[node]
-        output = FileStream(machine, name="listrank/ranks")
         # em: ok(EM004) base case: ≤ M - 2B nodes, reserved above
         order = sorted(ranks)
         if typed:
@@ -817,5 +802,10 @@ def _rank_in_memory(machine: Machine, records: FileStream) -> FileStream:
             ranked["rank"] = [ranks[node] for node in order]
         else:
             ranked = [(node, ranks[node]) for node in order]
-        output.append_payload(ranked)
-        return output.finalize()
+        output = FileStream(machine, name="listrank/ranks")
+        try:
+            output.append_payload(ranked)
+            return output.finalize()
+        except BaseException:
+            output.delete()
+            raise

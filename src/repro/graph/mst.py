@@ -35,10 +35,8 @@ from ..core.stream import FileStream
 from ..pipeline.sorter import Sorter
 from .connectivity import (
     _contract_edges,
-    _fill,
     _join_roots,
     _pointer_jump_to_roots,
-    _width,
     _written,
 )
 
@@ -81,22 +79,26 @@ def semi_external_kruskal(
 ) -> Tuple[int, List[Tuple[int, int, int]]]:
     """Kruskal with an in-memory union-find over the vertices.
 
-    Cost: ``Sort(E)`` plus one scan.  Requires ``V <= M`` (the
-    semi-external regime); the memory budget enforces it.
+    Cost: ``Sort(E)`` plus one write and one scan of the sorted edges.
+    Requires ``V <= M`` (the semi-external regime); the memory budget
+    enforces it.
     """
     if num_vertices > machine.M:
         # Semi-external regime: the union-find array must fit in memory.
         raise MemoryLimitExceeded(
             num_vertices, machine.budget.in_use, machine.M)
-    # The pull's reader frames, plus what its prefetcher stages before
-    # the union-find reserves (one block per other run, at most D - 1),
-    # must leave the union-find its V records.
-    spare = (machine.M - num_vertices) // machine.B
-    width = max(1, spare - min(machine.D - 1, spare // 2))
-    with Sorter(machine, key=itemgetter(2, 3), name="mst/by-weight",
-                final_fan_in=width) as by_weight:
-        by_weight.consume(_positioned(num_vertices, edges))
-        ordered = by_weight.finish()
+    # In the semi-external regime the union-find takes nearly all of
+    # ``M``, and a sort needs more than what is left.  So the edges are
+    # sorted with the whole memory and written in weight order (the
+    # writer takes the frame the pull leaves), and the union-find then
+    # runs beside a scan of them: one reader frame.
+    ordered = FileStream(machine, name="mst/by-weight")
+    try:
+        with Sorter(machine, key=itemgetter(2, 3),
+                    name="mst/by-weight") as by_weight:
+            by_weight.consume(_positioned(num_vertices, edges))
+            ordered.extend(by_weight)
+        ordered.finalize()
         with machine.budget.reserve(num_vertices):
             parent = list(range(num_vertices))
 
@@ -116,6 +118,8 @@ def semi_external_kruskal(
                     parent[max(ru, rv)] = min(ru, rv)
                     chosen.append((u, v, w))
                     total += w
+    finally:
+        ordered.delete()
     return total, chosen
 
 
@@ -140,7 +144,6 @@ def external_boruvka(
     originals: FileStream = _written(machine, "mst/edges",
                                      _positioned(num_vertices, edges))
     current, parents, resolved, roots = originals, None, None, None
-    width = _width(machine)
     chosen_ids: Set[int] = set()
     try:
         rounds = 0
@@ -153,15 +156,13 @@ def external_boruvka(
             # --- 1. minimum incident edge per live vertex (its first
             # pulled record); the hook is also pushed by parent. ------
             with Sorter(machine, key=itemgetter(0, 2, 3),
-                        name="mst/directed", final_fan_in=width) as directed, \
-                    Sorter(machine, key=itemgetter(1), name="mst/by-parent",
-                           final_fan_in=width) as by_parent, \
-                    Sorter(machine, name="mst/mutual",
-                           final_fan_in=width) as mutual:
-                _fill(machine, directed, (
+                        name="mst/directed") as directed, \
+                    Sorter(machine, key=itemgetter(1),
+                           name="mst/by-parent") as by_parent, \
+                    Sorter(machine, name="mst/mutual") as mutual:
+                directed.consume(
                     edge for u, v, w, eid in current
-                    for edge in ((u, v, w, eid), (v, u, w, eid))),
-                    2 * len(current))
+                    for edge in ((u, v, w, eid), (v, u, w, eid)))
                 parents = _written(machine, "mst/parents",
                                    _hooks(directed, by_parent, chosen_ids))
 

@@ -70,9 +70,9 @@ def time_forward_process(
     ever written) and the vertex loop pulls the sorted order straight
     out of its final merge (no sorted stream either) — ``~4·(N/DB)``
     I/Os saved over :func:`time_forward_process_materialized`.  The
-    pull's reader frames stay held for the whole traversal, so the
-    final merge width is capped to leave the priority queue its share
-    of the frame budget.
+    priority queue's working space
+    (:meth:`~repro.pq.sequence_heap.ExternalPriorityQueue.footprint`)
+    is pledged while the pull is planned, so the pull leaves it free.
     """
 
     def validated() -> Iterable[Tuple[int, int]]:
@@ -89,15 +89,15 @@ def time_forward_process(
             yield (u, v)
 
     results: Dict[int, Any] = {}
-    width = max(1, machine.m // 4)
-    with Sorter(machine, name="tfp/edges", final_fan_in=width) as sorter:
-        # finish() before the queue exists: it releases the push
-        # phase's memoryload reservation, leaving the frame budget to
-        # the pull readers and the queue.
+    # The sort pushes with all of memory.  The queue's working space is
+    # pledged while the pull is planned, and the queue opens once the
+    # first edge is pulled (after any merge-down, which may use it).
+    with Sorter(machine, name="tfp/edges") as sorter:
         sorter.consume(validated())
-        edge_iter = iter(sorter.finish())
+        with machine.budget.pledge(ExternalPriorityQueue.footprint(machine)):
+            edge_iter = sorter.finish()
+        pending = next(edge_iter, None)
         with ExternalPriorityQueue(machine) as queue:
-            pending = next(edge_iter, None)
             for vertex in range(num_vertices):
                 incoming: List[Any] = []
                 while len(queue) > 0 and \

@@ -101,7 +101,6 @@ class Pipeline:
         self,
         key: Optional[Callable[[Any], Any]] = None,
         fan_in: Optional[int] = None,
-        final_fan_in: Optional[int] = None,
     ) -> "Pipeline":
         """A fused sort boundary: upstream records are pushed straight
         into a :class:`~repro.pipeline.sorter.Sorter` and the merged
@@ -109,11 +108,10 @@ class Pipeline:
         the output never materialized, saving ``~4·(N/DB)`` I/Os over
         the stream-to-stream sort.
 
-        ``final_fan_in`` caps the pulled final merge's width (frames
-        held for the rest of the pipeline's life); the default leaves
-        four frames for downstream stages — another sort's run buffer,
-        a merge join's partner, a terminal's writer."""
-        self._stages.append(("sort", (key, fan_in, final_fan_in)))
+        The Sorter plans its run buffer and pull from the frames free
+        when it runs; a downstream sort's run buffer grows into the
+        frames the pull gives back."""
+        self._stages.append(("sort", (key, fan_in)))
         return self
 
     # ------------------------------------------------------------------
@@ -157,14 +155,9 @@ class Pipeline:
                 # loop variable after later stages rebind it
                 records = chain.from_iterable(map(payload, records))
             else:  # sort
-                key, fan_in, final_fan_in = payload
-                if final_fan_in is None:
-                    final_fan_in = max(1, self.machine.m - 4)
-                sorter = Sorter(
-                    self.machine, key=key,
-                    name=f"{self.name}/sort{index}", fan_in=fan_in,
-                    final_fan_in=final_fan_in,
-                )
+                key, fan_in = payload
+                sorter = Sorter(self.machine, key, f"{self.name}/sort{index}",
+                                fan_in)
                 self._sorters.append(sorter)
                 sorter.consume(records)
                 records = sorter.finish()

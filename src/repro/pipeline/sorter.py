@@ -17,8 +17,17 @@ rather than comparing full records.  The *pull* phase exposes the final
 k-way merge as an iterator (forecasting prefetch + block merge,
 exactly the machinery of :func:`~repro.sort.merge.merge_group_steps`)
 so the consumer reads the sorted order without it ever being written.
-Total cost for a fits-in-one-merge sort: ``2·(N/DB)`` I/Os — write the
-runs, read them back — against ``6·(N/DB)`` for the materialized chain.
+The last memoryload is never written when it fits: a sort whose input
+fits one memoryload costs no I/O at all, and otherwise the last
+memoryload joins the final merge as an in-memory run.  Total cost for
+a fits-in-one-merge sort: ``2·(N/DB)`` I/Os less the resident
+memoryload — write the runs, read them back — against ``6·(N/DB)``
+for the materialized chain.
+
+Every frame decision is the Sorter's own, taken from the budget it
+sees (see :class:`Sorter`), so callers never size a merge themselves:
+they hold whatever runs beside the pull before they call
+:meth:`Sorter.finish`.
 
 Both phases also move whole payloads: :meth:`Sorter.push_block` pushes
 a block and cuts runs at the record counts of :meth:`Sorter.push`, and
@@ -36,7 +45,7 @@ from typing import Any, Callable, Iterable, Iterator, List, Optional, \
 
 from ..core.exceptions import ConfigurationError, StreamError
 from ..core.machine import Machine
-from ..core.records import concat
+from ..core.records import argsort, concat, take
 from ..core.stream import FileStream
 from ..runtime.prefetch import ForecastingPrefetcher
 from ..sort.merge import BlockMerger, merge_pass, plan_merge_arity
@@ -44,6 +53,7 @@ from ..sort.runs import identity, memoryload_blocks, write_run
 
 _PUSH = "push"
 _PULL = "pull"
+_FAILED = "failed"
 _CLOSED = "closed"
 
 
@@ -55,29 +65,41 @@ class Sorter:
             every frame is charged to.
         key: sort key; default sorts records directly.
         name: label prefix for run streams and trace phases.
-        fan_in: cap on the merge arity of the materialized intermediate
-            passes; default lets one sorter use the machine maximum.
-        final_fan_in: cap on how many runs survive into the *pulled*
-            final merge — the pull phase holds one reader frame per
-            surviving run for its whole lifetime, so callers running
-            several pulls concurrently (a merge join pulls two) or
-            holding large working buffers alongside the pull cap this
-            to stay inside ``M``.  May be ``1``: the runs are then
-            merged down to a single materialized run and the pull is a
-            plain scan — exactly the materialized sort's I/O cost, the
-            graceful floor on tiny-memory machines.  Defaults to the
-            pass arity.
-        headroom: blocks of budget the push phase's run buffer leaves
-            unreserved — for writers and readers the producing loop
-            acquires lazily *while* pushing (e.g. a side stream written
-            from the same scan that feeds the sorter).
+        fan_in: cap on the merge arity of the merge-down before the
+            pull; default lets one sorter use the machine maximum.
         stream_cls: stream class for the run files (pass
             :class:`~repro.core.stream.StripedStream` on multi-disk
             machines).
 
+    The frame plan follows the budget the Sorter sees:
+
+    * **Run buffer.**  The first push reserves a memoryload
+      (:func:`~repro.sort.runs.memoryload_blocks` of the free budget);
+      when it is full the buffer grows into frames freed since — an
+      upstream pull giving back its resident blocks — and only spills a
+      run when it cannot grow.
+    * **Pull.**  :meth:`finish` plans the final merge from the frames
+      free at that moment: one reader per run on disk, all frames but
+      one at most — that one is left for a frame the consumer opens
+      lazily, such as the next Sorter's first run block or a writer —
+      and prefetch pins that leave it too.  Everything else the
+      consumer runs beside the pull — a lookup scan, a priority queue,
+      a key-group share — it holds *before* calling :meth:`finish`, or
+      pledges it (:meth:`~repro.core.memory.MemoryBudget.pledge`) when
+      it cannot hold it yet; pins leave pledged frames alone too.  The
+      buffered memoryload stays resident when it fits beside the
+      readers and ``D`` more frames, the consumer's and a write window
+      for it: a sort that never spilled a run then costs no I/O.
+    * **Merge-down.**  When more runs are on disk than the planned
+      width ``w``, they are merged down before the first record is
+      pulled, in frames the consumer may have given back by then: the
+      ``r - w + 1`` runs of the smallest contiguous stretch into one
+      (contiguous, so the sort stays stable) when one merge can take
+      them, and a full pass first when it cannot.
+
     Use as a context manager (or call :meth:`close`) so the run files
-    and the memoryload reservation are reclaimed even when the producer
-    or consumer dies mid-flight::
+    and every reserved frame are reclaimed even when the producer or
+    consumer dies mid-flight::
 
         with Sorter(machine, key=key) as sorter:
             sorter.consume(producer())          # push phase
@@ -88,7 +110,9 @@ class Sorter:
     phases a payload at a time, with the same I/O and budget.
 
     The sort is stable.  Exhausting the pull iterator deletes the run
-    files eagerly; an abandoned pull is reclaimed by :meth:`close`.
+    files eagerly; an abandoned pull is reclaimed by :meth:`close`.  A
+    pull that fails (a spill or merge-down that raises) leaves the
+    Sorter refusing any further pull; :meth:`close` still frees it.
     """
 
     def __init__(
@@ -97,27 +121,18 @@ class Sorter:
         key: Optional[Callable[[Any], Any]] = None,
         name: str = "sorter",
         fan_in: Optional[int] = None,
-        final_fan_in: Optional[int] = None,
-        headroom: int = 0,
         stream_cls=FileStream,
     ):
-        if final_fan_in is not None and final_fan_in < 1:
-            raise StreamError(
-                f"sorter {name!r}: final_fan_in must be >= 1, "
-                f"got {final_fan_in}"
-            )
         self.machine = machine
         self._key = key or identity
         self._name = name
         self._fan_in = fan_in
-        self._final_fan_in = final_fan_in
-        self._headroom = headroom
         self._stream_cls = stream_cls
         # Fail fast on a geometrically un-mergeable configuration,
         # before the producer spends a pass pushing records in.  (A
         # *static* check: construction may legitimately happen while
         # another sorter's pull holds most of the free budget, so the
-        # dynamic arity is planned at finish() time instead.)
+        # dynamic plan is made at finish() time instead.)
         if fan_in is not None and fan_in < 2:
             raise ConfigurationError(
                 f"merge fan-in must be >= 2, got {fan_in}"
@@ -129,8 +144,8 @@ class Sorter:
             )
         self._buffer: List[Any] = []    # records pushed one at a time
         self._parts: List[Sequence[Any]] = []   # pushed before _buffer
-        self._capacity = 0          # records reserved for the memoryload
-        self._room = 0              # capacity left beside the parts
+        self._reserved = 0          # records of budget this sorter holds
+        self._room = 0              # records the run buffer still takes
         self._runs: List[FileStream] = []
         self._count = 0
         self._state = _PUSH
@@ -143,50 +158,39 @@ class Sorter:
     # ------------------------------------------------------------------
     def push(self, record: Any) -> None:
         """Accept one record from the producer; spills a sorted run
-        every memoryload (``N/M`` write-only passes total)."""
-        if self._state != _PUSH:
-            raise StreamError(
-                f"sorter {self._name!r} is {self._state}; push refused"
-            )
-        if self._capacity == 0:
-            self._reserve_memoryload()
+        each time the run buffer is full and cannot grow."""
+        self._check_push()
+        if not self._room:
+            self._make_room()
         self._buffer.append(record)
+        self._room -= 1
         self._count += 1
-        if len(self._buffer) >= self._room:
-            self._spill()
 
     def push_block(self, payload: Sequence[Any]) -> None:
         """Push every record of ``payload`` in order — :meth:`push` a
         payload at a time.
 
-        The memoryload is reserved on the first record and a run is
-        spilled each time the buffer fills, at the same record counts
+        The run buffer is grown or spilled at the same record counts
         as per-record pushes, so runs, I/O and budget are identical.
         Typed payloads are buffered as slices and stay typed, so a
         :func:`~repro.core.records.field` key orders each run in one
         vectorized pass.
         """
-        if self._state != _PUSH:
-            raise StreamError(
-                f"sorter {self._name!r} is {self._state}; push refused"
-            )
+        self._check_push()
         count = len(payload)
         start = 0
         while start < count:
-            if self._capacity == 0:
-                self._reserve_memoryload()
+            if not self._room:
+                self._make_room()
             if self._buffer:
                 # Records pushed one at a time go first.
-                self._room -= len(self._buffer)
                 self._parts.append(self._buffer)
                 self._buffer = []
-            take = min(count - start, self._room)
-            self._parts.append(payload[start:start + take])
-            self._room -= take
-            self._count += take
-            start += take
-            if self._room == 0:
-                self._spill()
+            take_ = min(count - start, self._room)
+            self._parts.append(payload[start:start + take_])
+            self._room -= take_
+            self._count += take_
+            start += take_
 
     def consume(self, records: Iterable[Any]) -> "Sorter":
         """Push every record of ``records``; returns ``self``."""
@@ -194,46 +198,66 @@ class Sorter:
             self.push(record)
         return self
 
-    def _reserve_memoryload(self) -> None:
-        """Size the run buffer by run formation's rule
-        (:func:`~repro.sort.runs.memoryload_blocks`): an upstream reader
-        holding frames shortens the runs instead of overflowing ``M``."""
+    def _check_push(self) -> None:
+        if self._state != _PUSH:
+            raise StreamError(
+                f"sorter {self._name!r} is {self._state}; push refused"
+            )
+
+    def _make_room(self) -> None:
+        """Grow the full run buffer to run formation's memoryload over
+        the frames free now (:func:`~repro.sort.runs.memoryload_blocks`
+        — an upstream reader holding frames shortens the runs instead
+        of overflowing ``M``), or spill it as a run when it cannot
+        grow."""
         machine = self.machine
         blocks = memoryload_blocks(
-            machine, machine.budget.available, self._stream_cls,
-            self._headroom,
+            machine, machine.budget.available + self._reserved,
+            self._stream_cls,
         )
-        self._capacity = self._room = blocks * machine.B
-        machine.budget.acquire(self._capacity)
+        if blocks * machine.B > self._reserved:
+            self._room = blocks * machine.B - self._reserved
+            self._hold(blocks)
+        else:
+            self._spill(self._take_buffer())
+            self._room = self._reserved
 
-    def _spill(self) -> None:
-        """Write the buffered memoryload out as one run — run
-        formation's writer (:func:`~repro.sort.runs.write_run`), so the
-        records are ordered key-pointer style and moved only once."""
+    def _take_buffer(self) -> Sequence[Any]:
+        """The buffered records as one payload; the buffer is emptied."""
         chunk = self._buffer
         if self._parts:
             if chunk:
                 self._parts.append(chunk)
             chunk = concat(self._parts) if len(self._parts) > 1 \
                 else self._parts[0]
+        self._buffer = []
+        self._parts = []
+        return chunk
+
+    def _spill(self, chunk: Sequence[Any]) -> None:
+        """Write ``chunk`` out as one run — run formation's writer
+        (:func:`~repro.sort.runs.write_run`), so the records are
+        ordered key-pointer style and moved only once."""
         if not len(chunk):
             return
         with self.machine.trace(f"{self._name}-runs"):
-            run = write_run(
+            self._runs.append(write_run(
                 self.machine, chunk, self._key, self._stream_cls,
                 f"{self._name}/run/{len(self._runs)}",
-            )
-        self._runs.append(run)
-        self._buffer = []
-        self._parts = []
-        self._room = self._capacity
+            ))
 
-    def _release_memoryload(self) -> None:
-        if self._capacity:
-            self.machine.budget.release(self._capacity)
-            self._capacity = self._room = 0
-        self._buffer = []
-        self._parts = []
+    def _hold(self, blocks: int) -> None:
+        """Resize this sorter's reservation to ``blocks`` frames."""
+        records = blocks * self.machine.B
+        if records < self._reserved:
+            self._give_back(self._reserved - records)
+        elif records > self._reserved:
+            self.machine.budget.acquire(records - self._reserved)
+            self._reserved = records
+
+    def _give_back(self, records: int) -> None:
+        self.machine.budget.release(records)
+        self._reserved -= records
 
     # ------------------------------------------------------------------
     # pull phase
@@ -250,72 +274,74 @@ class Sorter:
         return self._pull
 
     def finish_segments(self) -> Iterator[Sequence[Any]]:
-        """Seal the push phase and return the sorted order as payload
-        segments (slices of merged blocks or merge rounds).
+        """Seal the push phase, plan the pull, and return the sorted
+        order as payload segments (slices of merged blocks or merge
+        rounds).
 
-        Runs beyond the planned arity are first merged down with
-        ordinary materialized passes; the *final* merge is never
+        The plan (see :class:`Sorter`) is made now, from the budget
+        free at this call: the buffered memoryload stays resident or is
+        spilled, and the pull's reader and resident frames are
+        reserved.  Runs beyond the planned width are merged down when
+        the first segment is asked for; the *final* merge is never
         written — the segments come from a
         :class:`~repro.sort.merge.BlockMerger` over the forecasting
-        prefetcher's block readers, and a refill is read when the
-        segment before it has been taken, as the record pull reads it.
-        Empty segments are skipped.  Idempotent: repeated calls return
-        the same iterator.
+        prefetcher's block readers and the resident run, and a refill
+        is read when the segment before it has been taken, as the
+        record pull reads it.  Empty segments are skipped.  Idempotent:
+        repeated calls return the same iterator.
         """
         if self._state == _PULL:
             return self._segments
-        if self._state == _CLOSED:
-            raise StreamError(f"sorter {self._name!r} is closed")
-        self._spill()
-        self._release_memoryload()
-        self._state = _PULL
-        if not self._runs:
-            self._segments = self._pull_segments(None, [])
-            return self._segments
+        if self._state != _PUSH:
+            raise StreamError(
+                f"sorter {self._name!r} is {self._state}; pull refused"
+            )
+        # Until the plan stands, a failure leaves the sorter refusing
+        # pulls; close() still frees whatever it holds.
+        self._state = _FAILED
         machine = self.machine
-        arity = plan_merge_arity(
-            machine, len(self._runs), fan_in=self._fan_in,
-            stream_cls=self._stream_cls,
-        )
-        width = arity if self._final_fan_in is None \
-            else min(arity, self._final_fan_in)
-        level = 0
-        while len(self._runs) > width:
-            level += 1
-            landed: List[FileStream] = []
-            try:
-                self._runs = merge_pass(
-                    machine, self._runs, arity, key=self._key,
-                    stream_cls=self._stream_cls, level=level,
-                    name_prefix=f"{self._name}/merge", out=landed,
-                )
-            except BaseException:
-                # The pass's inputs stay in ``_runs`` for close(); the
-                # outputs that already landed are this pass's to free.
-                for run in landed:
-                    run.delete()
-                raise
-        # One reader frame per surviving run; opportunistic prefetch
-        # pins leave D-1 spares for whatever writer the consumer stages
-        # its own output through.
-        pin_slack = machine.num_disks - 1
-        self._prefetcher = ForecastingPrefetcher(
-            machine.runtime, [run.block_ids for run in self._runs],
-            key=self._key, pin_slack=pin_slack,
-        )
-        readers = [self._prefetcher.block_reader(i)
-                   for i in range(len(self._runs))]
-        merger = BlockMerger([next(reader, None) for reader in readers],
-                             key=self._key)
-        self._segments = self._pull_segments(merger, readers)
+        chunk = self._take_buffer()
+        frames = (machine.budget.available + self._reserved) // machine.B
+        blocks = -(-len(chunk) // machine.B)
+        # The memoryload stays resident beside one reader per run when
+        # it leaves D frames: one for a frame the consumer opens lazily,
+        # D-1 for the window that consumer writes through.
+        resident = None
+        if len(self._runs) + blocks + machine.num_disks <= frames:
+            resident = take(chunk, argsort(chunk, self._key))
+        else:
+            self._spill(chunk)
+            blocks = 0
+        width = max(1, frames - 1 - blocks)
+        self._hold(blocks + min(len(self._runs), width))
+        # Prefetch pins leave the consumer a frame and what was pledged
+        # to it.
+        self._segments = self._pull_segments(
+            resident, blocks, width, 1 + machine.budget.pledged // machine.B)
+        self._state = _PULL
         return self._segments
 
-    def _pull_segments(self, merger: Optional[BlockMerger],
-                       readers: List[Iterator[Any]]
-                       ) -> Iterator[Sequence[Any]]:
+    def _pull_segments(self, resident: Optional[Sequence[Any]],
+                       blocks: int, width: int,
+                       pin_slack: int) -> Iterator[Sequence[Any]]:
+        machine = self.machine
         try:
-            if merger is None:
-                return
+            # The reader frames change hands: the merge-down may use
+            # them, then the prefetcher reserves one per surviving run.
+            self._hold(blocks)
+            if len(self._runs) > width:
+                self._merge_down(width)
+            self._prefetcher = ForecastingPrefetcher(
+                machine.runtime, [run.block_ids for run in self._runs],
+                key=self._key, pin_slack=pin_slack,
+            )
+            readers = [self._prefetcher.block_reader(i)
+                       for i in range(len(self._runs))]
+            if resident is not None:
+                # Last in input order: ties go to the runs on disk.
+                readers.append(self._resident_blocks(resident))
+            merger = BlockMerger(
+                [next(reader, None) for reader in readers], key=self._key)
             for item in merger.segments():
                 if item.__class__ is int:
                     # A refill request: run ``item``'s next block.
@@ -326,10 +352,65 @@ class Sorter:
                     yield payload
                 elif stop > start:
                     yield payload[start:stop]
+        except Exception:
+            self._state = _FAILED
+            raise
         finally:
-            # Exhaustion and generator close both land here: reader
-            # frames released, run blocks freed eagerly.
+            # Exhaustion, failure and generator close all land here:
+            # reader and resident frames released, run blocks freed.
             self._release_pull()
+
+    def _resident_blocks(self, payload: Sequence[Any]
+                         ) -> Iterator[Sequence[Any]]:
+        """The resident run a block at a time; a block's frame is given
+        back when the merge asks for the next one."""
+        B = self.machine.B
+        for start in range(0, len(payload), B):
+            yield payload[start:start + B]
+            self._give_back(B)
+
+    def _merge_down(self, width: int) -> None:
+        """Merge runs until at most ``width`` remain.  When one merge
+        can take the ``r - width + 1`` surplus runs, only those are
+        merged: the contiguous stretch of the fewest blocks (contiguous,
+        so the sort stays stable).  More surplus than that costs a full
+        pass first, as in the materialized sort, at an arity that
+        leaves at most ``width`` runs where the machine allows it."""
+        machine = self.machine
+        level = 0
+        while len(self._runs) > width:
+            level += 1
+            first, count = 0, len(self._runs)
+            arity = plan_merge_arity(
+                machine, count, fan_in=self._fan_in,
+                stream_cls=self._stream_cls,
+            )
+            if count - width + 1 <= arity:
+                count -= width - 1
+                sizes = [run.num_blocks for run in self._runs]
+                first = min(range(len(sizes) - count + 1),
+                            key=lambda i: sum(sizes[i:i + count]))
+            else:
+                widest = plan_merge_arity(
+                    machine, fan_in=self._fan_in,
+                    stream_cls=self._stream_cls,
+                )
+                arity = min(widest, max(arity, -(-count // width)))
+            landed: List[FileStream] = []
+            try:
+                merged = merge_pass(
+                    machine, self._runs[first:first + count], arity,
+                    key=self._key, stream_cls=self._stream_cls,
+                    level=level, name_prefix=f"{self._name}/merge",
+                    out=landed,
+                )
+            except BaseException:
+                # The inputs stay in ``_runs`` for close(); the outputs
+                # that already landed are this pass's to free.
+                for run in landed:
+                    run.delete()
+                raise
+            self._runs[first:first + count] = merged
 
     def _release_pull(self) -> None:
         if self._prefetcher is not None:
@@ -338,6 +419,8 @@ class Sorter:
         for run in self._runs:
             run.delete()
         self._runs = []
+        self._take_buffer()
+        self._hold(0)
 
     def __iter__(self) -> Iterator[Any]:
         return self.finish()
@@ -350,12 +433,11 @@ class Sorter:
     # lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the memoryload reservation, reader frames, and run
-        blocks (idempotent).  Safe at any phase."""
+        """Release every reserved frame and the run blocks
+        (idempotent).  Safe at any phase."""
         if self._state == _CLOSED:
             return
         self._state = _CLOSED
-        self._release_memoryload()
         pull, self._pull = self._pull, None
         if pull is not None:
             pull.close()  # closes the segments below it
@@ -370,12 +452,6 @@ class Sorter:
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.close()
         return False
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"Sorter(name={self._name!r}, records={self._count}, "
-            f"runs={len(self._runs)}, {self._state})"
-        )
 
 
 def _flatten(segments: Iterator[Sequence[Any]]) -> Iterator[Any]:

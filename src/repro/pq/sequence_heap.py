@@ -152,6 +152,15 @@ class ExternalPriorityQueue:
         self._size = 0
         self._closed = False
 
+    @staticmethod
+    def footprint(machine: Machine) -> int:
+        """Records a default queue works in: its insertion heap plus
+        the frames of one level merge (its group arity of readers and
+        a writer) — what a caller planning memory beside the queue
+        leaves it."""
+        return max(2, machine.M // 4) \
+            + (max(2, machine.m // 4) + 1) * machine.B
+
     # ------------------------------------------------------------------
     def insert(self, priority: Any, item: Any = None) -> None:
         """Insert ``item`` with ``priority``; amortized ``O((1/B)·log)``

@@ -15,7 +15,9 @@ database textbooks derive from the I/O model:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+import heapq
+from operator import itemgetter
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Tuple
 
 from ..analysis.sanitizer import io_bound
 from ..core.bounds import scan_io, sort_io
@@ -91,59 +93,33 @@ def _output_table(
     name: str,
 ) -> Table:
     out = FileStream(machine, name=f"table/{name}")
-    for left_row, right_row in pairs:
-        out.append(tuple(left_row) + tuple(right_row))
-    return Table(
-        machine, _joined_columns(left, right), out.finalize(), name=name
-    )
+    try:
+        for left_row, right_row in pairs:
+            out.append(tuple(left_row) + tuple(right_row))
+        out.finalize()
+    except BaseException:
+        out.delete()
+        raise
+    return Table(machine, _joined_columns(left, right), out, name=name)
 
 
 def merge_join_iterators(
     machine: Machine,
-    left_rows: Iterator[Tuple],
-    right_rows: Iterator[Tuple],
+    left_rows: Iterable[Tuple],
+    right_rows: Iterable[Tuple],
     left_key: Callable[[Tuple], Any],
     right_key: Callable[[Tuple], Any],
 ) -> Iterator[Tuple[Tuple, Tuple]]:
     """Merge-join two iterators already sorted by their keys.
 
-    Handles many-to-many matches by buffering the current right-side key
-    group in memory (reserved from the budget), the standard assumption
-    that no single join-key group exceeds ``M``.
+    Handles many-to-many matches by buffering each right-side key group
+    in memory (reserved from the budget), the standard assumption that
+    no single join-key group exceeds ``M``: :func:`_join_tagged` over
+    the merge of both sides.
     """
-    budget = machine.budget
-    left_iter = iter(left_rows)
-    right_iter = iter(right_rows)
-    left_row = next(left_iter, None)
-    right_row = next(right_iter, None)
-    while left_row is not None and right_row is not None:
-        lk = left_key(left_row)
-        rk = right_key(right_row)
-        if lk < rk:
-            left_row = next(left_iter, None)
-        elif lk > rk:
-            right_row = next(right_iter, None)
-        else:
-            # Buffer the right group for this key.  Everything after
-            # the first acquire runs under try/finally so a key
-            # callable (or the consumer) raising mid-group cannot leak
-            # the buffered records' budget; acquire-before-append keeps
-            # len(group) equal to the acquired count at all times.
-            group = [right_row]
-            budget.acquire(1)
-            try:
-                right_row = next(right_iter, None)
-                while right_row is not None \
-                        and right_key(right_row) == lk:
-                    budget.acquire(1)
-                    group.append(right_row)
-                    right_row = next(right_iter, None)
-                while left_row is not None and left_key(left_row) == lk:
-                    for match in group:
-                        yield left_row, match
-                    left_row = next(left_iter, None)
-            finally:
-                budget.release(len(group))
+    return _join_tagged(machine, heapq.merge(
+        _tagged(right_rows, right_key, 0), _tagged(left_rows, left_key, 1),
+        key=_by_key_and_side))
 
 
 @io_bound(_smj_theory, factor=3.0, n=_join_n)
@@ -159,61 +135,78 @@ def sort_merge_join(
     """Pipelined sort-merge join: ``Sort(R) + Sort(S) + scan`` I/Os,
     minus the fused boundaries.  Output is ordered by join key.
 
-    Each unsorted side is pushed straight into a
-    :class:`~repro.pipeline.sorter.Sorter` and merged straight out of
-    its pull iterator, so neither sorted order is ever written to disk
+    Both unsorted sides are pushed into one
+    :class:`~repro.pipeline.sorter.Sorter` as ``(key, side, row)``
+    records, the right side first on a tie, so its one pull is the
+    merge of both sorted orders and neither is ever written
     (``~2·(N/DB)`` I/Os saved per side over
     :func:`sort_merge_join_materialized`).  A side already ordered by
-    its join key skips its sort entirely with ``assume_sorted`` —
+    its join key skips the sort with ``assume_sorted`` —
     ``assume_left_sorted``/``assume_right_sorted`` are the caller's
     promise (e.g. the output of a previous merge join on the same key,
     or an ``order_by``); records are merged as-is, so a false promise
     silently drops matches.
 
-    The two pull merges run concurrently and every run surviving into a
-    pull holds a reader frame for the join's whole lifetime, alongside
-    the output writer and the in-memory key-group buffer.  The frame
-    plan below keeps the materialized join's group headroom (two
-    cursors + writer + the rest for groups) as the floor: spare frames
-    beyond that envelope are split evenly between wider final merges
-    (half, shared by the two sides) and extra group headroom (half).
-    On a machine too small to spare any, ``width = 1`` merges each side
-    down to a single run — the materialized cost, never worse.
+    The key-group share — half of memory plus four frames, never more
+    than leaves three frames to the sort — is pledged while the pull is
+    planned, so the pull leaves it free for the merge-down before the
+    first record and for the buffered key groups after it.  No key
+    group larger than the share can be guaranteed to fit.
     """
     machine = left.machine
-    left_key = left.key_fn(left_column)
-    right_key = right.key_fn(right_column)
-    width = max(1, (machine.m - 6) // 4)
-    sorters: List[Sorter] = []
+    sides = ((right, right.key_fn(right_column), 0, assume_right_sorted),
+             (left, left.key_fn(left_column), 1, assume_left_sorted))
+    share = min(machine.M // 2 + 4 * machine.B, machine.M - 3 * machine.B)
+    with machine.trace(name), \
+            Sorter(machine, key=_by_key_and_side, name=name) as sorter:
+        sources: List[Iterator[Tuple]] = []
+        for table, key, side, assume_sorted in sides:
+            rows = _tagged(table.stream, key, side)
+            if assume_sorted:
+                sources.append(rows)
+            else:
+                sorter.consume(rows)
+        if len(sorter):
+            with machine.budget.pledge(share):
+                sources.append(sorter.finish())
+        tagged = heapq.merge(*sources, key=_by_key_and_side)
+        return _output_table(machine, left, right,
+                             _join_tagged(machine, tagged), name)
 
-    def side(table: Table, key, assume_sorted: bool,
-             label: str) -> Iterator[Tuple]:
-        if assume_sorted:
-            return iter(table.stream)
-        sorter = Sorter(
-            machine, key=key, name=f"{name}/{label}",
-            final_fan_in=width,
-        )
-        sorters.append(sorter)
-        sorter.consume(iter(table.stream))
-        return sorter.finish()
 
+_by_key_and_side = itemgetter(0, 1)
+
+
+def _tagged(rows: Iterable[Tuple], key: Callable[[Tuple], Any],
+            side: int) -> Iterator[Tuple]:
+    """``(key, side, row)`` for every row of ``rows``."""
+    return ((key(row), side, row) for row in rows)
+
+
+def _join_tagged(machine: Machine, tagged: Iterable[Tuple]
+                 ) -> Iterator[Tuple[Tuple, Tuple]]:
+    """Merge-join ``(key, side, row)`` records ordered by key and side:
+    each key's right rows (side 0) come first and are buffered, one
+    budget record each, then every left row (side 1) of that key is
+    paired with them in order — :func:`merge_join_iterators`' output
+    order."""
+    budget = machine.budget
+    group: List[Tuple] = []
+    group_key = None
     try:
-        with machine.trace(name):
-            left_rows = side(left, left_key, assume_left_sorted, "l")
-            right_rows = side(right, right_key, assume_right_sorted, "r")
-            return _output_table(
-                machine,
-                left,
-                right,
-                merge_join_iterators(
-                    machine, left_rows, right_rows, left_key, right_key
-                ),
-                name,
-            )
+        for key, side, row in tagged:
+            if side == 0:
+                if group and key != group_key:
+                    budget.release(len(group))
+                    group = []
+                budget.acquire(1)
+                group.append(row)
+                group_key = key
+            elif group and key == group_key:
+                for match in group:
+                    yield row, match
     finally:
-        for sorter in sorters:
-            sorter.close()
+        budget.release(len(group))
 
 
 @io_bound(_smj_theory, factor=3.0, n=_join_n)

@@ -184,14 +184,12 @@ class ForecastingPrefetcher:
             # The read died: its staging pins were never filled.
             self._unpin(len(batch) - 1)
             raise
-        result = None
         for (j, _), payload in zip(batch, payloads):
             self._runs[j].tail_key = self._key(payload[-1])
-            if j == index:
-                result = payload
-            else:
-                self._runs[j].staged.append(payload)
-        return result
+            self._runs[j].staged.append(payload)
+        # The lead run's first block was staged first; it is returned in
+        # the frame reserved for the run, the rest stay pinned.
+        return run.staged.popleft()
 
     def close(self) -> None:
         """Drop every staged block, unpin its frame, and release the
@@ -208,8 +206,10 @@ class ForecastingPrefetcher:
     def _forecast_batch(self, lead: int) -> List[Tuple[int, int]]:
         """``(run, block id)`` pairs to read together: the lead run's
         next block, then — on several disks — the next block of each
-        most-urgent other run on a still idle disk, each staged in a
-        frame pinned from the budget."""
+        most-urgent other run on a still idle disk, then the lead run's
+        own following blocks on the disks none of those could use, each
+        staged in a frame pinned from the budget.  A lone run thus reads
+        ``D`` blocks per step, as a scan does."""
         machine = self.runtime.machine
         disk_of = machine.disk.disk_of
         runs = self._runs
@@ -218,20 +218,21 @@ class ForecastingPrefetcher:
         run.next_fetch += 1
         if machine.num_disks > 1:
             used = {disk_of(batch[0][1])}
-            for j in self._forecast_order(lead):
-                if len(used) >= machine.num_disks:
-                    break
+            for j in self._forecast_order(lead) + [lead]:
                 other = runs[j]
-                block_id = other.block_ids[other.next_fetch]
-                disk = disk_of(block_id)
-                if disk in used:
-                    continue
-                if not pin_frame(self._budget, machine.block_size,
-                                 self._pin_slack):
-                    break
-                used.add(disk)
-                batch.append((j, block_id))
-                other.next_fetch += 1
+                while len(used) < machine.num_disks \
+                        and not other.exhausted:
+                    block_id = other.block_ids[other.next_fetch]
+                    disk = disk_of(block_id)
+                    if disk in used or not pin_frame(
+                            self._budget, machine.block_size,
+                            self._pin_slack):
+                        break
+                    used.add(disk)
+                    batch.append((j, block_id))
+                    other.next_fetch += 1
+                    if j != lead:
+                        break  # one block per other run
         return batch
 
     def _forecast_order(self, lead: int) -> List[int]:

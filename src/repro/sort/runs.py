@@ -47,7 +47,7 @@ def _run_formation_theory(machine: Machine, n: int) -> int:
 
 
 def memoryload_blocks(machine: Machine, available: int,
-                      stream_cls=FileStream, headroom: int = 0) -> int:
+                      stream_cls=FileStream) -> int:
     """Blocks in one run-formation memoryload: the survey's ``M``-record
     load, shrunk to the ``available`` budget (in records) so callers
     holding resident frames form shorter runs instead of overflowing.
@@ -56,15 +56,12 @@ def memoryload_blocks(machine: Machine, available: int,
     runtime's write-behind can hold a ``D``-block window; a load that
     fills every frame forces one write step per block.  A run writer of
     ``stream_cls`` that batches a full stripe itself (``StripedStream``)
-    needs no window.  ``headroom`` more blocks are left for readers and
-    writers the caller acquires while the load is held.  Loads longer
-    than a stripe are cut to a multiple of ``D`` so every read batch and
-    write window is a full wave.  Never less than one block; no I/O.
+    needs no window.  Loads longer than a stripe are cut to a multiple
+    of ``D`` so every read batch and write window is a full wave.  Never
+    less than one block; no I/O.
     """
     D = machine.num_disks
-    spare = headroom
-    if stream_cls.writer_frames(machine) < D:
-        spare += D - 1
+    spare = D - 1 if stream_cls.writer_frames(machine) < D else 0
     blocks = max(1, min(machine.m - spare, available // machine.B - spare))
     if blocks > D:
         blocks -= blocks % D

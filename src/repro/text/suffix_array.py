@@ -24,7 +24,6 @@ from typing import Any, List, Sequence
 
 from ..analysis.sanitizer import io_bound
 from ..core.bounds import scan_io, sort_io
-from ..core.exceptions import ConfigurationError
 from ..core.machine import Machine
 from ..core.stream import FileStream
 from ..pipeline.sorter import Sorter
@@ -57,46 +56,53 @@ def suffix_array(machine: Machine, text: Sequence[Any]) -> List[int]:
     if n == 1:
         return [0]
 
-    # Round 0: rank positions by their first symbol.
-    singles = FileStream(machine, name="sa/singles")
-    for position, symbol in enumerate(text):
-        singles.append((symbol, position))
-    singles.finalize()
-    # em: ok(EM103) fusion candidate: single-scan consumer, future Sorter refactor
-    ordered = external_merge_sort(
-        machine, singles, key=lambda r: r[0], keep_input=False
-    )
-    ranks = FileStream(machine, name="sa/ranks")  # (position, rank)
-    first = True
-    previous_symbol = None
-    rank = -1
-    distinct = 0
-    for symbol, position in ordered:
-        if first or symbol != previous_symbol:
-            rank += 1
-            distinct += 1
-            previous_symbol = symbol
-            first = False
-        ranks.append((position, rank))
-    ordered.delete()
-    ranks.finalize()
-    ranks = external_merge_sort(
-        machine, ranks, key=lambda r: r[0], keep_input=False
-    )
+    # Round 0: rank positions by their first symbol.  Every stream a
+    # failed round leaves is freed on the way out (delete() is
+    # idempotent).
+    singles = ranks = FileStream(machine, name="sa/singles")
+    try:
+        for position, symbol in enumerate(text):
+            singles.append((symbol, position))
+        singles.finalize()
+        # em: ok(EM103) fusion candidate: single-scan consumer, future Sorter refactor
+        ordered = external_merge_sort(
+            machine, singles, key=lambda r: r[0], keep_input=False
+        )
+        ranks = FileStream(machine, name="sa/ranks")  # (position, rank)
+        first = True
+        previous_symbol = None
+        rank = -1
+        distinct = 0
+        try:
+            for symbol, position in ordered:
+                if first or symbol != previous_symbol:
+                    rank += 1
+                    distinct += 1
+                    previous_symbol = symbol
+                    first = False
+                ranks.append((position, rank))
+        finally:
+            ordered.delete()
+        ranks.finalize()
+        ranks = external_merge_sort(
+            machine, ranks, key=lambda r: r[0], keep_input=False
+        )
 
-    k = 1
-    while distinct < n and k < 2 * n:
-        ranks, distinct = _double(machine, ranks, n, k)
-        k *= 2
+        k = 1
+        while distinct < n and k < 2 * n:
+            ranks, distinct = _double(machine, ranks, n, k)
+            k *= 2
 
-    # ranks is sorted by position; the suffix array inverts it.
-    result: List[int] = [0] * n
-    for position, rank in ranks:
-        # em: ok(EM005) the N-integer suffix array is the declared
-        # in-RAM result (see docstring); working data stays on streams
-        result[rank] = position
-    ranks.delete()
-    return result
+        # ranks is sorted by position; the suffix array inverts it.
+        result: List[int] = [0] * n
+        for position, rank in ranks:
+            # em: ok(EM005) the N-integer suffix array is the declared
+            # in-RAM result (see docstring); working data stays on streams
+            result[rank] = position
+        return result
+    finally:
+        singles.delete()
+        ranks.delete()
 
 
 def _double(machine: Machine, ranks: FileStream, n: int, k: int):
@@ -114,9 +120,7 @@ def _double(machine: Machine, ranks: FileStream, n: int, k: int):
     # over ``ranks`` already in position order — so the round's only
     # materialized stream is the returned by-position ranks, and no
     # temporary outlives the round.
-    width = max(1, machine.m - 4)
-    with Sorter(machine, key=lambda r: r[0], name="sa/pairs",
-                final_fan_in=width) as by_pair:
+    with Sorter(machine, key=lambda r: r[0], name="sa/pairs") as by_pair:
         # Merge the position scan against the shifted scan to pair each
         # position's rank with the rank at distance k.
         shift_iter = iter(ranks)
@@ -139,8 +143,8 @@ def _double(machine: Machine, ranks: FileStream, n: int, k: int):
             position_iter.close()
         ranks.delete()
 
-        with Sorter(machine, key=lambda r: r[0], name="sa/by-position",
-                    final_fan_in=width) as by_position:
+        with Sorter(machine, key=lambda r: r[0],
+                    name="sa/by-position") as by_position:
             previous_pair = None
             rank = -1
             distinct = 0

@@ -173,23 +173,25 @@ class TestSorter:
 
     @pytest.mark.parametrize("D", [1, 4])
     def test_failed_merge_pass_frees_landed_outputs(self, D):
-        # Run formation is writes 0-249; write 310 falls in the first
-        # materialized pass, after its first group has landed.
+        # Run formation is writes 0-249; the 63 (D=4) or 32 (D=1) runs
+        # are more than a 7-frame pull holds, so the first pull merges
+        # some down first, and write 310 falls in that merge-down after
+        # its first merge has landed.
         m = Machine(block_size=16, memory_blocks=8, num_disks=D)
         baseline = m.disk.allocated_blocks
         sorter = Sorter(m)
         with pytest.raises(RetryExhaustedError):
             with m.inject_faults(FaultPlan(write_errors=range(310, 318))):
                 sorter.consume(shuffled(4000, seed=1))
-                sorter.finish()
+                next(sorter.finish())
+        # A failed pull is not retried: it would read freed runs.
+        with pytest.raises(StreamError):
+            sorter.finish()
+        with pytest.raises(StreamError):
+            sorter.finish_segments()
         sorter.close()
         assert m.disk.allocated_blocks == baseline
         assert m.budget.in_use == 0
-
-    def test_bad_final_fan_in_rejected(self):
-        m = machine()
-        with pytest.raises(StreamError):
-            Sorter(m, final_fan_in=0)
 
     def test_fused_beats_materialized_sort(self):
         """The pipelined sort elides the input write pass and the
@@ -216,17 +218,28 @@ class TestSorter:
         assert result == mat_result == sorted(data)
         assert fused_io.total < mat_io.total
 
-    def test_final_fan_in_one_matches_materialized_io(self):
-        """Width 1 merges down to a single run and scans it — the
-        graceful floor: exactly the materialized sort's pass
-        structure, never worse."""
+    def test_width_one_matches_materialized_io(self):
+        """A consumer holding all but two frames when the pull is
+        planned gets a one-reader pull: every run is merged down to a
+        single run before the first record and that run is scanned —
+        the materialized sort's pass structure, never worse."""
         data = shuffled(3000, seed=6)
 
         floor_machine = machine(B=16, m=8)
         with floor_machine.measure() as floor_io:
-            with Sorter(floor_machine, final_fan_in=1) as sorter:
-                sorter.consume(iter(data))
-                assert list(sorter) == sorted(data)
+            with Sorter(floor_machine) as sorter:
+                # A share held while the sort runs and given back before
+                # the first record, as a join's key-group share: the
+                # merge-down may use it, the pull may not.
+                with floor_machine.budget.reserve(6 * 16):
+                    sorter.consume(iter(data))
+                    pull = sorter.finish()
+                first = next(pull)
+                assert floor_machine.budget.in_use == 16  # one reader
+                assert [first] + list(pull) == sorted(data)
+        # Each block is written once (run or merge-down output) and
+        # read once (by the merge-down or the final scan).
+        assert floor_io.reads == floor_io.writes
 
         wide_machine = machine(B=16, m=8)
         with wide_machine.measure() as wide_io:
@@ -234,7 +247,7 @@ class TestSorter:
                 sorter.consume(iter(data))
                 assert list(sorter) == sorted(data)
 
-        # the capped pull pays one extra merge level (write + read)
+        # the one-reader pull pays one extra merge level (write + read)
         assert floor_io.total > wide_io.total
 
 
@@ -341,6 +354,106 @@ class TestSorterBlockPath:
             sorter.finish_segments()
             with pytest.raises(StreamError):
                 sorter.push_block(data)
+
+
+class TestSorterFramePlan:
+    """The Sorter's own frame plan: a memoryload that fits stays in
+    memory, a lone run reads ``D`` blocks a step, and a pull mixing
+    both gives everything back."""
+
+    @staticmethod
+    def payload(kind, n, seed=9):
+        import numpy as np
+
+        values = np.array(shuffled(n, seed=seed), dtype=np.int64)
+        if kind == "int64":
+            return values, None
+        from repro.core.records import field
+
+        rows = np.empty(n, [("k", np.int64), ("v", np.int64)])
+        rows["k"] = values % 13          # ties: stability shows
+        rows["v"] = np.arange(n)
+        return rows, field("k")
+
+    @staticmethod
+    def stable_sorted(data, key):
+        import numpy as np
+
+        column = data if key is None else data["k"]
+        return [r.item() for r in data[np.argsort(column, kind="stable")]]
+
+    @staticmethod
+    def pushed(sorter, data, how):
+        if how == "push":
+            for record in data:
+                sorter.push(record)
+        else:
+            sorter.push_block(data)
+
+    @pytest.mark.parametrize("D", [1, 4])
+    @pytest.mark.parametrize("kind", ["int64", "struct"])
+    @pytest.mark.parametrize("how", ["push", "push_block"])
+    def test_one_memoryload_costs_no_io(self, how, kind, D):
+        from repro.core.records import concat
+
+        data, key = self.payload(kind, 150)  # 10 blocks of 16 frames
+        m = Machine(block_size=16, memory_blocks=16, num_disks=D)
+        with m.measure() as io:
+            with Sorter(m, key=key) as sorter:
+                self.pushed(sorter, data, how)
+                out = concat(list(sorter.finish_segments()))
+        assert io.total == 0
+        assert [r.item() for r in out] == self.stable_sorted(data, key)
+        assert m.budget.in_use == 0
+
+    @pytest.mark.parametrize("D", [1, 4])
+    @pytest.mark.parametrize("n", [356, 600])
+    def test_resident_last_memoryload_costs_only_spilled_runs(self, n, D):
+        # One or two (D=1) or three (D=4, n=600) memoryloads spill; the
+        # last one stays beside their readers.
+        data, key = self.payload("struct", n)
+        m = Machine(block_size=16, memory_blocks=16, num_disks=D)
+        with m.measure() as io:
+            with Sorter(m, key=key) as sorter:
+                sorter.push_block(data)
+                pull = sorter.finish()
+                spilled = sum(run.num_blocks for run in sorter._runs)
+                out = [r.item() for r in pull]
+        assert out == self.stable_sorted(data, key)
+        assert io.writes == spilled
+        assert io.reads == spilled
+        assert spilled * 16 < n  # some records never touched disk
+        assert m.disk.allocated_blocks == 0
+        assert m.budget.in_use == 0
+
+    def test_one_run_pull_reads_d_wide(self):
+        m = Machine(block_size=16, memory_blocks=32, num_disks=4)
+        # One 28-block memoryload at D=4 spilled by the 449th record,
+        # which stays resident: the pull reads a single run.
+        data = shuffled(449)
+        with Sorter(m) as sorter:
+            sorter.consume(data)
+            pull = sorter.finish()
+            assert [run.num_blocks for run in sorter._runs] == [28]
+            with m.measure() as io:
+                assert list(pull) == sorted(data)
+        assert io.reads == 28
+        assert io.read_steps <= -(-28 // 4) + 1
+
+    @pytest.mark.parametrize("D", [1, 4])
+    def test_close_mid_mixed_pull_returns_everything(self, D):
+        data, key = self.payload("struct", 600)
+        m = Machine(block_size=16, memory_blocks=16, num_disks=D)
+        sorter = Sorter(m, key=key)
+        sorter.push_block(data)
+        pull = sorter.finish_segments()
+        assert sorter._runs  # runs on disk beside the resident memoryload
+        assert m.budget.in_use > len(sorter._runs) * 16
+        next(pull)
+        assert m.budget.in_use > 0
+        sorter.close()
+        assert m.disk.allocated_blocks == 0
+        assert m.budget.in_use == 0
 
 
 # ---------------------------------------------------------------------

@@ -48,6 +48,10 @@ interleaved schedule beats the serial baseline on wall steps, each
 tenant's memory peak stays within its fair share, and a fault plan
 targeting OLAP blocks charges zero faults/stalls to the OLTP tenant.
 
+A Sorter-tails record checks that a sort fitting one memoryload moves
+no block at D = 1 and 4, and that a pull over a single run reads
+``D``-wide (at most ``ceil(blocks / D) + 1`` read steps at D = 4).
+
 A pipelining record runs the F25 fused-vs-materialized comparison at
 smoke scale for all three refactored consumers (sort-merge join,
 time-forward processing, list ranking), recording the fused/
@@ -619,7 +623,53 @@ def analyzer_smoke():
             }]}
 
 
-PIPE_B, PIPE_M_BLOCKS = 64, 48  # final merge width covers the runs
+SORTER_B, SORTER_M_BLOCKS = 64, 32
+
+
+def sorter_tails_smoke():
+    """The pipelined Sorter's tails: a sort that fits one memoryload is
+    served from memory with zero transfers at D = 1 and 4, and a pull
+    over a single run reads D-wide at D = 4 (at most ceil(blocks / 4)
+    + 1 read steps)."""
+    from repro.pipeline import Sorter
+    from repro.sort.runs import memoryload_blocks
+
+    points = []
+    for disks in (1, 4):
+        machine = Machine(block_size=SORTER_B, memory_blocks=SORTER_M_BLOCKS,
+                          num_disks=disks)
+        data = uniform_ints(SORTER_B * SORTER_M_BLOCKS // 2, seed=5)
+        with machine.measure() as io:
+            with Sorter(machine) as sorter:
+                sorter.consume(data)
+                assert list(sorter) == sorted(data)
+        assert io.total == 0, (
+            f"D={disks}: a one-memoryload sort moved {io.total} blocks")
+        points.append({"case": "one_memoryload", "D": disks,
+                       "records": len(data), "transfers": io.total})
+
+    # A full memoryload is spilled as one run by the record after it,
+    # which stays in memory: the pull reads that run alone.
+    machine = Machine(block_size=SORTER_B, memory_blocks=SORTER_M_BLOCKS,
+                      num_disks=4)
+    blocks = memoryload_blocks(machine, machine.M)
+    data = uniform_ints(blocks * SORTER_B + 1, seed=6)
+    with Sorter(machine) as sorter:
+        sorter.consume(data)
+        pull = sorter.finish()
+        with machine.measure() as io:
+            assert list(pull) == sorted(data)
+    bound = -(-blocks // 4) + 1
+    assert io.reads == blocks and io.read_steps <= bound, (
+        f"one-run pull of {blocks} blocks took {io.read_steps} read "
+        f"steps for {io.reads} reads (bound {bound})")
+    points.append({"case": "one_run_pull", "D": 4, "blocks": blocks,
+                   "read_steps": io.read_steps, "bound": bound})
+    return {"name": "sorter_tails", "B": SORTER_B,
+            "M": SORTER_B * SORTER_M_BLOCKS, "points": points}
+
+
+PIPE_B, PIPE_M_BLOCKS = 64, 48
 PIPE_JOIN_N, PIPE_TFP_N, PIPE_LISTRANK_N = 8_000, 4_000, 8_000
 
 
@@ -811,7 +861,7 @@ def main(argv=None):
                               pool_hit_rate_smoke(),
                               faulted_query_smoke(),
                               analyzer_smoke(), service_smoke(),
-                              pipeline_smoke()]}
+                              sorter_tails_smoke(), pipeline_smoke()]}
     with open(args.output, "w") as fh:
         fh.write(json.dumps(summary, indent=2) + "\n")
     for bench in summary["benchmarks"]:

@@ -81,10 +81,11 @@ CLAIMS = [
     ("F10", "List ranking",
      "Pointer chasing through a randomly stored list costs ~1 I/O per "
      "hop; independent-set contraction ranks in O(Sort(N)) expected.",
-     "Chasing climbs to ~0.95 I/O per hop once lists outgrow the pool; "
-     "contraction costs ~0.45 I/O per record and wins from 20k records "
-     "on (2.1x at 80k, B=256) — the asymptotic crossover with honest "
-     "constants (~6 sorts per level)."),
+     "Chasing climbs to ~0.96 I/O per hop once lists outgrow the pool; "
+     "contraction costs 0.09–0.28 I/O per record and wins at every size "
+     "(3.5x at 80k, B=256), its share of chasing's cost falling from "
+     "0.36 at 5k to 0.23–0.29 beyond — ~6 pipelined sorts per level, "
+     "the small ones kept in memory."),
     ("F11", "External BFS (Munagala–Ranade)",
      "Naive BFS pays ~1 random I/O per edge against its on-disk visited "
      "structure; MR-BFS costs O(V + Sort(E)).  Meshes' locality narrows "
@@ -134,14 +135,17 @@ CLAIMS = [
      "Hook-and-contract solves connectivity in O(Sort(E)·log V) versus "
      "~1 random I/O per vertex for DFS; the semi-external union-find "
      "scan is cheapest but needs V in memory.",
-     "Contraction beats DFS at both sizes (1.4–1.7x); the semi-external "
+     "Contraction beats DFS at both sizes (2.5–3.1x); the semi-external "
      "scan is two orders of magnitude cheaper than either, quantifying "
-     "exactly what holding V in RAM buys."),
+     "exactly what holding V in RAM buys. Every sort of a round is a "
+     "pipelined `Sorter`, so no sort input or output is written; only "
+     "streams read twice (labels, the edge list, the pointer-jump "
+     "pointers, the round's roots) stay on disk."),
     ("F18", "Time-forward processing",
      "Evaluating a local DAG function costs O(Sort(E)) by sending "
      "values forward through an external PQ, versus ~1 I/O per edge of "
      "value-table pointer chasing.",
-     "Time-forward wins 2.5x at 4k vertices growing to 4.9x at 16k — "
+     "Time-forward wins 2.5x at 4k vertices growing to 5.1x at 16k — "
      "the batched PQ amortization at work."),
     ("F19", "External Dijkstra",
      "Shortest paths inherit the PQ separation: a batched sequence-heap "
@@ -159,8 +163,10 @@ CLAIMS = [
      "Semi-external Kruskal is Sort(E) + a scan when V fits in memory; "
      "fully external Borůvka pays O(log V) contraction rounds.",
      "Both compute identical forest weights (validated against "
-     "networkx); Kruskal stays within Sort(2E) while Borůvka costs "
-     "16–21x more — the O(log V) contraction rounds, the price of not "
+     "networkx); Kruskal stays within Sort(2E) — it pushes the edges "
+     "straight into a pipelined `Sorter` and writes the pulled order "
+     "once, to scan it beside the union-find — while Borůvka costs "
+     "13–21x more: the O(log V) contraction rounds, the price of not "
      "holding V in memory."),
     ("F22", "Selection vs sorting",
      "Order statistics need only O(scan(N)) I/Os; sorting pays the full "
@@ -172,7 +178,7 @@ CLAIMS = [
      "Text indexes over corpora larger than memory are built with "
      "batched primitives: prefix doubling costs O(Sort(N)) per round "
      "and O(log N) rounds, with no random access to the text.",
-     "I/O per suffix is 1.4–2.1 (≈17–22 Sort(N)-equivalents total, the "
+     "I/O per suffix is 0.9–1.5 (≈12–14 Sort(N)-equivalents total, the "
      "log-round factor on a binary alphabet), versus the ~log2(N) ≈ 15 "
      "I/Os per suffix a random-access comparison build would pay; "
      "growth across a 16x sweep is logarithmic."),
