@@ -87,10 +87,10 @@ class MemoryBudget:
 
     @property
     def available(self) -> int:
-        """Records an algorithm may still hard-reserve, less any
-        :meth:`pledge` in force.  Reclaimable (cached) space counts as
-        free here — acquiring it evicts the cache on demand."""
-        return self.capacity - self._in_use - self._pledged
+        """Records an algorithm may still hard-reserve.  Reclaimable
+        (cached) space counts as free here — acquiring it evicts the
+        cache on demand."""
+        return self.capacity - self._in_use
 
     def acquire(self, records: int, reclaimable: bool = False) -> None:
         """Reserve ``records`` of working space.
@@ -111,20 +111,24 @@ class MemoryBudget:
         """
         if records < 0:
             raise ConfigurationError("cannot acquire a negative reservation")
-        if self.occupancy + records > self.capacity and \
-                self.reclaimer is not None and not self._reclaiming:
-            self._reclaiming = True
-            try:
-                self.reclaimer(self.occupancy + records - self.capacity)
-            finally:
-                self._reclaiming = False
-        if self.occupancy + records > self.capacity:
-            raise MemoryLimitExceeded(records, self.occupancy, self.capacity)
+        occupancy = self._in_use + self._reclaimable + records
+        if occupancy > self.capacity:
+            if self.reclaimer is not None and not self._reclaiming:
+                self._reclaiming = True
+                try:
+                    self.reclaimer(occupancy - self.capacity)
+                finally:
+                    self._reclaiming = False
+                occupancy = self._in_use + self._reclaimable + records
+            if occupancy > self.capacity:
+                raise MemoryLimitExceeded(records, self.occupancy,
+                                          self.capacity)
         if reclaimable:
             self._reclaimable += records
         else:
             self._in_use += records
-        self._peak = max(self._peak, self.occupancy)
+        if occupancy > self._peak:
+            self._peak = occupancy
 
     def release(self, records: int, reclaimable: bool = False) -> None:
         """Return ``records`` of working space to the budget."""
@@ -180,11 +184,14 @@ class MemoryBudget:
     def pledge(self, records: int):
         """Set ``records`` aside for work that will reserve them later.
 
-        While the block runs, :attr:`available` leaves them out, so a
-        plan made inside it — a pipelined sort's pull, a memoryload —
-        leaves them free; :meth:`acquire` is not limited by a pledge.
-        A caller pledges what it will run beside a plan when it cannot
-        hold it yet (the plan's own working space still occupies it).
+        A pipelined sort that plans its pull inside the block
+        (:meth:`~repro.pipeline.sorter.Sorter.finish`) leaves
+        :attr:`pledged` free for the whole pull.  Nothing else reads a
+        pledge: :attr:`available`, :meth:`acquire` and the I/O staging
+        of the planning call itself (a spilled run's write-behind) are
+        not limited by it.  A caller pledges what it will run beside a
+        pull when it cannot hold it yet (the sort's run buffer still
+        occupies it).
         """
         if records < 0:
             raise ConfigurationError("cannot pledge a negative amount")

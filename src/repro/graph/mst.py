@@ -24,6 +24,7 @@ lookup, then the 2-cycle repair's scan).
 
 from __future__ import annotations
 
+from itertools import chain, islice
 from operator import itemgetter
 from typing import Iterable, Iterator, List, Set, Tuple
 
@@ -79,26 +80,22 @@ def semi_external_kruskal(
 ) -> Tuple[int, List[Tuple[int, int, int]]]:
     """Kruskal with an in-memory union-find over the vertices.
 
-    Cost: ``Sort(E)`` plus one write and one scan of the sorted edges.
-    Requires ``V <= M`` (the semi-external regime); the memory budget
-    enforces it.
+    Cost: ``Sort(E)`` plus one scan.  Requires ``V <= M`` (the
+    semi-external regime); the memory budget enforces it.
     """
     if num_vertices > machine.M:
         # Semi-external regime: the union-find array must fit in memory.
         raise MemoryLimitExceeded(
             num_vertices, machine.budget.in_use, machine.M)
-    # In the semi-external regime the union-find takes nearly all of
-    # ``M``, and a sort needs more than what is left.  So the edges are
-    # sorted with the whole memory and written in weight order (the
-    # writer takes the frame the pull leaves), and the union-find then
-    # runs beside a scan of them: one reader frame.
-    ordered = FileStream(machine, name="mst/by-weight")
-    try:
-        with Sorter(machine, key=itemgetter(2, 3),
-                    name="mst/by-weight") as by_weight:
-            by_weight.consume(_positioned(num_vertices, edges))
-            ordered.extend(by_weight)
-        ordered.finalize()
+    # The sort pushes with all of memory.  The union-find is pledged
+    # while the pull is planned, and reserved once the first edge is
+    # pulled (after any merge-down, which may use it).
+    with Sorter(machine, key=itemgetter(2, 3),
+                name="mst/by-weight") as by_weight:
+        by_weight.consume(_positioned(num_vertices, edges))
+        with machine.budget.pledge(num_vertices):
+            ordered = by_weight.finish()
+        first = list(islice(ordered, 1))
         with machine.budget.reserve(num_vertices):
             parent = list(range(num_vertices))
 
@@ -112,14 +109,12 @@ def semi_external_kruskal(
 
             chosen: List[Tuple[int, int, int]] = []
             total = 0
-            for u, v, w, _ in ordered:
+            for u, v, w, _ in chain(first, ordered):
                 ru, rv = find(u), find(v)
                 if ru != rv:
                     parent[max(ru, rv)] = min(ru, rv)
                     chosen.append((u, v, w))
                     total += w
-    finally:
-        ordered.delete()
     return total, chosen
 
 

@@ -123,11 +123,11 @@ class Pipeline:
         first record is pulled; sorter resources are reclaimed when the
         iterator is exhausted or closed."""
         self._claim()
-        return self._drive()
+        return self._drive(0)
 
-    def _drive(self) -> Iterator[Any]:
+    def _drive(self, pledge: int) -> Iterator[Any]:
         try:
-            for record in self._build():
+            for record in self._build(pledge):
                 yield record
         finally:
             self._cleanup()
@@ -143,7 +143,9 @@ class Pipeline:
             )
         self._consumed = True
 
-    def _build(self) -> Iterator[Any]:
+    def _build(self, pledge: int) -> Iterator[Any]:
+        """Start the stages; every sort's pull is planned beside
+        ``pledge`` records kept for work the consumer starts later."""
         records = self._source()
         for index, (kind, payload) in enumerate(self._stages):
             if kind == "map":
@@ -160,7 +162,8 @@ class Pipeline:
                                 fan_in)
                 self._sorters.append(sorter)
                 sorter.consume(records)
-                records = sorter.finish()
+                with self.machine.budget.pledge(pledge):
+                    records = sorter.finish()
         return records
 
     def _cleanup(self) -> None:
@@ -259,6 +262,10 @@ class Pipeline:
         the join merges the two pull iterators directly, buffering only
         the current right-side key group (charged to the budget).
         Yields ``(left_record, right_record)`` pairs as a new pipeline.
+
+        The left side starts first and plans its pulls beside half of
+        memory, kept for the right side's sorts; the right side plans
+        beside an eighth, kept for the key groups.
         """
         from ..relational.joins import merge_join_iterators
 
@@ -268,8 +275,10 @@ class Pipeline:
             )
 
         def joined() -> Iterator[Tuple[Any, Any]]:
-            left = self.iterate()
-            right = other.iterate()
+            self._claim()
+            other._claim()
+            left = self._drive(self.machine.M // 2)
+            right = other._drive(self.machine.M // 8)
             try:
                 for pair in merge_join_iterators(
                     self.machine, left, right, left_key, right_key

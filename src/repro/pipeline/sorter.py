@@ -159,7 +159,8 @@ class Sorter:
     def push(self, record: Any) -> None:
         """Accept one record from the producer; spills a sorted run
         each time the run buffer is full and cannot grow."""
-        self._check_push()
+        if self._state != _PUSH:
+            self._refuse_push()
         if not self._room:
             self._make_room()
         self._buffer.append(record)
@@ -176,7 +177,8 @@ class Sorter:
         :func:`~repro.core.records.field` key orders each run in one
         vectorized pass.
         """
-        self._check_push()
+        if self._state != _PUSH:
+            self._refuse_push()
         count = len(payload)
         start = 0
         while start < count:
@@ -198,11 +200,10 @@ class Sorter:
             self.push(record)
         return self
 
-    def _check_push(self) -> None:
-        if self._state != _PUSH:
-            raise StreamError(
-                f"sorter {self._name!r} is {self._state}; push refused"
-            )
+    def _refuse_push(self) -> None:
+        raise StreamError(
+            f"sorter {self._name!r} is {self._state}; push refused"
+        )
 
     def _make_room(self) -> None:
         """Grow the full run buffer to run formation's memoryload over
@@ -301,7 +302,9 @@ class Sorter:
         self._state = _FAILED
         machine = self.machine
         chunk = self._take_buffer()
-        frames = (machine.budget.available + self._reserved) // machine.B
+        budget = machine.budget
+        frames = (budget.available - budget.pledged + self._reserved) \
+            // machine.B
         blocks = -(-len(chunk) // machine.B)
         # The memoryload stays resident beside one reader per run when
         # it leaves D frames: one for a frame the consumer opens lazily,
@@ -317,7 +320,7 @@ class Sorter:
         # Prefetch pins leave the consumer a frame and what was pledged
         # to it.
         self._segments = self._pull_segments(
-            resident, blocks, width, 1 + machine.budget.pledged // machine.B)
+            resident, blocks, width, 1 + budget.pledged // machine.B)
         self._state = _PULL
         return self._segments
 
@@ -452,6 +455,12 @@ class Sorter:
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.close()
         return False
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (
+            f"Sorter(name={self._name!r}, records={self._count}, "
+            f"runs={len(self._runs)}, {self._state})"
+        )
 
 
 def _flatten(segments: Iterator[Sequence[Any]]) -> Iterator[Any]:

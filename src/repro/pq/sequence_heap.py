@@ -95,6 +95,16 @@ class _Run:
         self.head = None
 
 
+def _default_group_arity(machine: Machine) -> int:
+    """The queue's default group arity: ``max(2, m//4)``."""
+    return max(2, machine.m // 4)
+
+
+def _default_insertion_capacity(machine: Machine) -> int:
+    """The queue's default insertion heap: ``max(2, M//4)`` records."""
+    return max(2, machine.M // 4)
+
+
 class ExternalPriorityQueue:
     """A min-priority queue of ``(priority, item)`` pairs on disk.
 
@@ -134,7 +144,8 @@ class ExternalPriorityQueue:
     ):
         self.machine = machine
         self.group_arity = (
-            group_arity if group_arity is not None else max(2, machine.m // 4)
+            group_arity if group_arity is not None
+            else _default_group_arity(machine)
         )
         if self.group_arity < 2:
             raise ConfigurationError(
@@ -143,7 +154,7 @@ class ExternalPriorityQueue:
         self.insertion_capacity = (
             insertion_capacity
             if insertion_capacity is not None
-            else max(2, machine.M // 4)
+            else _default_insertion_capacity(machine)
         )
         machine.budget.acquire(self.insertion_capacity)
         self._heap: List[tuple] = []
@@ -158,8 +169,8 @@ class ExternalPriorityQueue:
         the frames of one level merge (its group arity of readers and
         a writer) — what a caller planning memory beside the queue
         leaves it."""
-        return max(2, machine.M // 4) \
-            + (max(2, machine.m // 4) + 1) * machine.B
+        return _default_insertion_capacity(machine) \
+            + (_default_group_arity(machine) + 1) * machine.B
 
     # ------------------------------------------------------------------
     def insert(self, priority: Any, item: Any = None) -> None:

@@ -16,6 +16,7 @@ database textbooks derive from the I/O model:
 from __future__ import annotations
 
 import heapq
+from itertools import groupby
 from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Tuple
 
@@ -105,21 +106,50 @@ def _output_table(
 
 def merge_join_iterators(
     machine: Machine,
-    left_rows: Iterable[Tuple],
-    right_rows: Iterable[Tuple],
+    left_rows: Iterator[Tuple],
+    right_rows: Iterator[Tuple],
     left_key: Callable[[Tuple], Any],
     right_key: Callable[[Tuple], Any],
 ) -> Iterator[Tuple[Tuple, Tuple]]:
     """Merge-join two iterators already sorted by their keys.
 
-    Handles many-to-many matches by buffering each right-side key group
-    in memory (reserved from the budget), the standard assumption that
-    no single join-key group exceeds ``M``: :func:`_join_tagged` over
-    the merge of both sides.
+    Handles many-to-many matches by buffering the current right-side key
+    group in memory (reserved from the budget), the standard assumption
+    that no single join-key group exceeds ``M``.
     """
-    return _join_tagged(machine, heapq.merge(
-        _tagged(right_rows, right_key, 0), _tagged(left_rows, left_key, 1),
-        key=_by_key_and_side))
+    budget = machine.budget
+    left_iter = iter(left_rows)
+    right_iter = iter(right_rows)
+    left_row = next(left_iter, None)
+    right_row = next(right_iter, None)
+    while left_row is not None and right_row is not None:
+        lk = left_key(left_row)
+        rk = right_key(right_row)
+        if lk < rk:
+            left_row = next(left_iter, None)
+        elif lk > rk:
+            right_row = next(right_iter, None)
+        else:
+            # Buffer the right group for this key.  Everything after
+            # the first acquire runs under try/finally so a key
+            # callable (or the consumer) raising mid-group cannot leak
+            # the buffered records' budget; acquire-before-append keeps
+            # len(group) equal to the acquired count at all times.
+            group = [right_row]
+            budget.acquire(1)
+            try:
+                right_row = next(right_iter, None)
+                while right_row is not None \
+                        and right_key(right_row) == lk:
+                    budget.acquire(1)
+                    group.append(right_row)
+                    right_row = next(right_iter, None)
+                while left_row is not None and left_key(left_row) == lk:
+                    for match in group:
+                        yield left_row, match
+                    left_row = next(left_iter, None)
+            finally:
+                budget.release(len(group))
 
 
 @io_bound(_smj_theory, factor=3.0, n=_join_n)
@@ -169,7 +199,8 @@ def sort_merge_join(
         if len(sorter):
             with machine.budget.pledge(share):
                 sources.append(sorter.finish())
-        tagged = heapq.merge(*sources, key=_by_key_and_side)
+        tagged = sources[0] if len(sources) == 1 \
+            else heapq.merge(*sources, key=_by_key_and_side)
         return _output_table(machine, left, right,
                              _join_tagged(machine, tagged), name)
 
@@ -191,22 +222,18 @@ def _join_tagged(machine: Machine, tagged: Iterable[Tuple]
     paired with them in order — :func:`merge_join_iterators`' output
     order."""
     budget = machine.budget
-    group: List[Tuple] = []
-    group_key = None
-    try:
-        for key, side, row in tagged:
-            if side == 0:
-                if group and key != group_key:
-                    budget.release(len(group))
-                    group = []
-                budget.acquire(1)
-                group.append(row)
-                group_key = key
-            elif group and key == group_key:
-                for match in group:
-                    yield row, match
-    finally:
-        budget.release(len(group))
+    for _, records in groupby(tagged, itemgetter(0)):
+        group: List[Tuple] = []
+        try:
+            for _, side, row in records:
+                if side == 0:
+                    budget.acquire(1)
+                    group.append(row)
+                else:
+                    for match in group:
+                        yield row, match
+        finally:
+            budget.release(len(group))
 
 
 @io_bound(_smj_theory, factor=3.0, n=_join_n)

@@ -88,15 +88,15 @@ class TestMemoryBudget:
                 raise ValueError("boom")
         assert b.in_use == 0
 
-    def test_pledge_hides_records_from_plans_only(self):
+    def test_pledge_is_counted_not_reserved(self):
         b = MemoryBudget(100)
         b.acquire(20)
         with b.pledge(50):
-            assert b.available == 30
+            assert b.pledged == 50
+            assert b.available == 80
             b.acquire(70)  # a pledge does not limit acquire
-            assert b.available == -40
             b.release(70)
-        assert b.available == 80
+        assert b.pledged == 0
         with pytest.raises(ConfigurationError):
             with b.pledge(-1):
                 pass

@@ -107,6 +107,27 @@ class TestMST:
         with pytest.raises(MemoryLimitExceeded):
             semi_external_kruskal(machine(), n, wedges)
 
+    @pytest.mark.parametrize("D", [1, 4])
+    def test_kruskal_pulls_the_sort_beside_a_small_union_find(self, D):
+        """With ``V`` far below ``M`` the union-find runs beside the
+        sort's final merge: the sorted order is never written, the
+        last memoryload is never spilled, and edges that fit in memory
+        cost nothing."""
+        n = 300
+        wedges = weighted_graph(n, seed=9)
+        m = Machine(block_size=16, memory_blocks=40, num_disks=D)
+        with m.measure() as io:
+            total, _ = semi_external_kruskal(m, n, wedges)
+        assert total == reference_weight(wedges)
+        assert io.writes < -(-len(wedges) // 16)
+        assert io.reads == io.writes
+        small = weighted_graph(100, seed=9)
+        m = Machine(block_size=16, memory_blocks=32, num_disks=D)
+        with m.measure() as io:
+            semi_external_kruskal(m, 100, small)
+        assert io.stats.total == 0
+        assert m.budget.in_use == 0
+
     def test_boruvka_no_leaks(self):
         m = machine()
         n = 200

@@ -537,6 +537,35 @@ class TestPipeline:
         )
         assert sorted(joined) == expected
 
+    @pytest.mark.parametrize("D", [1, 4])
+    def test_merge_join_both_sides_spill(self, D):
+        """Both sides form dozens of runs on an 8-frame machine: the
+        side that starts first leaves the other room to plan its own
+        pull, and the pairs come in the unfused join's order."""
+        m = Machine(block_size=16, memory_blocks=8, num_disks=D)
+        rng = random.Random(D)
+        left = [(rng.randrange(3000), f"l{i}") for i in range(3000)]
+        right = [(rng.randrange(3000), f"r{i}") for i in range(3000)]
+        before = m.disk.allocated_blocks
+        joined = list(
+            Pipeline.source(m, left).sort(key=lambda r: r[0])
+            .merge_join(
+                Pipeline.source(m, right).sort(key=lambda r: r[0]),
+                left_key=lambda r: r[0],
+                right_key=lambda r: r[0],
+            )
+            .iterate()
+        )
+        groups = {}
+        for row in sorted(right, key=lambda r: r[0]):
+            groups.setdefault(row[0], []).append(row)
+        assert joined == [(l, r) for l in sorted(left, key=lambda r: r[0])
+                          for r in groups.get(l[0], ())]
+        assert m.stats().reads > 0  # both sides spilled runs
+        assert m.budget.peak <= m.M
+        assert m.budget.in_use == 0
+        assert m.disk.allocated_blocks == before
+
     def test_single_shot(self):
         m = machine()
         p = Pipeline.source(m, range(10))

@@ -10,6 +10,7 @@ from repro.relational import (
     block_nested_loop_join,
     grace_hash_join,
     group_by,
+    merge_join_iterators,
     order_by,
     project,
     select,
@@ -208,6 +209,35 @@ class TestJoins:
             L = Table.from_rows(m, ("k", "l"), left)
             R = Table.from_rows(m, ("k", "r"), right)
             assert sorted(join(L, R, "k", "k").rows()) == expected
+
+
+class TestMergeJoinIterators:
+    def test_unmatched_right_group_is_not_buffered(self):
+        """Only a right-side key group with a left match is held in
+        memory: an unmatched group ten times ``M`` passes through."""
+        m = machine()
+        left = [(0, "a"), (2, "b")]
+        right = [(0, "x")] + [(1, i) for i in range(10 * m.M)] + [(2, "y")]
+        key = lambda row: row[0]  # noqa: E731
+        pairs = list(merge_join_iterators(m, iter(left), iter(right),
+                                          key, key))
+        assert pairs == [((0, "a"), (0, "x")), ((2, "b"), (2, "y"))]
+        assert m.budget.peak <= m.M
+        assert m.budget.in_use == 0
+
+    def test_stops_reading_when_one_side_runs_out(self):
+        pulled = []
+
+        def right():
+            for i in range(100):
+                pulled.append(i)
+                yield (i, "r")
+
+        key = lambda row: row[0]  # noqa: E731
+        pairs = list(merge_join_iterators(machine(), iter([(1, "l")]),
+                                          right(), key, key))
+        assert pairs == [((1, "l"), (1, "r"))]
+        assert pulled == [0, 1, 2]
 
 
 class TestJoinIOProfiles:

@@ -164,10 +164,10 @@ CLAIMS = [
      "fully external Borůvka pays O(log V) contraction rounds.",
      "Both compute identical forest weights (validated against "
      "networkx); Kruskal stays within Sort(2E) — it pushes the edges "
-     "straight into a pipelined `Sorter` and writes the pulled order "
-     "once, to scan it beside the union-find — while Borůvka costs "
-     "13–21x more: the O(log V) contraction rounds, the price of not "
-     "holding V in memory."),
+     "straight into a pipelined `Sorter` and pulls the sorted order "
+     "beside the union-find — while Borůvka costs 11–18x more: the "
+     "O(log V) contraction rounds, the price of not holding V in "
+     "memory."),
     ("F22", "Selection vs sorting",
      "Order statistics need only O(scan(N)) I/Os; sorting pays the full "
      "log_{M/B} factor.",
