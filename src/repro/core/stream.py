@@ -404,10 +404,21 @@ class FileStream:
     def from_records(
         cls, machine: Machine, records: Iterable[Any], name: str = ""
     ) -> "FileStream":
-        """Build and finalize a stream holding ``records``."""
+        """Build and finalize a stream holding ``records``.
+
+        The writer's frames are reserved before ``records`` is
+        iterated, so a pull behind ``records`` (a
+        :class:`~repro.pipeline.sorter.Sorter`, a lookup scan) plans
+        around them; a write or pull that fails deletes the stream.
+        """
         stream = cls(machine, name=name)
-        stream.extend(records)
-        return stream.finalize()
+        try:
+            stream.reserve_writer()
+            stream.extend(records)
+            return stream.finalize()
+        except BaseException:
+            stream.delete()
+            raise
 
     @classmethod
     def from_payload(

@@ -1,10 +1,12 @@
 """On-disk adjacency storage for graphs.
 
 Edges arrive as an unordered stream of ``(u, v)`` pairs; building the
-store externally sorts the doubled (directed) edge list by source and
-packs the adjacency lists contiguously into blocks.  Fetching vertex
-``v``'s list then costs ``1 + ceil(deg(v)/B)`` I/Os — the access pattern
-both the naive and the Munagala–Ranade BFS rely on.
+store sorts the doubled (directed) edge list by source in a pipelined
+Sorter and writes the adjacency lists contiguously into blocks as the
+merge is pulled.  Fetching vertex ``v``'s list then costs
+``1 + ceil(deg(v)/B)`` I/Os — the access pattern of the naive BFS —
+and the lists of an ascending run of vertices can be scanned forward,
+each block read once — the Munagala–Ranade BFS's pattern.
 
 The per-vertex offset index (two integers per vertex) is kept in memory,
 the usual semi-external assumption; all bulk data stays on disk.
@@ -12,13 +14,29 @@ the usual semi-external assumption; all bulk data stays on disk.
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter
 from typing import Any, Dict, Iterable, Iterator, List, Tuple
 
-from ..core.blockfile import BlockFile
 from ..core.exceptions import ConfigurationError
 from ..core.machine import Machine
 from ..core.stream import FileStream
-from ..sort.merge import external_merge_sort
+from ..pipeline.sorter import Sorter, _first_of_runs, _primed
+
+_source = itemgetter(0)
+
+
+def _proper(num_vertices: int, edges: Iterable[tuple]) -> Iterator[tuple]:
+    """``edges`` without self-loops; an endpoint outside
+    ``0..num_vertices-1`` raises."""
+    for edge in edges:
+        u, v = edge[0], edge[1]
+        if not (0 <= u < num_vertices and 0 <= v < num_vertices):
+            raise ConfigurationError(
+                f"edge ({u}, {v}) outside vertex range 0..{num_vertices - 1}"
+            )
+        if u != v:
+            yield edge
 
 
 class AdjacencyStore:
@@ -26,10 +44,11 @@ class AdjacencyStore:
     ``0..n-1``."""
 
     def __init__(self, machine: Machine, num_vertices: int,
-                 blocks: BlockFile, index: Dict[int, Tuple[int, int]]):
+                 packed: FileStream, index: Dict[int, Tuple[int, int]]):
         self.machine = machine
         self.num_vertices = num_vertices
-        self._blocks = blocks
+        self._packed = packed
+        self._block_ids = packed.block_ids
         self._index = index  # vertex -> (start record position, degree)
 
     @classmethod
@@ -39,66 +58,16 @@ class AdjacencyStore:
         num_vertices: int,
         edges: Iterable[Tuple[int, int]],
     ) -> "AdjacencyStore":
-        """Build the store from an iterable of undirected edges.
+        """Build the store from an iterable of undirected edges;
+        self-loops are dropped and duplicate edges collapse.
 
-        Cost: one write pass over the doubled edges, one external sort,
-        one packing pass — ``O(Sort(E))`` I/Os.
+        Cost: ``O(Sort(E))`` I/Os — the doubled edges go through one
+        pipelined sort (its runs written and read back, nothing when
+        they fit one memoryload) and the lists are written once.
         """
-        directed = FileStream(machine, name="adj/directed")
-        num_edges = 0
-        for u, v in edges:
-            if not (0 <= u < num_vertices and 0 <= v < num_vertices):
-                raise ConfigurationError(
-                    f"edge ({u}, {v}) outside vertex range 0..{num_vertices - 1}"
-                )
-            if u == v:
-                continue  # ignore self-loops
-            directed.append((u, v))
-            directed.append((v, u))
-            num_edges += 1
-        directed.finalize()
-        # em: ok(EM103) fusion candidate: single-scan consumer, future Sorter refactor
-        ordered = external_merge_sort(
-            machine, directed, key=lambda e: e, keep_input=False
-        )
-
-        packed = FileStream(machine, name="adj/packed")
-        index: Dict[int, Tuple[int, int]] = {}
-        position = 0
-        current = None
-        start = 0
-        previous_target = None
-        for source, target in ordered:
-            if source != current:
-                if current is not None:
-                    # em: ok(EM005) semi-external: the V-entry vertex
-                    # index is RAM-resident (the survey's V ≤ M regime)
-                    index[current] = (start, position - start)
-                current = source
-                start = position
-                previous_target = None
-            if target == previous_target:
-                continue  # collapse duplicate edges
-            packed.append(target)
-            previous_target = target
-            position += 1
-        if current is not None:
-            index[current] = (start, position - start)
-        packed.finalize()
-        ordered.delete()
-
-        # Re-pack into a block file for random access by position.  The
-        # staging frame is released once packing is done: all later
-        # access goes through the buffer pool via block_id.
-        with BlockFile(
-            machine, max(1, packed.num_blocks), name="adj"
-        ) as blocks:
-            for block_index in range(packed.num_blocks):
-                blocks.write_block(
-                    block_index, packed.read_block(block_index)
-                )
-        packed.delete()
-        return cls(machine, num_vertices, blocks, index)
+        arcs = (arc for u, v in _proper(num_vertices, edges)
+                for arc in ((u, v), (v, u)))
+        return cls._pack(machine, num_vertices, arcs, unique=True)
 
     @classmethod
     def from_weighted_edges(
@@ -108,55 +77,43 @@ class AdjacencyStore:
         edges: Iterable[Tuple[int, int, Any]],
     ) -> "AdjacencyStore":
         """Build a store whose adjacency records are ``(neighbor, weight)``
-        pairs, from undirected weighted edges ``(u, v, w)``.
+        pairs, from undirected weighted edges ``(u, v, w)``, at the cost
+        of :meth:`from_edges`.
 
         :meth:`neighbors` then returns ``(neighbor, weight)`` tuples.
         Parallel edges are kept (a multigraph is fine for shortest paths).
         """
-        directed = FileStream(machine, name="adj/directed")
-        for u, v, w in edges:
-            if not (0 <= u < num_vertices and 0 <= v < num_vertices):
-                raise ConfigurationError(
-                    f"edge ({u}, {v}) outside vertex range "
-                    f"0..{num_vertices - 1}"
-                )
-            if u == v:
-                continue
-            directed.append((u, (v, w)))
-            directed.append((v, (u, w)))
-        directed.finalize()
-        # em: ok(EM103) fusion candidate: single-scan consumer, future Sorter refactor
-        ordered = external_merge_sort(
-            machine, directed, key=lambda e: e, keep_input=False
-        )
-        packed = FileStream(machine, name="adj/packed")
+        arcs = (arc for u, v, w in _proper(num_vertices, edges)
+                for arc in ((u, (v, w)), (v, (u, w))))
+        return cls._pack(machine, num_vertices, arcs, unique=False)
+
+    @classmethod
+    def _pack(cls, machine: Machine, num_vertices: int,
+              arcs: Iterable[Tuple[int, Any]],
+              unique: bool) -> "AdjacencyStore":
+        """Sort the ``(source, record)`` arcs and write each source's
+        records contiguously, indexing where every list starts; with
+        ``unique``, equal arcs are written once.  Random access by
+        position then goes through the buffer pool by block id."""
+        # The V-entry vertex index is RAM-resident: the survey's
+        # semi-external V ≤ M regime.
         index: Dict[int, Tuple[int, int]] = {}
-        position = 0
-        current = None
-        start = 0
-        for source, record in ordered:
-            if source != current:
-                if current is not None:
-                    # em: ok(EM005) semi-external: the V-entry vertex
-                    # index is RAM-resident (the survey's V ≤ M regime)
-                    index[current] = (start, position - start)
-                current = source
+
+        def lists(ordered: Iterable[Tuple[int, Any]]) -> Iterator[Any]:
+            position = 0
+            for source, arcs_out in groupby(ordered, key=_source):
                 start = position
-            packed.append(record)
-            position += 1
-        if current is not None:
-            index[current] = (start, position - start)
-        packed.finalize()
-        ordered.delete()
-        with BlockFile(
-            machine, max(1, packed.num_blocks), name="adj"
-        ) as blocks:
-            for block_index in range(packed.num_blocks):
-                blocks.write_block(
-                    block_index, packed.read_block(block_index)
-                )
-        packed.delete()
-        return cls(machine, num_vertices, blocks, index)
+                for _, record in arcs_out:
+                    yield record
+                    position += 1
+                index[source] = (start, position - start)
+
+        with Sorter(machine, name="adj/directed") as ordered:
+            ordered.consume(arcs)
+            packed = FileStream.from_records(
+                machine, _primed(lists(_first_of_runs(ordered) if unique
+                                       else ordered)), name="adj/packed")
+        return cls(machine, num_vertices, packed, index)
 
     def degree(self, vertex: int) -> int:
         """Degree of ``vertex`` (no I/O; index lookup)."""
@@ -180,10 +137,7 @@ class AdjacencyStore:
         B = self.machine.block_size
         first_block = start // B
         last_block = (start + degree - 1) // B
-        return [
-            self._blocks.block_id(block_index)
-            for block_index in range(first_block, last_block + 1)
-        ]
+        return list(self._block_ids[first_block:last_block + 1])
 
     def neighbors_from_payloads(self, vertex: int,
                                 payloads: List[List[int]]) -> List[int]:
@@ -208,6 +162,23 @@ class AdjacencyStore:
             vertex, self.machine.pool.get_many(self.span_blocks(vertex))
         )
 
+    def neighbors_of(self, vertices: Iterable[int]) -> Iterator[Any]:
+        """The adjacency lists of the ascending ``vertices``, one after
+        another: a forward scan of their spans through one held frame,
+        each block read once per call however many of the vertices
+        share it (:meth:`neighbors` fetches one vertex at a time
+        through the buffer pool)."""
+        B = self.machine.block_size
+        with self.machine.budget.reserve(B):
+            held, payload = -1, ()
+            for vertex in vertices:
+                start, degree = self._index.get(vertex, (0, 0))
+                for position in range(start, start + degree):
+                    if position // B != held:
+                        held = position // B
+                        payload = self._packed.read_block(held)
+                    yield payload[position - held * B]
+
     @property
     def num_edges(self) -> int:
         """Number of stored directed adjacency entries // 2."""
@@ -215,4 +186,4 @@ class AdjacencyStore:
 
     def delete(self) -> None:
         """Free the adjacency blocks."""
-        self._blocks.delete()
+        self._packed.delete()

@@ -16,14 +16,14 @@ algorithm proper).
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator
 
 from ..analysis.sanitizer import io_bound
 from ..core.bounds import scan_io, sort_io
 from ..core.exceptions import ConfigurationError
 from ..core.machine import Machine
 from ..core.stream import FileStream
-from ..sort.merge import external_merge_sort
+from ..pipeline.sorter import Sorter, _first_of_runs, _primed
 from .adjacency import AdjacencyStore
 
 
@@ -122,29 +122,26 @@ def naive_bfs(machine: Machine, adjacency: AdjacencyStore,
     return distance
 
 
-def _dedupe_sorted(stream_iter: Iterator[int]) -> Iterator[int]:
-    previous = None
-    for value in stream_iter:
-        if value != previous:
-            yield value
-        previous = value
-
-
 def _subtract_sorted(
     values: Iterator[int],
     exclude_a: Iterator[int],
     exclude_b: Iterator[int],
 ) -> Iterator[int]:
-    """Yield ``values`` minus the two sorted exclusion lists (merge scan)."""
-    a = next(exclude_a, None)
-    b = next(exclude_b, None)
-    for value in values:
-        while a is not None and a < value:
-            a = next(exclude_a, None)
-        while b is not None and b < value:
-            b = next(exclude_b, None)
-        if value != a and value != b:
-            yield value
+    """Yield ``values`` minus the two sorted exclusion lists (merge
+    scan); both exclusion scans are closed when this generator ends."""
+    try:
+        a = next(exclude_a, None)
+        b = next(exclude_b, None)
+        for value in values:
+            while a is not None and a < value:
+                a = next(exclude_a, None)
+            while b is not None and b < value:
+                b = next(exclude_b, None)
+            if value != a and value != b:
+                yield value
+    finally:
+        exclude_a.close()
+        exclude_b.close()
 
 
 def _mr_bfs_theory(machine: Machine, n: int) -> int:
@@ -161,6 +158,10 @@ def mr_bfs(machine: Machine, adjacency: AdjacencyStore,
     Level ``t+1`` = sort(neighbors of level ``t``), de-duplicated, minus
     levels ``t`` and ``t-1`` — correct for undirected graphs because any
     neighbor of level ``t`` lies in level ``t-1``, ``t``, or ``t+1``.
+    Per level (:func:`_next_level`): one forward scan of the level's
+    adjacency spans, one pipelined sort's runs written and read back
+    (nothing when the neighbors fit one memoryload), one scan of each
+    of the two previous levels and one write.
     """
     if not 0 <= source < adjacency.num_vertices:
         raise ConfigurationError(f"source {source} out of range")
@@ -168,28 +169,42 @@ def mr_bfs(machine: Machine, adjacency: AdjacencyStore,
     previous = FileStream(machine, name="bfs/prev").finalize()
     current = FileStream.from_records(machine, [source], name="bfs/cur")
     level = 0
-    while len(current) > 0:
-        level += 1
-        with machine.trace(f"bfs-level-{level}"):
-            neighbor_stream = FileStream(machine, name="bfs/neighbors")
-            for vertex in current:
-                for neighbor in adjacency.neighbors(vertex):
-                    neighbor_stream.append(neighbor)
-            neighbor_stream.finalize()
-            # em: ok(EM103) fusion candidate: single-scan consumer, future Sorter refactor
-            ordered = external_merge_sort(
-                machine, neighbor_stream, keep_input=False
-            )
-            next_level = FileStream(machine, name="bfs/next")
-            for vertex in _subtract_sorted(
-                _dedupe_sorted(iter(ordered)), iter(current), iter(previous)
-            ):
-                next_level.append(vertex)
-                distance[vertex] = level
-            next_level.finalize()
-            ordered.delete()
+    try:
+        while len(current) > 0:
+            level += 1
+            with machine.trace(f"bfs-level-{level}"):
+                next_level = _next_level(machine, adjacency, current,
+                                         previous, distance, level)
             previous.delete()
             previous, current = current, next_level
-    previous.delete()
-    current.delete()
-    return distance
+        return distance
+    finally:
+        previous.delete()
+        current.delete()
+
+
+def _next_level(machine: Machine, adjacency: AdjacencyStore,
+                current: FileStream, previous: FileStream,
+                distance: Dict[int, int], level: int) -> FileStream:
+    """Write level ``level``: the neighbors of ``current``, scanned
+    from the adjacency spans into a pipelined Sorter and pulled through
+    the de-duplicating, subtracting scan; each vertex written is
+    recorded in ``distance``.  The pull's plan leaves the scans of
+    ``current`` and ``previous`` their pledged frames and the writer
+    its spare one."""
+
+    def reached(vertices: Iterator[int]) -> Iterator[int]:
+        for vertex in vertices:
+            distance[vertex] = level
+            yield vertex
+
+    with Sorter(machine, name="bfs/neighbors") as ordered, \
+            machine.budget.pledge(2 * machine.B):
+        ordered.consume(adjacency.neighbors_of(current))
+        fresh = _subtract_sorted(_primed(_first_of_runs(ordered)),
+                                 iter(current), iter(previous))
+        try:
+            return FileStream.from_records(machine, reached(fresh),
+                                           name="bfs/next")
+        finally:
+            fresh.close()  # a failed write leaves the scans open

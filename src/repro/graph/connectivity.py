@@ -27,7 +27,7 @@ from ..core.bounds import scan_io, sort_io
 from ..core.exceptions import ConfigurationError, MemoryLimitExceeded
 from ..core.machine import Machine
 from ..core.stream import FileStream
-from ..pipeline.sorter import Sorter
+from ..pipeline.sorter import Sorter, sorted_unique
 from .adjacency import AdjacencyStore
 
 _first = itemgetter(0)
@@ -120,8 +120,8 @@ def external_components(
     Returns ``{vertex: component_min_id}``.
     """
     # labels maps original vertex -> current representative.
-    labels = _written(machine, "cc/labels",
-                      ((v, v) for v in range(num_vertices)))
+    labels = FileStream.from_records(
+        machine, ((v, v) for v in range(num_vertices)), name="cc/labels")
     current_edges = roots = None
     try:
         current_edges = _normalize_edges(machine, edges, num_vertices)
@@ -140,6 +140,8 @@ def external_components(
             current_edges.delete()
             current_edges = contracted
             roots.delete()
+        # em: ok(EM005) the V-entry label map is the declared in-RAM
+        # result (see docstring); the rounds' data stays on streams
         return {v: rep for v, rep in labels}
     finally:
         # delete() is idempotent: whatever a failed round left is freed.
@@ -151,40 +153,6 @@ def external_components(
 # ----------------------------------------------------------------------
 # shared round machinery (also Borůvka's)
 # ----------------------------------------------------------------------
-def _written(machine: Machine, name: str,
-             records: Iterable[Any]) -> FileStream:
-    """``records`` as a finalized stream; a failed write frees it.  The
-    writer's frame is reserved before ``records`` opens a pull."""
-    stream = FileStream(machine, name=name)
-    try:
-        stream.reserve_writer()
-        stream.extend(records)
-        return stream.finalize()
-    except BaseException:
-        stream.delete()
-        raise
-
-
-def _sorted_unique(machine: Machine, records: Iterable[Any], name: str,
-                   same: Optional[Callable[[Any], Any]] = None
-                   ) -> FileStream:
-    """Sort ``records`` and write the first of every
-    run of adjacent records equal under ``same`` (default: the whole
-    record): one Sorter, one written stream."""
-    with Sorter(machine, name=name) as ordered:
-        ordered.consume(records)
-
-        def firsts() -> Iterator[Any]:
-            previous = object()
-            for record in ordered:
-                current = record if same is None else same(record)
-                if current != previous:
-                    yield record
-                previous = current
-
-        return _written(machine, name, firsts())
-
-
 def _join_roots(records: Iterable[tuple], roots: FileStream,
                 index: int) -> Iterator[tuple]:
     """Map field ``index`` of ``records`` (sorted on that field) through
@@ -221,7 +189,7 @@ def _normalize_edges(
             if u != v:
                 yield (min(u, v), max(u, v))
 
-    return _sorted_unique(machine, oriented(), "cc/edges")
+    return sorted_unique(machine, oriented(), "cc/edges")
 
 
 def _hook_to_min_neighbor(
@@ -234,7 +202,7 @@ def _hook_to_min_neighbor(
     ``u < v``, so ``u`` offers itself and ``v`` the smaller ``u``: the
     first offer of each vertex in sorted order is its hook."""
     offers = (offer for u, v in edges for offer in ((u, u), (v, u)))
-    return _sorted_unique(machine, offers, "cc/parents", _first)
+    return sorted_unique(machine, offers, "cc/parents", _first)
 
 
 def _pointer_jump_to_roots(
@@ -276,7 +244,7 @@ def _remap(machine: Machine, pairs: FileStream, lookup: FileStream,
         by_x.consume((v, x, x) for v, x in pairs)
         by_vertex.consume(mapped(by_x))
         pairs.delete()
-        return _written(machine, name, by_vertex), changed
+        return FileStream.from_records(machine, by_vertex, name=name), changed
 
 
 def _contract_edges(
@@ -293,4 +261,4 @@ def _contract_edges(
         contracted = (
             (min(edge[0], edge[1]), max(edge[0], edge[1])) + edge[2:]
             for edge in _join_roots(by_v, roots, 1) if edge[0] != edge[1])
-        return _sorted_unique(machine, contracted, "cc/edges", same)
+        return sorted_unique(machine, contracted, "cc/edges", same)

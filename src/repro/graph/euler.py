@@ -15,15 +15,20 @@ tree given as an undirected edge list.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from itertools import groupby
+from operator import itemgetter
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from ..analysis.sanitizer import io_bound
 from ..core.bounds import scan_io, sort_io
 from ..core.exceptions import ConfigurationError
 from ..core.machine import Machine
 from ..core.stream import FileStream
-from ..sort.merge import external_merge_sort
+from ..pipeline.sorter import Sorter, _primed
 from .list_ranking import list_ranking, weighted_list_ranking
+
+_dst = itemgetter(1)
+_head_order = itemgetter(1, 0)
 
 
 def _tour_theory(machine: Machine, n: int) -> int:
@@ -52,92 +57,71 @@ def build_euler_tour(
 
     Per-vertex adjacency groups are processed in memory (max degree must
     fit), and the arc-id lookup table is held in memory like the other
-    semi-external indexes in this package; the bulk arc traffic goes
-    through sorted streams.
+    semi-external indexes in this package.  The arcs go through one
+    pipelined sort by ``(dst, src)`` whose merge is pulled straight into
+    the link writer: the sort's runs written and read back (nothing
+    when the arcs fit one memoryload), and the links written and read
+    once.
     """
-    arcs = FileStream(machine, name="euler/arcs")
-    edge_count = 0
-    for u, v in edges:
-        if not (0 <= u < num_vertices and 0 <= v < num_vertices):
-            raise ConfigurationError(f"edge ({u}, {v}) outside vertex range")
-        if u == v:
-            raise ConfigurationError(f"self-loop ({u}, {v}) is not a tree")
-        arcs.append((u, v))
-        arcs.append((v, u))
-        edge_count += 1
-    arcs.finalize()
-    if edge_count != num_vertices - 1:
-        raise ConfigurationError(
-            f"a tree on {num_vertices} vertices has {num_vertices - 1} "
-            f"edges, got {edge_count}"
-        )
+    # The 2(V-1)-entry arc table is RAM-resident like this package's
+    # vertex indexes; a group holds one vertex's arriving arcs.
+    arc_endpoints: Dict[int, Tuple[int, int]] = {}
+
+    def linked(by_head: Iterable[Tuple[int, int]]
+               ) -> Iterator[Tuple[int, Tuple[int, int]]]:
+        # For each head vertex, the arc arriving from `src` continues as
+        # the arc leaving toward the cyclically next neighbor.
+        arc_id = 0
+        for head, arriving in groupby(by_head, key=_dst):
+            group = []  # (src, arc_id) per arriving arc
+            for src, _ in arriving:
+                arc_endpoints[arc_id] = (src, head)
+                group.append((src, arc_id))
+                arc_id += 1
+            for position, (src, this_id) in enumerate(group):
+                next_src = group[(position + 1) % len(group)][0]
+                yield (this_id, (head, next_src))
 
     # Arc ids = position in the (dst, src) sort order.
-    # em: ok(EM103) fusion candidate: single-scan consumer, future Sorter refactor
-    by_head = external_merge_sort(
-        machine, arcs, key=lambda a: (a[1], a[0]), keep_input=False
-    )
+    with Sorter(machine, key=_head_order, name="euler/arcs") as by_head:
+        edge_count = 0
+        for u, v in edges:
+            if not (0 <= u < num_vertices and 0 <= v < num_vertices):
+                raise ConfigurationError(
+                    f"edge ({u}, {v}) outside vertex range")
+            if u == v:
+                raise ConfigurationError(
+                    f"self-loop ({u}, {v}) is not a tree")
+            by_head.push((u, v))
+            by_head.push((v, u))
+            edge_count += 1
+        if edge_count != num_vertices - 1:
+            raise ConfigurationError(
+                f"a tree on {num_vertices} vertices has {num_vertices - 1} "
+                f"edges, got {edge_count}"
+            )
+        links = FileStream.from_records(
+            machine, _primed(linked(by_head)), name="euler/links")
 
-    # For each head vertex, the arc arriving from `src` continues as the
-    # arc leaving toward the cyclically next neighbor.
-    links = FileStream(machine, name="euler/links")
-    arc_endpoints: Dict[int, Tuple[int, int]] = {}
-    arc_id = 0
-    group_head: Optional[int] = None
-    group: List[Tuple[int, int]] = []  # (src, arc_id) per arriving arc
+    try:
+        # Resolve successor endpoint pairs to arc ids through the
+        # RAM-resident arc table.
+        endpoint_to_id = {ends: arc for arc, ends in arc_endpoints.items()}
 
-    def emit_group() -> None:
-        degree = len(group)
-        for position, (src, this_id) in enumerate(group):
-            next_src = group[(position + 1) % degree][0]
-            # The arc arriving at group_head from src continues as the
-            # arc leaving group_head toward the next neighbor.
-            links.append((this_id, (group_head, next_src)))
+        start_neighbor = min(
+            d for s, d in arc_endpoints.values() if s == root
+        )
+        start_id = endpoint_to_id[(root, start_neighbor)]
 
-    for src, dst in by_head:
-        if dst != group_head:
-            if group_head is not None:
-                emit_group()
-            group_head = dst
-            group = []
-        # em: ok(EM005) semi-external: the 2(V-1)-entry arc table is
-        # RAM-resident like this package's vertex indexes
-        arc_endpoints[arc_id] = (src, dst)
-        # em: ok(EM005) one vertex's arriving-arc group (<= degree)
-        group.append((src, arc_id))
-        arc_id += 1
-    if group_head is not None:
-        emit_group()
-    links.finalize()
-    by_head.delete()
-
-    # Resolve successor endpoint pairs to arc ids.  The id of arc
-    # (s, d) is its rank in the (d, s) order; build the lookup by
-    # sorting links on the successor's (dst, src) and walking in step
-    # with the id order.
-    # em: ok(EM004) sorts the RAM-resident arc-id table (2(V-1) ids)
-    order = sorted(
-        arc_endpoints, key=lambda a: (arc_endpoints[a][1],
-                                      arc_endpoints[a][0])
-    )
-    # order[i] == i by construction, but recompute defensively.
-    endpoint_to_id = {
-        (arc_endpoints[a][0], arc_endpoints[a][1]): a for a in order
-    }
-
-    start_neighbor = min(
-        d for s, d in arc_endpoints.values() if s == root
-    )
-    start_id = endpoint_to_id[(root, start_neighbor)]
-
-    successor_pairs: List[Tuple[int, int]] = []
-    for this_id, (succ_src, succ_dst) in links:
-        succ_id = endpoint_to_id[(succ_src, succ_dst)]
-        if succ_id == start_id:
-            succ_id = -1  # break the cycle where it would re-enter start
-        # em: ok(EM005) semi-external: the 2(V-1)-entry successor list
-        successor_pairs.append((this_id, succ_id))
-    links.delete()
+        successor_pairs: List[Tuple[int, int]] = []
+        for this_id, (succ_src, succ_dst) in links:
+            succ_id = endpoint_to_id[(succ_src, succ_dst)]
+            if succ_id == start_id:
+                succ_id = -1  # break the cycle where it would re-enter start
+            # em: ok(EM005) semi-external: the 2(V-1)-entry successor list
+            successor_pairs.append((this_id, succ_id))
+    finally:
+        links.delete()
     return successor_pairs, arc_endpoints
 
 

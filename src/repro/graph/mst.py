@@ -38,7 +38,6 @@ from .connectivity import (
     _contract_edges,
     _join_roots,
     _pointer_jump_to_roots,
-    _written,
 )
 
 
@@ -136,8 +135,8 @@ def external_boruvka(
     """
     # The loaded edges are round one's edge list and, at the end, the
     # on-disk index from chosen edge ids back to original edges.
-    originals: FileStream = _written(machine, "mst/edges",
-                                     _positioned(num_vertices, edges))
+    originals = FileStream.from_records(
+        machine, _positioned(num_vertices, edges), name="mst/edges")
     current, parents, resolved, roots = originals, None, None, None
     chosen_ids: Set[int] = set()
     try:
@@ -158,8 +157,9 @@ def external_boruvka(
                 directed.consume(
                     edge for u, v, w, eid in current
                     for edge in ((u, v, w, eid), (v, u, w, eid)))
-                parents = _written(machine, "mst/parents",
-                                   _hooks(directed, by_parent, chosen_ids))
+                parents = FileStream.from_records(
+                    machine, _hooks(directed, by_parent, chosen_ids),
+                    name="mst/parents")
 
                 # Two vertices that pick the same edge hook to each
                 # other, forming a 2-cycle; make the smaller endpoint of
@@ -168,8 +168,8 @@ def external_boruvka(
                         by_parent, parents, 2):
                     if grandparent == vertex and vertex < parent:
                         mutual.push(vertex)
-                resolved = _written(
-                    machine, "mst/resolved", _rooted(parents, mutual))
+                resolved = FileStream.from_records(
+                    machine, _rooted(parents, mutual), name="mst/resolved")
             parents.delete()
             roots = _pointer_jump_to_roots(machine, resolved)
 

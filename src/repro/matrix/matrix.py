@@ -19,6 +19,7 @@ Transposing it is a *permutation*, and the survey's transpose bound
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from ..analysis.sanitizer import io_bound
@@ -26,8 +27,10 @@ from ..core.blockfile import BlockFile
 from ..core.bounds import scan_io, sort_io
 from ..core.exceptions import ConfigurationError
 from ..core.machine import Machine
-from ..core.stream import FileStream
-from ..sort.merge import external_merge_sort
+from ..pipeline.sorter import Sorter, _primed
+
+
+_target = itemgetter(0)
 
 
 def _matrix_n(machine: Machine, matrix: "ExternalMatrix") -> int:
@@ -245,34 +248,37 @@ def transpose_blocked(machine: Machine,
 @io_bound(_permute_theory, factor=3.0, n=_matrix_n)
 def transpose_by_sort(machine: Machine,
                       matrix: ExternalMatrix) -> ExternalMatrix:
-    """Transpose as a general permutation routed by an external sort:
-    ``O(Sort(N))`` I/Os, no alignment requirements."""
+    """Transpose as a general permutation routed by a pipelined sort:
+    ``O(Sort(N))`` I/Os, no alignment requirements — one input scan
+    into the sort, its runs written and read back (nothing when the
+    matrix fits one memoryload), and one write of the result."""
     p, q = matrix.rows, matrix.cols
-    tagged = FileStream(machine, name="transpose/tagged")
-    position = 0
-    for value in matrix.blocks.scan():
-        i, j = divmod(position, q)
-        tagged.append((j * p + i, value))
-        position += 1
-    tagged.finalize()
-    # em: ok(EM103) fusion candidate: single-scan consumer, future Sorter refactor
-    ordered = external_merge_sort(
-        machine, tagged, key=lambda pair: pair[0], keep_input=False
-    )
-    result = ExternalMatrix(machine, q, p)
     B = machine.block_size
-    with machine.budget.reserve(B):
-        buffer: List[Any] = []
-        index = 0
-        for _, value in ordered:
-            buffer.append(value)
-            if len(buffer) == B:
-                result.blocks.write_block(index, buffer)
-                index += 1
-                buffer = []
-        if buffer:
-            result.blocks.write_block(index, buffer)
-    ordered.delete()
+    with Sorter(machine, key=_target, name="transpose/tagged") as ordered, \
+            machine.budget.pledge(B):
+        ordered.consume(
+            ((position % q) * p + position // q, value)
+            for position, value in enumerate(matrix.blocks.scan()))
+        # The pull's plan leaves the output buffer its pledged frame
+        # and the result's block file its spare one; both are taken
+        # once the first record is pulled.
+        pull = _primed(ordered)
+        result = ExternalMatrix(machine, q, p)
+        try:
+            with machine.budget.reserve(B):
+                buffer: List[Any] = []
+                index = 0
+                for _, value in pull:
+                    buffer.append(value)
+                    if len(buffer) == B:
+                        result.blocks.write_block(index, buffer)
+                        index += 1
+                        buffer = []
+                if buffer:
+                    result.blocks.write_block(index, buffer)
+        except BaseException:
+            result.delete()
+            raise
     return result
 
 

@@ -12,13 +12,14 @@ Three entry points:
 * :func:`permute_naive` — one read-modify-write per record against the
   target block file, with a one-frame write cache for lucky locality.
 * :func:`permute_by_sort` — tag each record with its target index and
-  externally sort by it.
+  route it through a pipelined sort by that index.
 * :func:`permute` — the optimal dispatcher choosing the cheaper branch
   from the closed-form bounds.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, List, Optional, Sequence
 
 from ..analysis.sanitizer import io_bound
@@ -27,12 +28,14 @@ from ..core.bounds import scan_io, sort_io
 from ..core.exceptions import ConfigurationError
 from ..core.machine import Machine
 from ..core.stream import FileStream
-from ..sort.merge import external_merge_sort
+from ..pipeline.sorter import Sorter, _primed
 
 
 #: bits of permutation-validation bitmap charged as one budget record
 #: (a record is at least one machine word)
 _BITS_PER_RECORD = 64
+
+_target = itemgetter(0)
 
 
 def _check_lengths(stream: FileStream, targets: Sequence[int]) -> None:
@@ -86,7 +89,8 @@ def _naive_theory(machine: Machine, n: int) -> int:
 
 
 def _by_sort_theory(machine: Machine, n: int) -> int:
-    """One external sort of the tagged records plus tag/strip scans."""
+    """One sort of the tagged records plus the tag scan and the strip
+    write."""
     return (sort_io(n, machine.M, machine.B, machine.D)
             + 4 * scan_io(n, machine.B, machine.D))
 
@@ -151,25 +155,23 @@ def permute_by_sort(
     targets: Sequence[int],
     validate: bool = True,
 ) -> FileStream:
-    """Route records to their targets with an external sort:
-    ``O(Sort(N))`` I/Os regardless of the permutation's shape."""
+    """Route records to their targets with a pipelined sort:
+    ``O(Sort(N))`` I/Os regardless of the permutation's shape.
+
+    The ``(target, record)`` tags are pushed straight into a
+    :class:`~repro.pipeline.sorter.Sorter` and stripped as the merge is
+    pulled into the output: one input scan, the sort's runs written and
+    read back (nothing when ``N`` fits one memoryload), one output
+    write."""
     if validate:
         _check_lengths(stream, targets)
-    tagged = FileStream(machine, name="permute/tagged")
-    with machine.trace("tag"):
-        for position, record in enumerate(stream):
-            tagged.append((targets[position], record))
-        tagged.finalize()
-    # em: ok(EM103) fusion candidate: single-scan consumer, future Sorter refactor
-    ordered = external_merge_sort(
-        machine, tagged, key=lambda pair: pair[0], keep_input=False
-    )
-    result = FileStream(machine, name="permuted")
-    with machine.trace("strip"):
-        for _, record in ordered:
-            result.append(record)
-        ordered.delete()
-        return result.finalize()
+    with Sorter(machine, key=_target, name="permute/tagged") as ordered:
+        with machine.trace("tag"):
+            ordered.consume(zip(targets, stream))
+        with machine.trace("strip"):
+            return FileStream.from_records(
+                machine, _primed(record for _, record in ordered),
+                name="permuted")
 
 
 @io_bound(lambda machine, n: min(_naive_theory(machine, n),
@@ -188,7 +190,9 @@ def permute(
     _check_lengths(stream, targets)
     n = len(stream)
     naive_cost = 2 * n
-    sort_cost = 3 * sort_io(n, machine.M, machine.B)  # tag + sort + strip
+    # Tag scan + the Sorter's runs + strip write: the materialized
+    # sort's passes, less its input read and output write.
+    sort_cost = sort_io(n, machine.M, machine.B)
     if naive_cost <= sort_cost:
         return permute_naive(machine, stream, targets, validate=False)
     return permute_by_sort(machine, stream, targets, validate=False)

@@ -40,6 +40,7 @@ passes, never a record at a time.
 
 from __future__ import annotations
 
+from itertools import chain, islice
 from typing import Any, Callable, Iterable, Iterator, List, Optional, \
     Sequence
 
@@ -55,6 +56,7 @@ _PUSH = "push"
 _PULL = "pull"
 _FAILED = "failed"
 _CLOSED = "closed"
+_NO_RECORD = object()   # compares unequal to every record
 
 
 class Sorter:
@@ -461,6 +463,47 @@ class Sorter:
             f"Sorter(name={self._name!r}, records={self._count}, "
             f"runs={len(self._runs)}, {self._state})"
         )
+
+
+def _first_of_runs(records: Iterable[Any],
+                  same: Optional[Callable[[Any], Any]] = None
+                  ) -> Iterator[Any]:
+    """The first record of every run of adjacent ``records`` equal
+    under ``same`` (default: the whole record) — de-duplication of a
+    sorted pull, in the pull's frames."""
+    previous = _NO_RECORD
+    for record in records:
+        current = record if same is None else same(record)
+        if current != previous:
+            yield record
+        previous = current
+
+
+def _primed(records: Iterable[Any]) -> Iterator[Any]:
+    """``records`` with its first record pulled now.  Whatever the
+    consumer opens after this call — a writer, level scans — a
+    merge-down behind a Sorter's first pull has already run in every
+    free frame, as it would beside a writer that opens at its first
+    record."""
+    records = iter(records)
+    return chain(list(islice(records, 1)), records)
+
+
+def sorted_unique(machine: Machine, records: Iterable[Any], name: str,
+                  same: Optional[Callable[[Any], Any]] = None
+                  ) -> FileStream:
+    """Sort ``records`` and write the first of every run of adjacent
+    records equal under ``same`` (default: the whole record): one
+    Sorter, one written stream.
+
+    The writer takes the frame the producer's reader gave back before
+    the pull is planned: the pull is not primed, which keeps the
+    connectivity and Borůvka rounds' plans (priming moves their
+    transfers by a few blocks either way)."""
+    with Sorter(machine, name=name) as ordered:
+        ordered.consume(records)
+        return FileStream.from_records(
+            machine, _first_of_runs(ordered, same), name=name)
 
 
 def _flatten(segments: Iterator[Sequence[Any]]) -> Iterator[Any]:

@@ -8,13 +8,15 @@ engines implement ORDER BY and sort-based aggregation.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import groupby
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from ..analysis.sanitizer import io_bound
 from ..core.bounds import scan_io, sort_io
 from ..core.exceptions import ConfigurationError, MemoryLimitExceeded
 from ..core.machine import Machine
 from ..core.stream import FileStream
+from ..pipeline.sorter import Sorter, _primed, sorted_unique
 from ..sort.merge import external_merge_sort
 from .table import Table
 
@@ -112,19 +114,12 @@ def distinct(
     table: Table,
     name: str = "distinct",
 ) -> Table:
-    """Remove duplicate rows: one external sort + a de-duplicating scan
-    (``O(Sort(N))``), the standard DISTINCT plan."""
-    machine = table.machine
-    # em: ok(EM103) fusion candidate: single-scan consumer, future Sorter refactor
-    ordered = external_merge_sort(machine, table.stream)
-    out = FileStream(machine, name=f"table/{name}")
-    previous = None
-    for row in ordered:
-        if row != previous:
-            out.append(row)
-        previous = row
-    ordered.delete()
-    return Table(machine, table.columns, out.finalize(), name=name)
+    """Remove duplicate rows: the standard DISTINCT plan, ``O(Sort(N))``
+    — one input scan into a pipelined sort whose merge is pulled
+    through a de-duplicating writer (the sort's runs written and read
+    back, nothing when the table fits one memoryload)."""
+    out = sorted_unique(table.machine, table.stream, f"table/{name}")
+    return Table(table.machine, table.columns, out, name=name)
 
 
 @io_bound(_scan_out_theory, factor=2.0, n=_table_n)
@@ -204,8 +199,11 @@ def group_by(
         aggregates: ``(aggregate_name, value_column)`` pairs, e.g.
             ``[("sum", "amount"), ("count", "amount")]``.
 
-    Cost: one external sort of the input plus one scan.  Output columns
-    are ``(key_column, "agg_column", ...)``.
+    Cost: ``O(Sort(N))`` — one input scan into a pipelined sort whose
+    merge is pulled through the aggregating writer (the sort's runs
+    written and read back, nothing when the table fits one
+    memoryload).  Output columns are ``(key_column, "agg_column",
+    ...)``.
     """
     machine = table.machine
     key_fn = table.key_fn(key_column)
@@ -222,34 +220,21 @@ def group_by(
              f"{agg_name}_{value_column}")
         )
 
-    # em: ok(EM103) fusion candidate: single-scan consumer, future Sorter refactor
-    ordered = external_merge_sort(machine, table.stream, key=key_fn)
-    out = FileStream(machine, name=f"table/{name}")
-    current_key = None
-    states: List[Any] = []
-    have_group = False
-
-    def emit() -> None:
-        out.append(
-            tuple([current_key] + [
+    def groups(ordered: Iterator[Tuple]) -> Iterator[Tuple]:
+        for key, rows in groupby(ordered, key=key_fn):
+            states = [spec[0].init() for spec in specs]
+            for row in rows:
+                states = [
+                    spec[0].step(state, row[spec[1]])
+                    for spec, state in zip(specs, states)
+                ]
+            yield tuple([key] + [
                 spec[0].final(state) for spec, state in zip(specs, states)
             ])
-        )
 
-    for row in ordered:
-        row_key = key_fn(row)
-        if not have_group or row_key != current_key:
-            if have_group:
-                emit()
-            current_key = row_key
-            states = [spec[0].init() for spec in specs]
-            have_group = True
-        states = [
-            spec[0].step(state, row[spec[1]])
-            for spec, state in zip(specs, states)
-        ]
-    if have_group:
-        emit()
-    ordered.delete()
+    with Sorter(machine, key=key_fn, name=f"table/{name}") as ordered:
+        ordered.consume(table.stream)
+        out = FileStream.from_records(
+            machine, _primed(groups(ordered)), name=f"table/{name}")
     columns = [key_column] + [spec[2] for spec in specs]
-    return Table(machine, columns, out.finalize(), name=name)
+    return Table(machine, columns, out, name=name)

@@ -20,16 +20,17 @@ reference used by the tests.
 
 from __future__ import annotations
 
-from typing import Any, List, Sequence
+from operator import itemgetter
+from typing import Any, Iterator, List, Sequence, Tuple
 
 from ..analysis.sanitizer import io_bound
 from ..core.bounds import scan_io, sort_io
 from ..core.machine import Machine
 from ..core.stream import FileStream
-from ..pipeline.sorter import Sorter
-from ..sort.merge import external_merge_sort
+from ..pipeline.sorter import Sorter, _primed
 
 _MISSING = -1  # rank of the empty suffix beyond the text end
+_first = itemgetter(0)
 
 
 def _sa_theory(machine: Machine, n: int) -> float:
@@ -56,38 +57,14 @@ def suffix_array(machine: Machine, text: Sequence[Any]) -> List[int]:
     if n == 1:
         return [0]
 
-    # Round 0: rank positions by their first symbol.  Every stream a
-    # failed round leaves is freed on the way out (delete() is
-    # idempotent).
-    singles = ranks = FileStream(machine, name="sa/singles")
+    # Round 0: rank positions by their first symbol, as a doubling
+    # round ranks them by their rank pair.  A failed round frees its own
+    # streams; the ranks in hand are freed on the way out.
+    with Sorter(machine, key=_first, name="sa/singles") as by_symbol:
+        by_symbol.consume(
+            (symbol, position) for position, symbol in enumerate(text))
+        ranks, distinct = _ranked(machine, by_symbol.finish())
     try:
-        for position, symbol in enumerate(text):
-            singles.append((symbol, position))
-        singles.finalize()
-        # em: ok(EM103) fusion candidate: single-scan consumer, future Sorter refactor
-        ordered = external_merge_sort(
-            machine, singles, key=lambda r: r[0], keep_input=False
-        )
-        ranks = FileStream(machine, name="sa/ranks")  # (position, rank)
-        first = True
-        previous_symbol = None
-        rank = -1
-        distinct = 0
-        try:
-            for symbol, position in ordered:
-                if first or symbol != previous_symbol:
-                    rank += 1
-                    distinct += 1
-                    previous_symbol = symbol
-                    first = False
-                ranks.append((position, rank))
-        finally:
-            ordered.delete()
-        ranks.finalize()
-        ranks = external_merge_sort(
-            machine, ranks, key=lambda r: r[0], keep_input=False
-        )
-
         k = 1
         while distinct < n and k < 2 * n:
             ranks, distinct = _double(machine, ranks, n, k)
@@ -95,13 +72,12 @@ def suffix_array(machine: Machine, text: Sequence[Any]) -> List[int]:
 
         # ranks is sorted by position; the suffix array inverts it.
         result: List[int] = [0] * n
+        # The N-integer suffix array is the declared in-RAM result (see
+        # docstring); the working data stays on streams.
         for position, rank in ranks:
-            # em: ok(EM005) the N-integer suffix array is the declared
-            # in-RAM result (see docstring); working data stays on streams
             result[rank] = position
         return result
     finally:
-        singles.delete()
         ranks.delete()
 
 
@@ -120,7 +96,7 @@ def _double(machine: Machine, ranks: FileStream, n: int, k: int):
     # over ``ranks`` already in position order — so the round's only
     # materialized stream is the returned by-position ranks, and no
     # temporary outlives the round.
-    with Sorter(machine, key=lambda r: r[0], name="sa/pairs") as by_pair:
+    with Sorter(machine, key=_first, name="sa/pairs") as by_pair:
         # Merge the position scan against the shifted scan to pair each
         # position's rank with the rank at distance k.
         shift_iter = iter(ranks)
@@ -142,26 +118,25 @@ def _double(machine: Machine, ranks: FileStream, n: int, k: int):
             shift_iter.close()
             position_iter.close()
         ranks.delete()
+        return _ranked(machine, by_pair.finish())
 
-        with Sorter(machine, key=lambda r: r[0],
-                    name="sa/by-position") as by_position:
-            previous_pair = None
-            rank = -1
-            distinct = 0
-            for pair, position in by_pair.finish():
-                if previous_pair is None or pair != previous_pair:
-                    rank += 1
-                    distinct += 1
-                    previous_pair = pair
-                by_position.push((position, rank))
-            new_ranks = FileStream(machine, name="sa/ranks")
-            try:
-                for record in by_position.finish():
-                    new_ranks.append(record)
-            except BaseException:
-                new_ranks.delete()
-                raise
-    return new_ranks.finalize(), distinct
+
+def _ranked(machine: Machine, ordered: Iterator[Tuple[Any, int]]
+            ) -> Tuple[FileStream, int]:
+    """Rank the key-sorted ``(key, position)`` records of ``ordered``
+    densely by key and write ``(position, rank)`` in position order,
+    through a second Sorter; also returns the number of distinct keys."""
+    previous = object()
+    rank = -1
+    with Sorter(machine, key=_first, name="sa/by-position") as by_position:
+        for key, position in ordered:
+            if key != previous:
+                rank += 1
+                previous = key
+            by_position.push((position, rank))
+        ranks = FileStream.from_records(
+            machine, _primed(by_position), name="sa/ranks")
+    return ranks, rank + 1
 
 
 # em: ok(EM003) in-memory reference oracle for tests, outside the model

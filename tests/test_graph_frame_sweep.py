@@ -1,10 +1,13 @@
 """Frame plans of the pipelined-Sorter algorithms across machine shapes.
 
 Hook-and-contract connectivity, Borůvka, semi-external Kruskal, list
-ranking, the sort-merge join, time-forward processing and suffix-array
-doubling run their sorts as pipelined Sorters whose pulls share memory
-with a lookup scan, a writer, the next Sorter's run buffer, the
-union-find, a priority queue or the join's key groups.  Over
+ranking, the sort-merge join, time-forward processing, suffix-array
+doubling, Munagala–Ranade BFS, the Euler tour, both adjacency builders,
+permuting and transposing by sort, DISTINCT and GROUP BY run their
+sorts as pipelined Sorters whose pulls share memory with a lookup
+scan, a writer, the next Sorter's run buffer, the union-find, a
+priority queue, the join's key groups, two level scans or an output
+buffer.  Over
 ``D ∈ {1, 2, 4}`` and ``(B, m) ∈ {(16, 8), (32, 16), (64, 48)}`` the
 answer must be right, the budget peak must stay within ``M``, and both a
 finished run and one killed mid-way by a fault plan must give back
@@ -19,18 +22,24 @@ from repro.core import FileStream, Machine
 from repro.core.exceptions import RetryExhaustedError, SimulatedCrash
 from repro.faults import FaultPlan
 from repro.graph import (
+    AdjacencyStore,
+    build_euler_tour,
     external_boruvka,
     external_components,
     list_ranking,
+    mr_bfs,
     semi_external_kruskal,
     time_forward_process,
     weighted_list_ranking,
 )
-from repro.relational import Table, sort_merge_join
+from repro.matrix import ExternalMatrix, transpose_by_sort
+from repro.permute import permute_by_sort
+from repro.relational import Table, distinct, group_by, sort_merge_join
 from repro.text import suffix_array, suffix_array_naive
 from repro.workloads import (
     components_graph,
     connected_random_graph,
+    distinct_ints,
     foreign_key_relations,
     random_linked_list,
 )
@@ -187,6 +196,152 @@ def suffix_case(B, m):
         suffix_array_naive(text)
 
 
+def bfs_case(n):
+    n, edges = connected_random_graph(n, avg_degree=4, seed=13)
+    neighbors = {v: set() for v in range(n)}
+    for u, v in edges:
+        neighbors[u].add(v)
+        neighbors[v].add(u)
+    expected, frontier, level = {0: 0}, {0}, 0
+    while frontier:
+        level += 1
+        frontier = {w for v in frontier for w in neighbors[v]
+                    if w not in expected}
+        expected.update((w, level) for w in frontier)
+
+    def run(machine):
+        adjacency = AdjacencyStore.from_edges(machine, n, edges)
+        return lambda: mr_bfs(machine, adjacency, 0)
+
+    return run, expected
+
+
+def euler_case(n):
+    """A random tree: arcs numbered in ``(dst, src)`` order, each arc
+    followed by the arc leaving its head toward the next neighbor."""
+    rng = random.Random(14)
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    arcs = sorted(edges + [(v, u) for u, v in edges],
+                  key=lambda arc: (arc[1], arc[0]))
+    arc_id = {arc: i for i, arc in enumerate(arcs)}
+    sources = {}
+    for src, dst in arcs:
+        sources.setdefault(dst, []).append(src)
+    start = arc_id[(0, min(sources[0]))]
+    successors = []
+    for (src, dst), this in arc_id.items():
+        around = sources[dst]
+        succ = arc_id[(dst, around[(around.index(src) + 1) % len(around)])]
+        successors.append((this, -1 if succ == start else succ))
+    expected = (successors, {i: arc for arc, i in arc_id.items()})
+
+    def run(machine):
+        return lambda: build_euler_tour(machine, n, edges, 0)
+
+    return run, expected
+
+
+def adjacency_case(n, weights):
+    """A multigraph with self-loops and repeated edges."""
+    rng = random.Random(15)
+    edges = [(rng.randrange(n), rng.randrange(n), rng.randint(1, 3))
+             for _ in range(2 * n)]
+    lists = {}
+    for u, v, w in edges:
+        if u != v:
+            lists.setdefault(u, []).append((v, w) if weights else v)
+            lists.setdefault(v, []).append((u, w) if weights else u)
+    expected = {v: sorted(out if weights else set(out))
+                for v, out in lists.items()}
+
+    def run(machine):
+        def call():
+            if weights:
+                store = AdjacencyStore.from_weighted_edges(machine, n, edges)
+            else:
+                store = AdjacencyStore.from_edges(
+                    machine, n, [(u, v) for u, v, _ in edges])
+            result = {v: store.neighbors(v) for v in range(n)
+                      if store.degree(v)}
+            store.delete()
+            return result
+
+        return call
+
+    return run, expected
+
+
+def permute_case(n):
+    targets = distinct_ints(n, seed=16)
+    expected = [None] * n
+    for position, target in enumerate(targets):
+        expected[target] = position
+
+    def run(machine):
+        stream = FileStream.from_records(machine, range(n))
+
+        def call():
+            permuted = permute_by_sort(machine, stream, targets)
+            result = list(permuted)
+            permuted.delete()
+            return result
+
+        return call
+
+    return run, expected
+
+
+def transpose_case(p, q):
+    """A ``p × q`` matrix, neither side a multiple of ``B``.  The input
+    is built inside the call: a matrix holds its staging frame."""
+    def run(machine):
+        def call():
+            matrix = ExternalMatrix.from_function(
+                machine, p, q, lambda i, j: i * q + j)
+            try:
+                result = transpose_by_sort(machine, matrix)
+                try:
+                    return result.to_rows()
+                finally:
+                    result.delete()
+            finally:
+                matrix.delete()
+
+        return call
+
+    return run, [[i * q + j for i in range(p)] for j in range(q)]
+
+
+def table_case(n, operator):
+    """``n`` rows over ``n / 8`` keys and four values."""
+    rng = random.Random(17)
+    rows = [(rng.randrange(n // 8), rng.randrange(4)) for _ in range(n)]
+    if operator == "distinct":
+        expected = sorted(set(rows))
+    else:
+        sums = {}
+        for key, value in rows:
+            total, count = sums.get(key, (0, 0))
+            sums[key] = (total + value, count + 1)
+        expected = [(key,) + sums[key] for key in sorted(sums)]
+
+    def run(machine):
+        table = Table.from_rows(machine, ("k", "v"), rows, name="t")
+
+        def call():
+            if operator == "distinct":
+                out = distinct(table)
+            else:
+                out = group_by(table, "k", [("sum", "v"), ("count", "v")])
+            result = list(out.rows())
+            out.delete()
+            return result
+
+        return call
+
+    return run, expected
+
+
 # Twice as many vertices as M: multi-round, multi-run sorts that merge
 # down to the pull width.  Half of M: single-run sorts.
 CASES = {
@@ -202,6 +357,14 @@ CASES = {
     "join-group": join_group_case,
     "time-forward": timeforward_case,
     "suffix-array": suffix_case,
+    "mr-bfs": lambda B, m: bfs_case(2 * B * m),
+    "euler-tour": lambda B, m: euler_case(B * m),
+    "adjacency": lambda B, m: adjacency_case(B * m, weights=False),
+    "adjacency-weighted": lambda B, m: adjacency_case(B * m, weights=True),
+    "permute-by-sort": lambda B, m: permute_case(2 * B * m),
+    "transpose-by-sort": lambda B, m: transpose_case(2 * m + 1, B - 1),
+    "distinct": lambda B, m: table_case(2 * B * m, "distinct"),
+    "group-by": lambda B, m: table_case(2 * B * m, "group-by"),
 }
 
 # Parallel steps of the materialized (pre-pipelining) rounds at the

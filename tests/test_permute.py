@@ -113,14 +113,27 @@ class TestIOBehaviour:
         assert io_sort.total < io_naive.total
 
     def test_dispatcher_picks_cheaper_branch(self):
-        # Large blocks: sorting wins and the dispatcher must match it.
-        m = machine(B=64, m=8)
+        # The F5 block sizes at m = 8: the naive branch wins on tiny
+        # blocks, the sort from B = 8 on, and at every one the
+        # dispatcher must take the branch that measures cheaper.
         n = 4000
         targets = distinct_ints(n, seed=7)
-        s = FileStream.from_records(m, range(n))
-        with m.measure() as io:
-            permute(m, s, targets)
-        assert io.total < 2 * n
+        expected = apply_reference(list(range(n)), targets)
+
+        def measured(branch, B):
+            m = machine(B=B, m=8)
+            s = FileStream.from_records(m, range(n))
+            with m.measure() as io:
+                out = branch(m, s, targets)
+            assert list(out) == expected
+            return io.total
+
+        for B in (1, 2, 8, 64, 256):
+            cheaper = min(measured(permute_naive, B),
+                          measured(permute_by_sort, B))
+            assert measured(permute, B) == cheaper, B
+        # Large blocks: sorting wins.
+        assert measured(permute, 64) < 2 * n
 
 
 class TestBitReversal:

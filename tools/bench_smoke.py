@@ -57,7 +57,8 @@ smoke scale for all three refactored consumers (sort-merge join,
 time-forward processing, list ranking), recording the fused/
 materialized I/O ratio per consumer — fused must never lose — and
 gates on the EM103 fusion baseline, counted from the same emlint pass:
-zero unwaived sort-then-scan boundaries anywhere in ``src/repro``.
+no unwaived sort-then-scan boundary anywhere in ``src/repro``, and the
+waived ones are exactly the 8 materialized F25 controls.
 """
 
 import argparse
@@ -671,12 +672,15 @@ def sorter_tails_smoke():
 
 PIPE_B, PIPE_M_BLOCKS = 64, 48
 PIPE_JOIN_N, PIPE_TFP_N, PIPE_LISTRANK_N = 8_000, 4_000, 8_000
+#: the one EM103 waiver reason allowed: the F25 materialized controls
+EM103_CONTROL = "materialized control for F25/parity"
+EM103_CONTROLS = 8
 
 
 def pipeline_smoke():
     """F25 at smoke scale: fused vs materialized I/O per consumer, and
-    the EM103 fusion baseline (zero unwaived sort-then-scan
-    boundaries)."""
+    the EM103 fusion baseline (no unwaived sort-then-scan boundary;
+    the waived ones are exactly the F25 controls)."""
     from repro.graph import (
         list_ranking,
         list_ranking_materialized,
@@ -750,6 +754,12 @@ def pipeline_smoke():
     assert unwaived == 0, (
         f"{unwaived} unwaived EM103 sort-then-scan boundary(ies) in "
         "src/repro"
+    )
+    others = [f"{f.path}:{f.line}" for f in em103
+              if f.waiver_reason != EM103_CONTROL]
+    assert not others and len(em103) == EM103_CONTROLS, (
+        f"EM103 waivers must be the {EM103_CONTROLS} F25 controls; "
+        f"found {len(em103)}, other than controls: {others}"
     )
     points.append({
         "consumer": "(em103_gate)",

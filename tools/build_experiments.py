@@ -49,9 +49,9 @@ CLAIMS = [
      "Moving records one-by-one costs ~2N I/Os; routing them by sorting "
      "costs Sort(N).  The winner flips as B grows: permuting is as hard "
      "as sorting except for tiny blocks.",
-     "Naive wins at B=1–2; sort-based wins from B=8 up — by 13x at "
-     "B=64 and 50x at B=256.  The dispatcher picks the winner on both "
-     "sides."),
+     "Naive wins at B=1–2; sort-based wins from B=8 up — by 22x at "
+     "B=64 and 102x at B=256, the tags going through a pipelined "
+     "Sorter.  The dispatcher picks the winner on both sides."),
     ("F6", "Matrix transpose",
      "With a B×B tile resident, transpose is one read + one write pass "
      "(2N/B); the RAM column loop degenerates toward one I/O per "
@@ -90,9 +90,11 @@ CLAIMS = [
      "Naive BFS pays ~1 random I/O per edge against its on-disk visited "
      "structure; MR-BFS costs O(V + Sort(E)).  Meshes' locality narrows "
      "the gap, random layouts show it in full.",
-     "MR-BFS beats the fully external naive BFS 4.8x on the random "
-     "graph and 2.1x on the grid, whose locality softens the naive "
-     "baseline — both halves as predicted."),
+     "MR-BFS beats the fully external naive BFS 5.3x on the random "
+     "graph and 3.6x on the grid, whose locality softens the naive "
+     "baseline — both halves as predicted.  Each level is one "
+     "pipelined sort pulled straight through the dedupe-and-subtract "
+     "scan."),
     ("F12", "Parallel disks (PDM)",
      "One I/O step moves D blocks, so striped scans speed up ~D; "
      "striped sorting gains less because each striped run costs D "
@@ -178,7 +180,7 @@ CLAIMS = [
      "Text indexes over corpora larger than memory are built with "
      "batched primitives: prefix doubling costs O(Sort(N)) per round "
      "and O(log N) rounds, with no random access to the text.",
-     "I/O per suffix is 0.9–1.5 (≈12–14 Sort(N)-equivalents total, the "
+     "I/O per suffix is 0.8–1.4 (≈11–13 Sort(N)-equivalents total, the "
      "log-round factor on a binary alphabet), versus the ~log2(N) ≈ 15 "
      "I/Os per suffix a random-access comparison build would pay; "
      "growth across a 16x sweep is logarithmic."),
