@@ -52,6 +52,8 @@ _RECORD_WRITES = {"append", "push", "add", "appendleft"}
 #: ``blocks`` re-emits payloads from readers charged at their source,
 #: and so does a sorter's ``finish_segments`` (charged by its contract).
 _BLOCK_STREAM_ITERS = {"iter_blocks", "blocks", "finish_segments"}
+#: stream constructors that write their records argument in one pass
+_STREAM_BUILDERS = {"from_records", "from_payload"}
 #: cooperative read intents — a generator yields them to its driver,
 #: which reads the requested blocks as one batch
 _READ_INTENTS = {"StreamRead"}
@@ -423,6 +425,15 @@ class Inferencer:
             attr = fn.attr
             recv = fn.value
             recv_key = expr_key(recv)
+            if attr in _STREAM_BUILDERS and recv_key in STREAM_CLASSES:
+                # ``FileStream.from_records(machine, records)``: one
+                # write pass over the records it is given
+                data = call.args[1:2] or [kw.value for kw in call.keywords
+                                          if kw.arg in ("records",
+                                                        "payload")]
+                return [Item(_SCAN, True,
+                             _names_in(data[0]) if data else subjects,
+                             f"{recv_key}.{attr}() write at {origin}")]
             # structure contracts first (BPlusTree.get, pq.insert, ...)
             cls = self.project._receiver_class(ctx.func, recv)
             if cls is not None and cls.name in _STRUCTURE_COSTS:

@@ -22,13 +22,37 @@ parallel-step clock, so idle lanes are visible gaps.
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..core.exceptions import ConfigurationError
 from ..core.stats import IOStats, format_table
 
 UNTRACED = "(untraced)"
+
+
+class _Phase:
+    """The context manager :meth:`Tracer.phase` returns: it pushes the
+    phase on entry and pops it on exit, and joins the ``/`` path only
+    when the tracer is recording (a phase of a tracer that is off costs
+    one push and one pop)."""
+
+    __slots__ = ("_tracer", "_name", "_start")
+
+    def __init__(self, tracer: "Tracer", name: str):
+        self._tracer = tracer
+        self._name = name
+
+    def __enter__(self) -> None:
+        tracer = self._tracer
+        tracer._stack.append(self._name)
+        self._start = tracer._clock
+
+    def __exit__(self, *exc) -> None:
+        tracer = self._tracer
+        if tracer.active:
+            tracer._spans.append(
+                ("/".join(tracer._stack), self._start, tracer._clock))
+        tracer._stack.pop()
 
 
 class Tracer:
@@ -73,18 +97,9 @@ class Tracer:
         """The innermost phase path, ``/``-joined."""
         return "/".join(self._stack) if self._stack else UNTRACED
 
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
+    def phase(self, name: str) -> "_Phase":
         """Label all I/O inside the ``with`` block as phase ``name``."""
-        self._stack.append(name)
-        label = self.current_phase
-        start = self._clock
-        try:
-            yield
-        finally:
-            self._stack.pop()
-            if self.active:
-                self._spans.append((label, start, self._clock))
+        return _Phase(self, name)
 
     # ------------------------------------------------------------------
     # DiskArray listener protocol

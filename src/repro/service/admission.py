@@ -81,9 +81,10 @@ class AdmissionController:
         longer first in its tenant's line).
         """
         started: List[Job] = []
+        if not self.queue:
+            return started
         deferred: Dict[str, bool] = {}
-        seen_tenants = {job.tenant.name: job.tenant for job in self.queue}
-        for name in seen_tenants:
+        for name in {job.tenant.name for job in self.queue}:
             self.fair.clear_demand(name)
         remaining: Deque[Job] = deque()
         while self.queue:
@@ -100,7 +101,8 @@ class AdmissionController:
                 deferred[tenant.name] = True
                 remaining.append(job)
                 continue
-            if job.reservation > tenant.share.headroom():
+            # Headroom is never negative: a zero reservation fits.
+            if job.reservation and job.reservation > tenant.share.headroom():
                 # Under-share demand stops other tenants borrowing
                 # until this job can start.
                 self.fair.register_demand(tenant.name, job.reservation)

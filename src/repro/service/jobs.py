@@ -13,10 +13,9 @@ tenant's fair share before the job may start.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Tuple
 
 from ..core.machine import Machine
-from ..core.stats import IOStats
 from ..core.stream import FileStream
 from ..graph.adjacency import AdjacencyStore
 from ..graph.steps import bfs_extract_steps
@@ -59,7 +58,8 @@ class Job:
         self.pending = None  # payloads to send into the generator next
         self.result: Any = None
         self.error: Optional[BaseException] = None
-        self.submit_stats: Optional[IOStats] = None
+        #: The machine's (transfer steps, wall steps) clocks at submit.
+        self.submitted_at: Optional[Tuple[int, int]] = None
         self.latency_io: Optional[int] = None
         self.latency_wall: Optional[int] = None
 

@@ -13,30 +13,36 @@ cooperative jobs against it:
   per lone block.  That cross-job batching (and the write-behind
   coalescing of interleaved jobs' writes) is why the interleaved
   service beats serial execution on wall steps.
-* **Isolation** is per-tenant.  Batches never mix tenants, every
-  round's machine-stats delta is charged to the tenant that ran, and a
-  failing block read is re-tried per-job so only the requesting job is
-  failed (via ``generator.throw``, which runs the job's cleanup) —
-  a tenant hit by a fault plan degrades alone, its retries and stalls
-  on its own ledger.
-* **Attribution** threads the tracer: all of a tenant's I/O lands
-  under ``service/tenant/job`` phases, so
-  :meth:`~repro.runtime.trace.Tracer.summary_table` and the Chrome
+* **Isolation** is per-tenant.  Batches never mix tenants, each
+  tenant's I/O (stalls, faults and retries included) lands on its own
+  ledger, and a failing block read is re-tried per-job so only the
+  requesting job is failed (via ``generator.throw``, which runs its
+  cleanup).
+* **Attribution** threads the tracer: a tenant's I/O lands under
+  ``service/tenant/job`` phases, so the tracer's tables and Chrome
   export split the shared machine by who asked.
+* **Round cost** is the scheduled work plus, per tenant and per job,
+  one tracer phase (a push and a pop while tracing is off): the ledger
+  reads the raw counter fields at tenant boundaries and is charged
+  only when one moved, latencies are two step-clock stamps, and a job
+  reserving nothing skips the headroom query.
 
-The tenant ordering rotates every round, so no tenant permanently goes
-first into a warm (or cold) buffer pool.
+The tenant order rotates every round, so no tenant always goes first
+into a warm (or cold) buffer pool.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext as _nullcontext
-from typing import Any, Dict, List, Optional
+from itertools import islice
+from operator import sub
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.exceptions import ConfigurationError
 from ..core.intents import PoolRead, StreamRead, fulfill
 from ..core.machine import Machine
 from ..core.memory import FairShare, SubBudget
+from ..core.stats import IOStats, counter_fields
 from .admission import AdmissionController
 from .jobs import DONE, FAILED, Job
 from .metrics import TenantMetrics
@@ -138,7 +144,7 @@ class QueryService:
         """
         tenant = self.tenant(tenant_name)
         job.name = tenant.unique_job_name(job.name)
-        job.submit_stats = self.machine.stats()
+        job.submitted_at = self._clocks()
         self.admission.submit(tenant, job)
         return job
 
@@ -154,60 +160,66 @@ class QueryService:
         machine = self.machine
         before = machine.stats()
         with machine.trace(self.name):
-            while self.admission.pending or self._any_running():
+            while self.admission.pending or self._running():
                 self._round()
             machine.pool.flush_all()
             machine.runtime.flush()
         return self._report(machine.stats() - before)
 
-    def _any_running(self) -> bool:
-        return any(tenant.running for tenant in self.tenants.values())
+    def _running(self) -> int:
+        return sum(len(t.running) for t in self.tenants.values())
 
-    def _free_slots(self) -> Optional[int]:
-        if self.max_running is None:
-            return None
-        running = sum(len(t.running) for t in self.tenants.values())
-        return max(0, self.max_running - running)
+    def _clocks(self) -> Tuple[int, int]:
+        """The machine's transfer-steps and wall-steps clocks."""
+        counter = self.machine.disk.counter
+        steps = counter.read_steps + counter.write_steps
+        return steps, steps + counter.stall_steps
 
     def _round(self) -> None:
         """One scheduling round: admit, then advance each tenant."""
-        self.admission.admit(self._free_slots())
+        self.admission.admit(None if self.max_running is None else
+                             max(0, self.max_running - self._running()))
         order = sorted(self.tenants)  # em: ok(EM004) tenant names, few
         if order:
             shift = self.rounds % len(order)
             order = order[shift:] + order[:shift]
+        counter = self.machine.disk.counter
         for name in order:
             tenant = self.tenants[name]
             if not tenant.running:
                 continue
-            before = self.machine.stats()
-            with self.machine.trace(tenant.name):
+            before = counter_fields(counter)
+            with self.machine.trace(name):
                 self._advance_tenant(tenant)
-            tenant.metrics.charge(self.machine.stats() - before)
+            after = counter_fields(counter)
+            if after != before:
+                tenant.metrics.charge(IOStats(*map(sub, after, before)))
         self.rounds += 1
 
     def _advance_tenant(self, tenant: Tenant) -> None:
         """Advance every running job of ``tenant`` one intent, then
         fulfill all their intents as per-tenant batches."""
         machine = self.machine
+        phase = machine.runtime.tracer.phase
         intents = []  # (job, intent) in job order
         for job in list(tenant.running):
             try:
-                with machine.trace(job.name):
+                with phase(job.name):
                     intent = job.gen.send(job.pending)
             except StopIteration as done:
                 self._complete(tenant, job, done.value)
-                continue
             except Exception as exc:
                 self._fail(tenant, job, exc)
-                continue
-            finally:
+            else:
                 job.pending = None
-            if intent is not None:
-                intents.append((job, intent))
+                if intent is not None:
+                    intents.append((job, intent))
+        if intents:
+            self._fulfill_batch(tenant, intents)
 
-        if not intents:
-            return
+    def _fulfill_batch(self, tenant: Tenant, intents) -> None:
+        """Serve every job's intent from one pool and one stream batch."""
+        machine = self.machine
         pool_ids: List[int] = []
         stream_ids: List[int] = []
         for _, intent in intents:
@@ -223,13 +235,10 @@ class QueryService:
         lone = intents[0][0].name if len(intents) == 1 else None
         try:
             with machine.trace(lone) if lone else _nullcontext():
-                pool_payloads = (
-                    machine.pool.get_many(pool_ids) if pool_ids else []
-                )
-                stream_payloads = (
-                    machine.runtime.read_batch(stream_ids)
-                    if stream_ids else []
-                )
+                pools = iter(machine.pool.get_many(pool_ids)
+                             if pool_ids else ())
+                streams = iter(machine.runtime.read_batch(stream_ids)
+                               if stream_ids else ())
         except Exception:
             # The shared batch died and cannot say for which block.
             # Re-serve each job alone: the victim fails alone (its
@@ -237,32 +246,22 @@ class QueryService:
             # innocent majority proceed.
             self._fulfill_individually(tenant, intents)
             return
-        pool_at = 0
-        stream_at = 0
         for job, intent in intents:
-            if isinstance(intent, PoolRead):
-                count = len(intent.block_ids)
-                job.pending = pool_payloads[pool_at:pool_at + count]
-                pool_at += count
-            else:
-                count = len(intent.block_ids)
-                job.pending = stream_payloads[stream_at:stream_at + count]
-                stream_at += count
+            served = pools if isinstance(intent, PoolRead) else streams
+            job.pending = list(islice(served, len(intent.block_ids)))
 
     def _fulfill_individually(self, tenant: Tenant, intents) -> None:
         """Fallback after a failed shared batch: serve each job's intent
         alone, failing only the job whose blocks actually fail."""
         machine = self.machine
         for job, intent in intents:
-            while True:
+            while intent is not None:
                 try:
                     with machine.trace(job.name):
                         job.pending = fulfill(machine, intent)
-                    break
+                    intent = None
                 except Exception as exc:
                     intent = self._throw(tenant, job, exc)
-                    if intent is None:
-                        break
 
     def _throw(self, tenant: Tenant, job: Job, exc: BaseException):
         """Deliver ``exc`` into ``job``'s generator (running its cleanup
@@ -279,7 +278,6 @@ class QueryService:
             return None
         if intent is None:
             job.pending = None
-            return None
         return intent
 
     # ------------------------------------------------------------------
@@ -300,9 +298,8 @@ class QueryService:
     def _finish(self, tenant: Tenant, job: Job) -> None:
         tenant.running.remove(job)
         tenant.done.append(job)
-        now = self.machine.stats()
-        job.latency_io = now.total_steps - job.submit_stats.total_steps
-        job.latency_wall = now.wall_steps - job.submit_stats.wall_steps
+        (io, wall), (io_at, wall_at) = self._clocks(), job.submitted_at
+        job.latency_io, job.latency_wall = io - io_at, wall - wall_at
         tenant.metrics.record_latency(job.latency_io, job.latency_wall)
         job.pending = None
         job.gen = None

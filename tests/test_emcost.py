@@ -171,7 +171,8 @@ class TestSorterConsume:
     def test_consume_in_round_loop_is_charged_over_its_iterable(self):
         # Like push_block, consume is charged for the records it is
         # given: one round's consume is that round's share of the data,
-        # not N records times the N-bounded round count.
+        # not N records times the N-bounded round count.  The round's
+        # FileStream.from_records is one write pass over the pull, N/B.
         sorter_path = "src/repro/pipeline/sorter.py"
         sources = fixture(SORTER_ROUNDS) + [
             (sorter_path, (REPO / sorter_path).read_text())]
@@ -180,7 +181,31 @@ class TestSorterConsume:
                     if f.path == ALGO and f.rule == "EM201"]
         assert findings == []
         entry = report["fixture.jump_until_stable"]
-        assert entry["inferred"] == "N·log_m(n)/B"
+        assert entry["inferred"] == "N·log_m(n)/B + N/B"
+        assert entry["certified"] is True
+
+
+STREAM_BUILDERS = """
+from ..analysis.sanitizer import io_bound
+from ..core.bounds import scan_io
+from ..core.stream import FileStream
+
+@io_bound(lambda machine, n: 2 * scan_io(n, machine.B, machine.D))
+def write_both(machine, records, payload):
+    '''Two write passes: ``O(N/B)`` I/Os.'''
+    first = FileStream.from_records(machine, records)
+    second = FileStream.from_payload(machine, payload=payload)
+    return first, second
+"""
+
+
+class TestStreamBuilders:
+    def test_from_records_and_from_payload_are_write_passes(self):
+        # Each builder writes its argument once: N/B apiece.
+        report = {}
+        lint_sources(fixture(STREAM_BUILDERS), report=report)
+        entry = report["fixture.write_both"]
+        assert entry["inferred"] == "2·N/B"
         assert entry["certified"] is True
 
 

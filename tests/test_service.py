@@ -8,6 +8,8 @@ steps for a mixed OLTP/OLAP workload.
 """
 
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +33,9 @@ from repro.service import (
     sort_job,
 )
 from repro.sort import external_merge_sort
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+import bench_smoke  # noqa: E402
 
 
 def machine(B=16, m=16, D=4):
@@ -414,3 +419,86 @@ class TestTraceNamespacing:
         tracer.stop()
         with pytest.raises(ConfigurationError):
             tracer.namespace_summary(0)
+
+
+# ---------------------------------------------------------------------
+# the F24 smoke service runs, pinned report for report
+# ---------------------------------------------------------------------
+
+def _tenant(io_steps, reads, writes, p50_io, p99_io, jobs=24,
+            faults=0, stalls=0):
+    return {"submitted": jobs, "admitted": jobs, "rejected": 0,
+            "completed": jobs, "failed": 0, "reads": reads,
+            "writes": writes, "io_steps": io_steps,
+            "wall_steps": io_steps + stalls, "stall_steps": stalls,
+            "faults": faults, "retries": faults, "p50_io": p50_io,
+            "p99_io": p99_io, "p50_wall": p50_io + stalls,
+            "p99_wall": p99_io + stalls}
+
+
+_WAVES = [14] * 8 + [39] * 8 + [65] * 8
+_SERIAL = [1, 2, 2, 3, 4, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16,
+           18, 19, 20, 21, 22, 23]
+
+#: ``(run kwargs, rounds, total io/stall steps, per-tenant snapshot,
+#: per-tenant (latency_io, latency_wall))`` of ``_service_run``.  The
+#: round bookkeeping may get cheaper; the schedule and every counter
+#: stay exactly these.
+PINNED_RUNS = {
+    "interleaved": (
+        {}, 130, 194, 0,
+        {"olap": _tenant(180, 171, 171, 194, 194, jobs=1),
+         "oltp": _tenant(14, 28, 0, 39, 65)},
+        {"olap": ([194], [194]), "oltp": (_WAVES, _WAVES)}),
+    "serial": (
+        {"max_running": 1}, 226, 203, 0,
+        {"olap": _tenant(180, 171, 171, 203, 203, jobs=1),
+         "oltp": _tenant(23, 23, 0, 10, 23)},
+        {"olap": ([203], [203]), "oltp": (_SERIAL, _SERIAL)}),
+    "faulted": (
+        {"faulted": True}, 130, 194, 3,
+        {"olap": _tenant(180, 171, 171, 194, 194, jobs=1, faults=2,
+                         stalls=3),
+         "oltp": dict(_tenant(14, 28, 0, 39, 65), p50_wall=42,
+                      p99_wall=68)},
+        {"olap": ([194], [197]),
+         "oltp": (_WAVES, [w + 3 for w in _WAVES])}),
+}
+
+
+class TestPinnedReports:
+    @pytest.mark.parametrize("label", sorted(PINNED_RUNS))
+    def test_service_report_is_pinned(self, monkeypatch, label):
+        kwargs, rounds, io_steps, stalls, tenants, latencies = \
+            PINNED_RUNS[label]
+        services = []
+
+        class Recording(QueryService):
+            def __init__(self, *args, **kw):
+                super().__init__(*args, **kw)
+                services.append(self)
+
+        monkeypatch.setattr("repro.service.QueryService", Recording)
+        report = bench_smoke._service_run(**kwargs)
+        assert report == {
+            "rounds": rounds, "total_io_steps": io_steps,
+            "total_wall_steps": io_steps + stalls,
+            "total_stall_steps": stalls, "tenants": tenants,
+        }
+        (service,) = services
+        for name, (lat_io, lat_wall) in latencies.items():
+            metrics = service.tenants[name].metrics
+            assert metrics.latency_io == lat_io
+            assert metrics.latency_wall == lat_wall
+            assert metrics.snapshot() == tenants[name]
+
+
+class TestF24Gate:
+    def test_gate_fails_when_jobs_are_served_alone(self, monkeypatch):
+        # Serving each job's intent alone (the fault fallback) instead
+        # of the shared per-tenant batch loses the cross-job waves, and
+        # the smoke's interleaved-beats-serial assert must catch it.
+        monkeypatch.setattr(QueryService, "_fulfill_batch",
+                            QueryService._fulfill_individually)
+        with pytest.raises(AssertionError, match="interleaved .* vs serial"):
+            bench_smoke.service_smoke()
