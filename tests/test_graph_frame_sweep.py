@@ -11,7 +11,11 @@ buffer.  Over
 ``D ∈ {1, 2, 4}`` and ``(B, m) ∈ {(16, 8), (32, 16), (64, 48)}`` the
 answer must be right, the budget peak must stay within ``M``, and both a
 finished run and one killed mid-way by a fault plan must give back
-every frame and every block.
+every frame and every block.  The clean run's ``(reads, writes,
+total_steps, budget.peak)`` must equal the pinned table in
+``frame_sweep_counters.py``, so a change to any pull's schedule shows
+up in that table's diff; ``python -m tests.test_graph_frame_sweep``
+(with ``src`` on the path) prints the table afresh.
 """
 
 import random
@@ -43,6 +47,8 @@ from repro.workloads import (
     foreign_key_relations,
     random_linked_list,
 )
+
+from .frame_sweep_counters import COUNTERS
 
 DISKS = [1, 2, 4]
 SHAPES = [(16, 8), (32, 16), (64, 48)]
@@ -377,6 +383,11 @@ STEP_CEILINGS = {
 }
 
 
+def counters(io, machine):
+    """What the pinned table holds for one clean run."""
+    return io.reads, io.writes, io.total_steps, machine.budget.peak
+
+
 def normalized(algorithm, result):
     if algorithm in ("boruvka", "boruvka-small", "kruskal"):
         total, chosen = result
@@ -398,6 +409,7 @@ def test_frames_and_cleanup(algorithm, B, m, D):
     assert normalized(algorithm, result) == expected
     assert io.total_steps <= STEP_CEILINGS.get((algorithm, B, m, D),
                                                io.total_steps)
+    assert counters(io, machine) == COUNTERS[algorithm, B, m, D]
     assert machine.budget.peak <= machine.M
     assert machine.budget.in_use == 0
     assert machine.disk.allocated_blocks == blocks
@@ -415,3 +427,20 @@ def test_frames_and_cleanup(algorithm, B, m, D):
     assert machine.budget.peak <= machine.M
     assert machine.budget.in_use == 0
     assert machine.disk.allocated_blocks == blocks
+
+
+if __name__ == "__main__":
+    from . import frame_sweep_counters
+
+    print(f'"""{frame_sweep_counters.__doc__}"""\n\nCOUNTERS = {{')
+    for algorithm in sorted(CASES):
+        for B, m in SHAPES:
+            for D in DISKS:
+                machine = Machine(block_size=B, memory_blocks=m,
+                                  num_disks=D)
+                call = CASES[algorithm](B, m)[0](machine)
+                with machine.measure() as io:
+                    call()
+                print(f"    {(algorithm, B, m, D)!r}: "
+                      f"{counters(io, machine)!r},")
+    print("}")
