@@ -27,7 +27,6 @@ from repro.relational import Table
 from repro.search import BPlusTree
 from repro.search.hashing import ExtendibleHashTable
 from repro.service import (
-    DONE,
     QueryService,
     btree_lookup_job,
     hash_lookup_job,
@@ -100,10 +99,8 @@ def run_service(max_running=None, fault_plan=None):
         with machine.inject_faults(plan):
             service_report = service.run()
     for tenant in (oltp, olap):
-        assert all(job.status == DONE for job in tenant.done), [
-            (job.name, job.error) for job in tenant.done
-            if job.status != DONE
-        ]
+        assert tenant.metrics.failed == 0, (
+            f"{tenant.name}: {tenant.metrics.failed} job(s) failed")
         assert tenant.share.peak <= tenant.share.capacity, (
             f"{tenant.name}: peak {tenant.share.peak} exceeds share "
             f"{tenant.share.capacity}"

@@ -349,7 +349,7 @@ class Inferencer:
         if isinstance(value, ast.Call):
             head = _call_head(value)
             if head in STREAM_CLASSES or head in STREAM_RETURNING \
-                    or head == "finalize":
+                    or head == "finalize" or _is_stream_builder(value):
                 ctx.streams.add(name)
             elif head in ("iter", "enumerate", "reversed") and value.args:
                 inner = value.args[0]
@@ -425,7 +425,7 @@ class Inferencer:
             attr = fn.attr
             recv = fn.value
             recv_key = expr_key(recv)
-            if attr in _STREAM_BUILDERS and recv_key in STREAM_CLASSES:
+            if _is_stream_builder(call):
                 # ``FileStream.from_records(machine, records)``: one
                 # write pass over the records it is given
                 data = call.args[1:2] or [kw.value for kw in call.keywords
@@ -955,6 +955,13 @@ def _returns_kind(callee: FunctionInfo) -> Optional[str]:
     if callee.returns_stream:
         return "stream"
     return None
+
+
+def _is_stream_builder(call: ast.Call) -> bool:
+    """``FileStream.from_records(...)`` / ``.from_payload(...)``."""
+    fn = call.func
+    return isinstance(fn, ast.Attribute) and fn.attr in _STREAM_BUILDERS \
+        and expr_key(fn.value) in STREAM_CLASSES
 
 
 def _is_stream_expr(node: ast.AST, ctx: _Ctx) -> bool:

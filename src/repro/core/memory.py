@@ -53,7 +53,6 @@ class MemoryBudget:
         self.reclaimer = None  # see acquire()
         self._in_use = 0
         self._reclaimable = 0
-        self._pledged = 0
         self._peak = 0
         self._reclaiming = False
 
@@ -79,11 +78,6 @@ class MemoryBudget:
     def peak(self) -> int:
         """High-water mark of :attr:`occupancy`."""
         return self._peak
-
-    @property
-    def pledged(self) -> int:
-        """Records set aside by the :meth:`pledge` blocks in force."""
-        return self._pledged
 
     @property
     def available(self) -> int:
@@ -179,27 +173,6 @@ class MemoryBudget:
             yield
         finally:
             self.release(records)
-
-    @contextmanager
-    def pledge(self, records: int):
-        """Set ``records`` aside for work that will reserve them later.
-
-        A pipelined sort that plans its pull inside the block
-        (:meth:`~repro.pipeline.sorter.Sorter.finish`) leaves
-        :attr:`pledged` free for the whole pull.  Nothing else reads a
-        pledge: :attr:`available`, :meth:`acquire` and the I/O staging
-        of the planning call itself (a spilled run's write-behind) are
-        not limited by it.  A caller pledges what it will run beside a
-        pull when it cannot hold it yet (the sort's run buffer still
-        occupies it).
-        """
-        if records < 0:
-            raise ConfigurationError("cannot pledge a negative amount")
-        self._pledged += records
-        try:
-            yield
-        finally:
-            self._pledged -= records
 
     def reset(self) -> None:
         """Clear hard reservations and the peak (between experiments).

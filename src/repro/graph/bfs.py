@@ -189,20 +189,20 @@ def _next_level(machine: Machine, adjacency: AdjacencyStore,
     """Write level ``level``: the neighbors of ``current``, scanned
     from the adjacency spans into a pipelined Sorter and pulled through
     the de-duplicating, subtracting scan; each vertex written is
-    recorded in ``distance``.  The pull's plan leaves the scans of
-    ``current`` and ``previous`` their pledged frames and the writer
-    its spare one."""
+    recorded in ``distance``.  The pull is planned beside the scans of
+    ``current`` and ``previous`` and leaves the writer its spare
+    frame."""
 
     def reached(vertices: Iterator[int]) -> Iterator[int]:
         for vertex in vertices:
             distance[vertex] = level
             yield vertex
 
-    with Sorter(machine, name="bfs/neighbors") as ordered, \
-            machine.budget.pledge(2 * machine.B):
+    with Sorter(machine, name="bfs/neighbors") as ordered:
         ordered.consume(adjacency.neighbors_of(current))
-        fresh = _subtract_sorted(_primed(_first_of_runs(ordered)),
-                                 iter(current), iter(previous))
+        fresh = _subtract_sorted(
+            _primed(_first_of_runs(ordered.finish(beside=2 * machine.B))),
+            iter(current), iter(previous))
         try:
             return FileStream.from_records(machine, reached(fresh),
                                            name="bfs/next")

@@ -86,14 +86,13 @@ def semi_external_kruskal(
         # Semi-external regime: the union-find array must fit in memory.
         raise MemoryLimitExceeded(
             num_vertices, machine.budget.in_use, machine.M)
-    # The sort pushes with all of memory.  The union-find is pledged
-    # while the pull is planned, and reserved once the first edge is
-    # pulled (after any merge-down, which may use it).
+    # The sort pushes with all of memory.  The pull is planned beside
+    # the union-find, which is reserved once the first edge is pulled
+    # (after any merge-down, which may use it).
     with Sorter(machine, key=itemgetter(2, 3),
                 name="mst/by-weight") as by_weight:
         by_weight.consume(_positioned(num_vertices, edges))
-        with machine.budget.pledge(num_vertices):
-            ordered = by_weight.finish()
+        ordered = by_weight.finish(beside=num_vertices)
         first = list(islice(ordered, 1))
         with machine.budget.reserve(num_vertices):
             parent = list(range(num_vertices))

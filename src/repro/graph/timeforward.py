@@ -70,9 +70,9 @@ def time_forward_process(
     ever written) and the vertex loop pulls the sorted order straight
     out of its final merge (no sorted stream either) — ``~4·(N/DB)``
     I/Os saved over :func:`time_forward_process_materialized`.  The
-    priority queue's working space
-    (:meth:`~repro.pq.sequence_heap.ExternalPriorityQueue.footprint`)
-    is pledged while the pull is planned, so the pull leaves it free.
+    pull is planned beside the priority queue's working space
+    (:meth:`~repro.pq.sequence_heap.ExternalPriorityQueue.footprint`),
+    so it leaves that space free.
     """
 
     def validated() -> Iterable[Tuple[int, int]]:
@@ -89,13 +89,13 @@ def time_forward_process(
             yield (u, v)
 
     results: Dict[int, Any] = {}
-    # The sort pushes with all of memory.  The queue's working space is
-    # pledged while the pull is planned, and the queue opens once the
-    # first edge is pulled (after any merge-down, which may use it).
+    # The sort pushes with all of memory.  The pull is planned beside
+    # the queue's working space, and the queue opens once the first
+    # edge is pulled (after any merge-down, which may use it).
     with Sorter(machine, name="tfp/edges") as sorter:
         sorter.consume(validated())
-        with machine.budget.pledge(ExternalPriorityQueue.footprint(machine)):
-            edge_iter = sorter.finish()
+        edge_iter = sorter.finish(
+            beside=ExternalPriorityQueue.footprint(machine))
         pending = next(edge_iter, None)
         with ExternalPriorityQueue(machine) as queue:
             for vertex in range(num_vertices):

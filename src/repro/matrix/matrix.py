@@ -254,15 +254,14 @@ def transpose_by_sort(machine: Machine,
     matrix fits one memoryload), and one write of the result."""
     p, q = matrix.rows, matrix.cols
     B = machine.block_size
-    with Sorter(machine, key=_target, name="transpose/tagged") as ordered, \
-            machine.budget.pledge(B):
+    with Sorter(machine, key=_target, name="transpose/tagged") as ordered:
         ordered.consume(
             ((position % q) * p + position // q, value)
             for position, value in enumerate(matrix.blocks.scan()))
-        # The pull's plan leaves the output buffer its pledged frame
-        # and the result's block file its spare one; both are taken
-        # once the first record is pulled.
-        pull = _primed(ordered)
+        # The pull is planned beside the output buffer and leaves the
+        # result's block file its spare frame; both are taken once the
+        # first record is pulled.
+        pull = _primed(ordered.finish(beside=B))
         result = ExternalMatrix(machine, q, p)
         try:
             with machine.budget.reserve(B):

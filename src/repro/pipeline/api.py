@@ -125,9 +125,9 @@ class Pipeline:
         self._claim()
         return self._drive(0)
 
-    def _drive(self, pledge: int) -> Iterator[Any]:
+    def _drive(self, beside: int) -> Iterator[Any]:
         try:
-            for record in self._build(pledge):
+            for record in self._build(beside):
                 yield record
         finally:
             self._cleanup()
@@ -143,9 +143,9 @@ class Pipeline:
             )
         self._consumed = True
 
-    def _build(self, pledge: int) -> Iterator[Any]:
+    def _build(self, beside: int) -> Iterator[Any]:
         """Start the stages; every sort's pull is planned beside
-        ``pledge`` records kept for work the consumer starts later."""
+        ``beside`` records kept for work the consumer starts later."""
         records = self._source()
         for index, (kind, payload) in enumerate(self._stages):
             if kind == "map":
@@ -162,8 +162,7 @@ class Pipeline:
                                 fan_in)
                 self._sorters.append(sorter)
                 sorter.consume(records)
-                with self.machine.budget.pledge(pledge):
-                    records = sorter.finish()
+                records = sorter.finish(beside)
         return records
 
     def _cleanup(self) -> None:

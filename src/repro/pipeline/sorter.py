@@ -27,7 +27,7 @@ for the materialized chain.
 Every frame decision is the Sorter's own, taken from the budget it
 sees (see :class:`Sorter`), so callers never size a merge themselves:
 they hold whatever runs beside the pull before they call
-:meth:`Sorter.finish`.
+:meth:`Sorter.finish`, or name it there (``beside``).
 
 Both phases also move whole payloads: :meth:`Sorter.push_block` pushes
 a block and cuts runs at the record counts of :meth:`Sorter.push`, and
@@ -87,11 +87,13 @@ class Sorter:
       and prefetch pins that leave it too.  Everything else the
       consumer runs beside the pull — a lookup scan, a priority queue,
       a key-group share — it holds *before* calling :meth:`finish`, or
-      pledges it (:meth:`~repro.core.memory.MemoryBudget.pledge`) when
-      it cannot hold it yet; pins leave pledged frames alone too.  The
-      buffered memoryload stays resident when it fits beside the
-      readers and ``D`` more frames, the consumer's and a write window
-      for it: a sort that never spilled a run then costs no I/O.
+      passes as ``finish(beside=records)`` when it cannot hold it yet
+      (the run buffer still occupies it) and reserves it once the
+      first record is pulled; the plan and the pins leave those
+      records free too.  The buffered memoryload stays resident when
+      it fits beside the readers and ``D`` more frames, the consumer's
+      and a write window for it: a sort that never spilled a run then
+      costs no I/O.
     * **Merge-down.**  When more runs are on disk than the planned
       width ``w``, they are merged down before the first record is
       pulled, in frames the consumer may have given back by then: the
@@ -265,28 +267,30 @@ class Sorter:
     # ------------------------------------------------------------------
     # pull phase
     # ------------------------------------------------------------------
-    def finish(self) -> Iterator[Any]:
+    def finish(self, beside: int = 0) -> Iterator[Any]:
         """Seal the push phase and return the sorted record iterator:
         a flatten of :meth:`finish_segments`' generator, not a second
         merge.  Idempotent: repeated calls (and ``iter(sorter)``) return
         the same iterator.
         """
-        segments = self.finish_segments()
+        segments = self.finish_segments(beside)
         if self._pull is None:
             self._pull = _flatten(segments)
         return self._pull
 
-    def finish_segments(self) -> Iterator[Sequence[Any]]:
+    def finish_segments(self, beside: int = 0
+                        ) -> Iterator[Sequence[Any]]:
         """Seal the push phase, plan the pull, and return the sorted
         order as payload segments (slices of merged blocks or merge
         rounds).
 
         The plan (see :class:`Sorter`) is made now, from the budget
-        free at this call: the buffered memoryload stays resident or is
-        spilled, and the pull's reader and resident frames are
-        reserved.  Runs beyond the planned width are merged down when
-        the first segment is asked for; the *final* merge is never
-        written — the segments come from a
+        free at this call less ``beside`` records the consumer will
+        reserve once the pull has started: the buffered memoryload
+        stays resident or is spilled, and the pull's reader and
+        resident frames are reserved.  Runs beyond the planned width
+        are merged down when the first segment is asked for; the
+        *final* merge is never written — the segments come from a
         :class:`~repro.sort.merge.BlockMerger` over the forecasting
         prefetcher's block readers and the resident run, and a refill
         is read when the segment before it has been taken, as the
@@ -299,13 +303,16 @@ class Sorter:
             raise StreamError(
                 f"sorter {self._name!r} is {self._state}; pull refused"
             )
+        if beside < 0:
+            raise ConfigurationError(
+                f"sorter {self._name!r}: beside must be >= 0, got {beside}"
+            )
         # Until the plan stands, a failure leaves the sorter refusing
         # pulls; close() still frees whatever it holds.
         self._state = _FAILED
         machine = self.machine
         chunk = self._take_buffer()
-        budget = machine.budget
-        frames = (budget.available - budget.pledged + self._reserved) \
+        frames = (machine.budget.available - beside + self._reserved) \
             // machine.B
         blocks = -(-len(chunk) // machine.B)
         # The memoryload stays resident beside one reader per run when
@@ -319,10 +326,9 @@ class Sorter:
             blocks = 0
         width = max(1, frames - 1 - blocks)
         self._hold(blocks + min(len(self._runs), width))
-        # Prefetch pins leave the consumer a frame and what was pledged
-        # to it.
+        # Prefetch pins leave the consumer a frame and what runs beside.
         self._segments = self._pull_segments(
-            resident, blocks, width, 1 + budget.pledged // machine.B)
+            resident, blocks, width, 1 + beside // machine.B)
         self._state = _PULL
         return self._segments
 

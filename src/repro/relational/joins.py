@@ -15,7 +15,6 @@ database textbooks derive from the I/O model:
 
 from __future__ import annotations
 
-import heapq
 from itertools import groupby
 from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Tuple
@@ -40,24 +39,20 @@ def _join_n(left: Table, right: Table, left_column: str,
 
 def _smj_theory(machine: Machine, n: int, result: Table,
                 call: dict) -> int:
-    """``Sort(R) + Sort(S)`` — charged per side, and only for sides the
-    call actually sorts — plus the merge and output scans.
+    """``Sort(R) + Sort(S)`` — charged per side — plus the merge and
+    output scans.
 
     The envelope used to charge ``2·Sort(|R| + |S|)``: both sides
     billed at the *combined* size, a double charge (``Sort`` is
-    superlinear, so ``Sort(R) + Sort(S) < 2·Sort(R + S)``) that also
-    ignored the ``assume_sorted`` fast path entirely.
+    superlinear, so ``Sort(R) + Sort(S) < 2·Sort(R + S)``).
     """
     left_n = len(call["left"].stream)
     right_n = len(call["right"].stream)
-    cost = scan_io(len(result.stream), machine.B, machine.D)
-    cost += scan_io(left_n, machine.B, machine.D)
-    cost += scan_io(right_n, machine.B, machine.D)
-    if not call.get("assume_left_sorted"):
-        cost += sort_io(left_n, machine.M, machine.B, machine.D)
-    if not call.get("assume_right_sorted"):
-        cost += sort_io(right_n, machine.M, machine.B, machine.D)
-    return cost
+    return (scan_io(len(result.stream), machine.B, machine.D)
+            + scan_io(left_n, machine.B, machine.D)
+            + scan_io(right_n, machine.B, machine.D)
+            + sort_io(left_n, machine.M, machine.B, machine.D)
+            + sort_io(right_n, machine.M, machine.B, machine.D))
 
 
 def _ghj_theory(machine: Machine, n: int, result: Table) -> int:
@@ -159,50 +154,33 @@ def sort_merge_join(
     left_column: str,
     right_column: str,
     name: str = "smj",
-    assume_left_sorted: bool = False,
-    assume_right_sorted: bool = False,
 ) -> Table:
     """Pipelined sort-merge join: ``Sort(R) + Sort(S) + scan`` I/Os,
     minus the fused boundaries.  Output is ordered by join key.
 
-    Both unsorted sides are pushed into one
+    Both sides are pushed into one
     :class:`~repro.pipeline.sorter.Sorter` as ``(key, side, row)``
     records, the right side first on a tie, so its one pull is the
     merge of both sorted orders and neither is ever written
     (``~2·(N/DB)`` I/Os saved per side over
-    :func:`sort_merge_join_materialized`).  A side already ordered by
-    its join key skips the sort with ``assume_sorted`` —
-    ``assume_left_sorted``/``assume_right_sorted`` are the caller's
-    promise (e.g. the output of a previous merge join on the same key,
-    or an ``order_by``); records are merged as-is, so a false promise
-    silently drops matches.
+    :func:`sort_merge_join_materialized`).
 
-    The key-group share — half of memory plus four frames, never more
-    than leaves three frames to the sort — is pledged while the pull is
-    planned, so the pull leaves it free for the merge-down before the
-    first record and for the buffered key groups after it.  No key
-    group larger than the share can be guaranteed to fit.
+    The pull is planned beside the key-group share — half of memory
+    plus four frames, never more than leaves three frames to the sort —
+    so it leaves that share free for the merge-down before the first
+    record and for the buffered key groups after it.  No key group
+    larger than the share can be guaranteed to fit.
     """
     machine = left.machine
-    sides = ((right, right.key_fn(right_column), 0, assume_right_sorted),
-             (left, left.key_fn(left_column), 1, assume_left_sorted))
     share = min(machine.M // 2 + 4 * machine.B, machine.M - 3 * machine.B)
     with machine.trace(name), \
             Sorter(machine, key=_by_key_and_side, name=name) as sorter:
-        sources: List[Iterator[Tuple]] = []
-        for table, key, side, assume_sorted in sides:
-            rows = _tagged(table.stream, key, side)
-            if assume_sorted:
-                sources.append(rows)
-            else:
-                sorter.consume(rows)
-        if len(sorter):
-            with machine.budget.pledge(share):
-                sources.append(sorter.finish())
-        tagged = sources[0] if len(sources) == 1 \
-            else heapq.merge(*sources, key=_by_key_and_side)
-        return _output_table(machine, left, right,
-                             _join_tagged(machine, tagged), name)
+        for table, column, side in ((right, right_column, 0),
+                                    (left, left_column, 1)):
+            sorter.consume(_tagged(table.stream, table.key_fn(column), side))
+        return _output_table(
+            machine, left, right,
+            _join_tagged(machine, sorter.finish(beside=share)), name)
 
 
 _by_key_and_side = itemgetter(0, 1)

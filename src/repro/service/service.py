@@ -29,6 +29,12 @@ cooperative jobs against it:
 
 The tenant order rotates every round, so no tenant always goes first
 into a warm (or cold) buffer pool.
+
+The service holds only running jobs.  A finished job is counted in its
+tenant's :class:`~repro.service.metrics.TenantMetrics` (completed or
+failed, and its latencies) and then dropped; its result and error stay
+on the :class:`~repro.service.jobs.Job` that :meth:`QueryService.submit`
+returned to the caller.
 """
 
 from __future__ import annotations
@@ -49,7 +55,8 @@ from .metrics import TenantMetrics
 
 
 class Tenant:
-    """One tenant: a named fair share plus its running set and metrics."""
+    """One tenant: a named fair share plus its running jobs and
+    metrics."""
 
     def __init__(self, name: str, share: SubBudget, weight: int,
                  max_running: int):
@@ -58,7 +65,6 @@ class Tenant:
         self.weight = weight
         self.max_running = max_running
         self.running: List[Job] = []
-        self.done: List[Job] = []
         self.metrics = TenantMetrics()
         self._job_names: Dict[str, int] = {}
 
@@ -297,7 +303,6 @@ class QueryService:
 
     def _finish(self, tenant: Tenant, job: Job) -> None:
         tenant.running.remove(job)
-        tenant.done.append(job)
         (io, wall), (io_at, wall_at) = self._clocks(), job.submitted_at
         job.latency_io, job.latency_wall = io - io_at, wall - wall_at
         tenant.metrics.record_latency(job.latency_io, job.latency_wall)

@@ -88,19 +88,6 @@ class TestMemoryBudget:
                 raise ValueError("boom")
         assert b.in_use == 0
 
-    def test_pledge_is_counted_not_reserved(self):
-        b = MemoryBudget(100)
-        b.acquire(20)
-        with b.pledge(50):
-            assert b.pledged == 50
-            assert b.available == 80
-            b.acquire(70)  # a pledge does not limit acquire
-            b.release(70)
-        assert b.pledged == 0
-        with pytest.raises(ConfigurationError):
-            with b.pledge(-1):
-                pass
-
     def test_over_release_rejected(self):
         b = MemoryBudget(100)
         b.acquire(10)

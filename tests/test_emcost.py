@@ -199,12 +199,34 @@ def write_both(machine, records, payload):
 """
 
 
+BUILT_THEN_READ = """
+from ..analysis.sanitizer import io_bound
+from ..core.bounds import scan_io
+from ..core.stream import FileStream
+
+@io_bound(lambda machine, n: 2 * scan_io(n, machine.B, machine.D))
+def write_then_read(machine, records):
+    '''A write pass and a read pass: ``O(N/B)`` I/Os.'''
+    first = FileStream.from_records(machine, records)
+    return list(first)
+"""
+
+
 class TestStreamBuilders:
     def test_from_records_and_from_payload_are_write_passes(self):
         # Each builder writes its argument once: N/B apiece.
         report = {}
         lint_sources(fixture(STREAM_BUILDERS), report=report)
         entry = report["fixture.write_both"]
+        assert entry["inferred"] == "2·N/B"
+        assert entry["certified"] is True
+
+    def test_a_built_stream_is_a_stream(self):
+        # The name a builder binds is a stream: reading it back is a
+        # second pass, as it is for a hand-built FileStream.
+        report = {}
+        lint_sources(fixture(BUILT_THEN_READ), report=report)
+        entry = report["fixture.write_then_read"]
         assert entry["inferred"] == "2·N/B"
         assert entry["certified"] is True
 

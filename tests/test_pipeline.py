@@ -8,6 +8,8 @@ disk-footprint regression for list ranking.
 """
 
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +36,9 @@ from repro.workloads import (
     random_linked_list,
     uniform_ints,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+import bench_smoke  # noqa: E402
 
 
 def machine(B=16, m=16):
@@ -440,6 +445,29 @@ class TestSorterFramePlan:
         assert io.reads == 28
         assert io.read_steps <= -(-28 // 4) + 1
 
+    def test_finish_beside_leaves_records_for_the_consumer(self):
+        # 75 blocks of records at m = 16: four runs and a last
+        # memoryload.  Planned beside nothing, the pull leaves one
+        # frame; beside 64 records, the consumer can reserve them once
+        # the first record is pulled and hold them to the end.
+        data = shuffled(1200)
+        for beside, free in ((0, 16), (64, 176)):
+            m = machine()
+            with Sorter(m) as sorter:
+                sorter.consume(data)
+                with pytest.raises(ConfigurationError):
+                    sorter.finish(beside=-1)
+                pull = sorter.finish(beside=beside)
+                assert sorter.finish(beside=beside) is pull
+                assert sorter.finish_segments() is sorter.finish_segments()
+                assert iter(sorter) is pull
+                first = next(pull)
+                assert m.budget.available == free
+                if beside:
+                    with m.budget.reserve(beside):
+                        assert [first, *pull] == sorted(data)
+            assert m.budget.in_use == 0
+
     @pytest.mark.parametrize("D", [1, 4])
     def test_close_mid_mixed_pull_returns_everything(self, D):
         data, key = self.payload("struct", 600)
@@ -738,6 +766,18 @@ class TestFusionSavesIO:
             list_ranking_materialized(mat_machine, pairs, seed=24)
 
         assert fused_io.total < mat_io.total
+
+
+class TestF25Gate:
+    def test_gate_fails_when_the_join_is_materialized(self, monkeypatch):
+        # With the fused join swapped for its materialized control, the
+        # smoke's fused-must-win assert has to catch it.
+        import repro.relational
+
+        monkeypatch.setattr(repro.relational, "sort_merge_join",
+                            sort_merge_join_materialized)
+        with pytest.raises(AssertionError, match="join: fused"):
+            bench_smoke.pipeline_smoke()
 
 
 # ---------------------------------------------------------------------

@@ -814,7 +814,8 @@ def _service_run(max_running=None, faulted=False):
             f"{tenant.name}: peak {tenant.share.peak} exceeds "
             f"share {tenant.share.capacity}"
         )
-        assert not any(job.error for job in tenant.done)
+        assert tenant.metrics.failed == 0, (
+            f"{tenant.name}: {tenant.metrics.failed} job(s) failed")
     return summary
 
 
