@@ -446,10 +446,11 @@ class TestSorterFramePlan:
         assert io.read_steps <= -(-28 // 4) + 1
 
     def test_finish_beside_leaves_records_for_the_consumer(self):
-        # 75 blocks of records at m = 16: four runs and a last
-        # memoryload.  Planned beside nothing, the pull leaves one
-        # frame; beside 64 records, the consumer can reserve them once
-        # the first record is pulled and hold them to the end.
+        # 75 blocks of records at m = 16: four runs spilled while
+        # pushing, then a last memoryload.  Planned beside nothing, the
+        # pull leaves one frame; beside 64 records, the consumer can
+        # reserve them once the first record is pulled and hold them
+        # to the end.
         data = shuffled(1200)
         for beside, free in ((0, 16), (64, 176)):
             m = machine()
