@@ -9,8 +9,11 @@ compounds across multi-sort algorithms.
 
 Reproduction: the three refactored consumers — sort-merge join,
 time-forward processing, and recursive list ranking — each run fused
-(`repro.pipeline.Sorter` boundaries) and materialized (stream-to-stream
-external sorts), same inputs, same machine; I/O counts are compared.
+(`repro.pipeline.Sorter` boundaries) and as their materialized
+controls, the same code with every sort written to disk and sorted by
+`external_merge_sort` (the join control drives the cooperative
+`sort_merge_join_steps`); same inputs, same machine; I/O counts are
+compared.
 The machine is sized so the final-merge fan-in covers the run counts
 (m = 48): on smaller machines the fused plan degrades toward the
 materialized pass structure and the gap narrows to zero, never negative.

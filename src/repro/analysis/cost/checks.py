@@ -72,7 +72,7 @@ def run_checks(project: Project,
 
     for func in decorated_functions(project):
         summary = inferencer.summary(func)
-        declared = declared_bound(func)
+        declared = declared_bound(func, project)
         entry: Dict[str, object] = {
             "path": func.path,
             "line": func.node.lineno,

@@ -439,9 +439,11 @@ def _io_bound_decorator(func: FunctionInfo) -> Optional[ast.Call]:
     return None
 
 
-def declared_bound(func: FunctionInfo) -> Optional[DeclaredBound]:
+def declared_bound(func: FunctionInfo, project=None
+                   ) -> Optional[DeclaredBound]:
     """The theory callable's symbolic bound, or ``None`` if the
-    decorator is absent or uninterpretable."""
+    decorator is absent or uninterpretable.  A theory named by import
+    is found in ``project`` when it is given."""
     dec = _io_bound_decorator(func)
     if dec is None:
         return None
@@ -452,8 +454,12 @@ def declared_bound(func: FunctionInfo) -> Optional[DeclaredBound]:
         value = eval_theory_function(theory, module)
     elif isinstance(theory, ast.Name):
         target = module.functions.get(theory.id)
+        if target is None and project is not None \
+                and theory.id in module.imports:
+            found = project.functions_by_name.get(theory.id, [])
+            target = found[0] if len(found) == 1 else None
         if target is not None:
-            value = eval_theory_function(target.node, module)
+            value = eval_theory_function(target.node, target.module)
     if isinstance(value, MinBound):
         return DeclaredBound(value.arms)
     cost = _as_cost(value)

@@ -39,7 +39,8 @@ from ..rules import MATERIALIZERS, STREAM_CLASSES, STREAM_RETURNING
 from .declared import MACHINE, SymEval
 from .expr import Cost, Term, mul, normalized
 from ..flow.summaries import (
-    STREAM_METHODS, FunctionInfo, Project, _calls_in, expr_key,
+    STREAM_METHODS, FunctionInfo, Project, _calls_in, _positional_args,
+    expr_key,
 )
 
 #: per-call single-block transfers
@@ -132,7 +133,10 @@ _STRUCTURE_COSTS: Dict[str, Dict[str, Cost]] = {
 #: contract methods charged as an aggregate over their payload
 #: argument: loop iterations that pass disjoint pieces of the data sum
 #: to one whole-input charge (linearity), as a stream's ``extend`` does
-_AGGREGATE_CONTRACTS = {"push_block", "consume"}
+_AGGREGATE_CONTRACTS = {"push_block", "consume", "finish", "finish_segments"}
+
+_COMPREHENSIONS = (ast.GeneratorExp, ast.ListComp, ast.SetComp,
+                   ast.DictComp)
 
 _SCAN = Term(1, {"N": 1, "B": -1})
 _N = Term(1, {"N": 1})
@@ -392,8 +396,47 @@ class Inferencer:
                       variant: FrozenSet[str]) -> List[Item]:
         items: List[Item] = []
         for call in _calls_in(stmt):
+            items.extend(self._pulled_args(call, ctx))
             items.extend(self._charge_call(call, ctx, variant))
         return items
+
+    def _pulled_args(self, call: ast.Call, ctx: _Ctx) -> List[Item]:
+        """Sorters a call's arguments pull: a comprehension over one,
+        and one handed to a consumer function — not to a method, which
+        stores it (``opened.append(sorter)``), nor to a callee that
+        takes the parameter as a Sorter and charges its own pulls."""
+        site = ctx.callsites.get(id(call))
+        callee = site.callee if site is not None else None
+        if callee is None:
+            args = call.args + [kw.value for kw in call.keywords]
+        else:
+            args = [arg for param, arg in zip(callee.params,
+                                              _positional_args(site))
+                    if param != "self"
+                    and callee.local_types.get(param) != "Sorter"]
+        if not (isinstance(call.func, ast.Name)
+                or _is_stream_builder(call)):
+            args = [arg for arg in args if isinstance(arg, _COMPREHENSIONS)]
+        return [item for arg in args if arg is not None
+                for item in self._sorter_pull(arg, ctx)]
+
+    def _sorter_pull(self, node: ast.AST, ctx: _Ctx) -> List[Item]:
+        """A Sorter iterated — ``for r in sorter``, handed to a
+        consumer (or its uncalled ``finish``), or the source of a
+        comprehension — is a pull, charged as its ``finish``
+        contract."""
+        if isinstance(node, _COMPREHENSIONS):
+            node = node.generators[0].iter
+        elif isinstance(node, ast.Attribute) \
+                and node.attr in ("finish", "finish_segments"):
+            node = node.value
+        if not (isinstance(node, ast.Name)
+                and ctx.func.local_types.get(node.id) == "Sorter"):
+            return []
+        origin = f"Sorter pull at {ctx.func.path}:{node.lineno}"
+        return [Item(t, "finish" in _AGGREGATE_CONTRACTS,
+                     frozenset({node.id}), origin)
+                for t in _STRUCTURE_COSTS["Sorter"]["finish"]]
 
     def _charge_call(self, call: ast.Call, ctx: _Ctx,
                      variant: FrozenSet[str]) -> List[Item]:
@@ -494,7 +537,7 @@ class Inferencer:
         header = self._charge_calls(stmt, ctx, variant | local)
         body = self._block(list(stmt.body) + list(stmt.orelse),
                            ctx, variant | local)
-        out: List[Item] = list(header)
+        out: List[Item] = header + self._sorter_pull(stmt.iter, ctx)
         if charge_scan:
             out.append(Item(_SCAN, True, iter_subjects,
                             f"stream loop at {ctx.func.path}:"
@@ -533,7 +576,14 @@ class Inferencer:
             # monotone iterator, so across the whole run the body
             # executes once per record of the underlying stream — an
             # amortized total, immune to the enclosing loop's trip.
+            # Totals pass through: a nested cursor's, and an aggregate
+            # over the cursor's source or this round's records.
             for it in body:
+                if it.once or (it.aggregate
+                               and it.subjects & (local | payload)):
+                    out.append(Item(it.term, True, it.subjects, it.origin,
+                                    once=True))
+                    continue
                 out.append(Item(
                     it.term.times(Term(1, {"N": 1})), True,
                     (it.subjects - local) | payload, it.origin,
@@ -833,20 +883,40 @@ class Inferencer:
 
     def _cursor_subjects(
             self, stmt: ast.While) -> Optional[FrozenSet[str]]:
+        """The sources a merge-join cursor loop advances over, or
+        ``None`` when ``stmt`` is not one.  The loop assigns a test
+        variable from ``next(source, ...)`` or, in a cooperative
+        generator, ``x = yield from step(source)`` with an ``x is not
+        None`` test; it may hold nested cursor loops (a join's
+        key-group scans) but no other loop."""
         test_names = _names_in(stmt.test)
+        sentinels = {node.left.id for node in ast.walk(stmt.test)
+                     if isinstance(node, ast.Compare)
+                     and isinstance(node.left, ast.Name)
+                     and isinstance(node.ops[0], ast.IsNot)
+                     and isinstance(node.comparators[0], ast.Constant)
+                     and node.comparators[0].value is None}
         for sub in stmt.body:
             for node in ast.walk(sub):
-                if isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
+                if isinstance(node, (ast.For, ast.AsyncFor)) or (
+                        isinstance(node, ast.While)
+                        and self._cursor_subjects(node) is None):
                     return None
         subjects: Set[str] = set()
         for node in ast.walk(stmt):
-            if isinstance(node, ast.Assign) and len(node.targets) == 1 \
-                    and isinstance(node.targets[0], ast.Name) \
-                    and node.targets[0].id in test_names \
-                    and isinstance(node.value, ast.Call) \
-                    and _call_head(node.value) == "next" \
-                    and node.value.args:
-                subjects |= _names_in(node.value.args[0])
+            if not (isinstance(node, ast.Assign) and len(node.targets) == 1
+                    and isinstance(node.targets[0], ast.Name)
+                    and node.targets[0].id in test_names):
+                continue
+            value = node.value
+            if isinstance(value, ast.Call) and _call_head(value) == "next" \
+                    and value.args:
+                subjects |= _names_in(value.args[0])
+            elif isinstance(value, ast.YieldFrom) \
+                    and isinstance(value.value, ast.Call) \
+                    and node.targets[0].id in sentinels:
+                for arg in value.value.args:
+                    subjects |= _names_in(arg)
         return frozenset(subjects) if subjects else None
 
     def _chunk_rounds(self, stmt: ast.While,

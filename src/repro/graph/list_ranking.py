@@ -24,8 +24,8 @@ merge round and every merge-join is a ``searchsorted`` of a batch
 
 from __future__ import annotations
 
-from itertools import chain, islice, repeat
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from itertools import islice, repeat
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Tuple
 
 from ..analysis.sanitizer import io_bound
 from ..core.blockfile import BlockFile
@@ -34,7 +34,7 @@ from ..core.exceptions import ConfigurationError, MemoryLimitExceeded
 from ..core.machine import Machine
 from ..core.records import concat, field, np
 from ..core.stream import FileStream
-from ..pipeline.sorter import Sorter
+from ..pipeline.sorter import Sorter, _primed
 from ..search.hashing import _hash_bits
 from ..sort.merge import external_merge_sort
 
@@ -146,24 +146,24 @@ def list_ranking_materialized(
     pairs: Iterable[Tuple[int, int]],
     seed: int = 0,
 ) -> Dict[int, int]:
-    """The stream-to-stream contraction: every round materializes its
-    intermediate streams and sorts them disk-to-disk.
+    """:func:`list_ranking` with its sorts on disk: the same stages and
+    coins, but every record set the fused rounds push into a Sorter is
+    written and sorted by :func:`~repro.sort.merge.external_merge_sort`
+    (see :func:`_rank_on_disk`).
 
     Kept as the measured control for the pipelining experiment (F25)
     and the fused/materialized parity suite; new code should call
     :func:`list_ranking`."""
-    records = FileStream(machine, name="listrank/input")
-    for node, successor in pairs:
-        records.append((node, successor, 1))
-    records.finalize()
-    ordered = external_merge_sort(
-        machine, records, key=lambda r: r[0], keep_input=False
-    )
-    ranked = _rank_recursive_materialized(machine, ordered, seed)
-    ordered.delete()
-    ranks = {node: rank for node, rank in ranked}
-    ranked.delete()
-    return ranks
+    ordered = _sorted_on_disk(machine, _typed_chunks(pairs, machine.B, False),
+                              "node", "listrank/input")
+    try:
+        ranked = _rank_on_disk(machine, ordered, seed)
+    finally:
+        ordered.delete()
+    try:
+        return _ranks_of(ranked)
+    finally:
+        ranked.delete()
 
 
 @io_bound(_ranking_theory, factor=4.0)
@@ -268,15 +268,21 @@ def _ordered_input(
     off the producer: the input is converted a block at a time and
     pushed into a pipelined sorter, and only the node-ordered recursion
     input is ever written."""
-    out = FileStream(machine, name="listrank/input")
+    with Sorter(
+        machine, key=field("node"), name="listrank/input-sort"
+    ) as sorter:
+        for records in _typed_chunks(items, machine.B, weighted):
+            sorter.push_block(records)
+        return _written(machine, sorter.finish_segments(), "listrank/input")
+
+
+def _written(machine: Machine, payloads: Iterable["np.ndarray"],
+             name: str) -> FileStream:
+    """A stream of ``payloads``, finalized; freed if a payload fails."""
+    out = FileStream(machine, name=name)
     try:
-        with Sorter(
-            machine, key=field("node"), name="listrank/input-sort"
-        ) as sorter:
-            for records in _typed_chunks(items, machine.B, weighted):
-                sorter.push_block(records)
-            for segment in sorter.finish_segments():
-                out.append_payload(segment)
+        for payload in payloads:
+            out.append_payload(payload)
         return out.finalize()
     except BaseException:
         out.delete()
@@ -365,92 +371,56 @@ def _rank_recursive(
 ) -> FileStream:
     """Rank a list given as a stream of ``(node, succ, w)`` records
     sorted by node id; returns a stream of ``(node, rank)`` records
-    sorted by node id.
+    sorted by node id.  The input stream is read but never deleted: the
+    caller owns it.
 
-    The input stream is read but never deleted — the caller owns it (and
-    may still need it after the call, e.g. for reintegration weights).
+    A round is five stages — :func:`_pred_pairs`, :func:`_classified`,
+    :func:`_spliced`, :func:`_restored` and :func:`_merged_by_node` —
+    and every sort between them is a pipelined :class:`Sorter`, so no
+    intermediate but two exists as a stream on disk: the ``removed``
+    side records (read twice, already in node order) and the
+    ``contracted`` list (the recursion input and the predecessor-weight
+    lookup).  Those two are the round's whole footprint across the
+    recursion, so the peak stays ``O(N/B)`` blocks over all depths (the
+    geometric series, regression-tested in ``test_pipeline.py``).
 
-    Every sort in a round is a pipelined :class:`Sorter`: producers push
-    records straight into run formation and consumers pull the final
-    merge, so none of the round's intermediates (predecessor pairs,
-    survivors, patched pieces, restored ranks) ever exists as a stream
-    on disk.  Only two round-local streams are materialized — the
-    ``removed`` side records, which are read twice (splice and
-    reintegration) and arrive already in node order, and the
-    ``contracted`` list, which is both the recursion input and the
-    predecessor-weight lookup.  That is also the round's whole
-    across-the-recursion disk footprint, so the peak stays ``O(N/B)``
-    blocks over all depths (the geometric series), a property
-    regression-tested in ``test_pipeline.py``.
-
-    A round moves one block or merge segment at a time: the records are
-    ``int64`` structured arrays (``(node, succ, w)``, ``(at, pred)``,
-    ``(node, pred, succ, w)``, ``(node, rank)``) sorted by
+    The records are ``int64`` structured arrays sorted by
     :func:`~repro.core.records.field` keys, so every sort takes the
-    typed merge round, and each merge-join is a ``searchsorted`` of a
-    batch against a :class:`_Cursor`, cut wherever a cursor reads its
-    next block.
-
-    Each pull is planned once the scans and the ``removed`` writer that
-    run beside it hold their frames; the next sorter's run buffer takes
-    the frame every pull leaves, and grows as the pull gives back its
-    resident blocks.
+    typed merge round and each merge-join is a ``searchsorted`` of a
+    batch against a :class:`_Cursor`.  Each pull is planned once the
+    scans and the ``removed`` writer that run beside it hold their
+    frames; the next sorter's run buffer takes the frame every pull
+    leaves.
     """
-    n = len(records)
-    base_capacity = machine.M - 2 * machine.B
-    if n <= base_capacity:
+    if len(records) <= machine.M - 2 * machine.B:
         return _rank_in_memory(machine, records)
 
     # A failed round frees every stream, scan and sorter it opened.
-    opened: List[Any] = []  # sorters and scans, closed on the way out
+    opened: List[Any] = []  # sorters, scans and cursors, closed on exit
     removed = FileStream(machine, name="listrank/removed")
     contracted = sub_ranks = merged = None
 
     try:
         removed.reserve_writer()  # step 2's side stream, held throughout
-        # --- 1. attach predecessors: pred[succ] = node, pushed
-        # straight into a sorter keyed by successor -------------------
+        # --- 1. attach predecessors, keyed by successor ---------------
         preds = Sorter(machine, key=field("at"), name="listrank/preds")
         opened.append(preds)
-        for block in records.iter_blocks():
-            linked = block[block["succ"] != _TAIL]
-            pairs = np.empty(len(linked), _PRED)
-            pairs["at"] = linked["succ"]
-            pairs["pred"] = linked["node"]
+        for pairs in _pred_pairs(records.iter_blocks()):
             preds.push_block(pairs)
 
-        # --- 2. classify: independent set = coin(v) & ~coin(pred(v)).
-        # Join records (by node) with the pulled preds (by node);
-        # survivors go straight into the splice sorter keyed by
-        # *successor*, removed nodes land on a side stream — appended
-        # in node order, so it never needs sorting. -------------------
+        # --- 2. classify against the pulled preds: survivors go to the
+        # splice sorter keyed by *successor*, removed nodes to the side
+        # stream, in node order, so it never needs sorting. -----------
         blocks = records.iter_blocks()
         opened.append(blocks)
-        held = [next(blocks)]  # the scan's frame, held before the plan
+        scan = _primed(blocks)  # the scan's frame, held before the plan
         pred_cursor = _Cursor(preds.finish_segments(), "at")
+        opened.append(pred_cursor)
         by_succ = Sorter(machine, key=field("succ"), name="listrank/by-succ")
         opened.append(by_succ)
-        for block in chain(held, blocks):
-            for start, stop in _pieces(block["node"], pred_cursor):
-                piece = block[start:stop]
-                nodes = piece["node"]
-                index, in_set = pred_cursor.lookup(nodes)
-                in_set &= _coins(nodes, salt)
-                predecessors = pred_cursor.rows["pred"][index[in_set]] \
-                    if in_set.any() else index[:0]
-                keep = ~_coins(predecessors, salt)
-                in_set[in_set] = keep
-                gone = piece[in_set]
-                # (node, pred, succ, weight): enough to splice and
-                # restore.
-                side = np.empty(len(gone), _REMOVED)
-                side["node"] = gone["node"]
-                side["pred"] = predecessors[keep]
-                side["succ"] = gone["succ"]
-                side["w"] = gone["w"]
-                by_succ.push_block(piece[~in_set])
-                removed.append_payload(side)
-        pred_cursor.close()  # release the pull's reader frames eagerly
+        for kept, gone in _classified(scan, pred_cursor, salt):
+            by_succ.push_block(kept)
+            removed.append_payload(gone)
         removed.finalize()
 
         if len(removed) == 0:
@@ -459,49 +429,31 @@ def _rank_recursive(
             removed.delete()
             return _rank_recursive(machine, records, salt + 1)
 
-        # --- 3. splice: survivors whose successor was removed now
-        # point to the removed node's successor and absorb its weight.
-        # The pulled by-successor order joins against a plain scan of
-        # ``removed`` (node order); patched pieces go straight into the
-        # next sorter, back toward node order. ------------------------
+        # --- 3. splice the pulled by-successor order against a scan of
+        # ``removed``; patched pieces go back toward node order. -------
         removed_cursor = _Cursor(removed.iter_blocks(), "node")
         opened.append(removed_cursor)
         by_succ_segments = by_succ.finish_segments()
         contractor = Sorter(machine, key=field("node"),
                             name="listrank/contracted")
         opened.append(contractor)
-        for segment in by_succ_segments:
-            for start, stop in _pieces(segment["succ"], removed_cursor):
-                patched = segment[start:stop].copy()
-                successors = patched["succ"]
-                index, spliced = removed_cursor.lookup(successors)
-                spliced &= successors != _TAIL
-                if spliced.any():
-                    held = removed_cursor.rows[index[spliced]]
-                    patched["succ"][spliced] = held["succ"]
-                    patched["w"][spliced] += held["w"]
-                contractor.push_block(patched)
-        removed_cursor.close()
+        for patched in _spliced(by_succ_segments, removed_cursor):
+            contractor.push_block(patched)
 
         # The contracted list is the one intermediate that must be
         # materialized: it is the recursion input and, afterwards, the
         # predecessor-weight lookup.
-        contracted = FileStream(machine, name="listrank/contracted")
-        for segment in contractor.finish_segments():
-            contracted.append_payload(segment)
-        contracted.finalize()
+        contracted = _written(machine, contractor.finish_segments(),
+                              "listrank/contracted")
 
         # --- 4. recurse ----------------------------------------------
         sub_ranks = _rank_recursive(machine, contracted, salt + 1)
 
-        # --- 5. reintegrate: rank(removed) = rank(pred) + weight(pred
-        # at time of removal) = rank(pred) + (pred's contracted weight
-        # - removed node's own weight).  Removed records are re-pushed
-        # keyed by *predecessor* and the pull joins against scans of
-        # sub_ranks and contracted (both in node order). --------------
-        # Both lookup scans hold their frames before the pull is
-        # planned: one beside the push, one in the frame its scan of
-        # ``removed`` gives back.
+        # --- 5. reintegrate: removed records are re-pushed keyed by
+        # *predecessor*, and the pull joins against scans of sub_ranks
+        # and contracted.  Both lookup scans hold their frames before
+        # the pull is planned: one beside the push, one in the frame
+        # its scan of ``removed`` gives back. -------------------------
         rank_cursor = _Cursor(sub_ranks.iter_blocks(), "node")
         opened.append(rank_cursor)
         by_pred = Sorter(machine, key=field("pred"), name="listrank/by-pred")
@@ -514,27 +466,16 @@ def _rank_recursive(
         restored = Sorter(machine, key=field("node"),
                           name="listrank/restored")
         opened.append(restored)
-        for segment in by_pred_segments:
-            for start, stop in _pieces(segment["pred"], rank_cursor,
-                                       info_cursor):
-                piece = segment[start:stop]
-                rank_at, rank_found = rank_cursor.lookup(piece["pred"])
-                info_at, info_found = info_cursor.lookup(piece["pred"])
-                assert rank_found.all() and info_found.all()
-                ranked = np.empty(len(piece), _RANK)
-                ranked["node"] = piece["node"]
-                ranked["rank"] = rank_cursor.rows["rank"][rank_at] \
-                    + (info_cursor.rows["w"][info_at] - piece["w"])
-                restored.push_block(ranked)
-        rank_cursor.close()
-        info_cursor.close()
+        for ranked in _restored(by_pred_segments, rank_cursor, info_cursor):
+            restored.push_block(ranked)
         contracted.delete()
         removed.delete()
 
-        # --- 6. merge sub_ranks with the pulled restored order (both
-        # sorted by node) into the result stream. ---------------------
+        # --- 6. merge sub_ranks with the pulled restored order, planned
+        # once the scan of sub_ranks holds its frame. ------------------
         merged = FileStream(machine, name="listrank/ranks")
-        for piece in _merged_by_node(sub_ranks.iter_blocks(), restored):
+        for piece in _merged_by_node(sub_ranks.iter_blocks(),
+                                     restored.finish_segments):
             merged.append_payload(piece)
         merged.finalize()
         sub_ranks.delete()
@@ -551,17 +492,172 @@ def _rank_recursive(
             item.close()
 
 
-def _merged_by_node(a_iter: Iterator["np.ndarray"], b_sorter: Sorter
+def _rank_on_disk(
+    machine: Machine,
+    records: FileStream,
+    salt: int,
+) -> FileStream:
+    """:func:`_rank_recursive`'s round with its sorts on disk, the F25
+    control: the same stages on the same cursors, but what the fused
+    round pushes into a Sorter is written and sorted by
+    :func:`~repro.sort.merge.external_merge_sort`, and the next stage
+    scans the sorted stream where the fused round pulls."""
+    if len(records) <= machine.M - 2 * machine.B:
+        return _rank_in_memory(machine, records)
+
+    preds = _sorted_on_disk(machine, _pred_pairs(records.iter_blocks()),
+                            "at", "listrank/preds")
+    survivors = FileStream(machine, name="listrank/survivors")
+    removed = FileStream(machine, name="listrank/removed")
+    for kept, gone in _classified(records.iter_blocks(),
+                                  _Cursor(preds.iter_blocks(), "at"), salt):
+        survivors.append_payload(kept)
+        removed.append_payload(gone)
+    preds.delete()
+    survivors.finalize()
+    removed.finalize()
+    if len(removed) == 0:
+        survivors.delete()
+        removed.delete()
+        return _rank_on_disk(machine, records, salt + 1)
+
+    by_succ = external_merge_sort(machine, survivors, key=field("succ"),
+                                  keep_input=False)
+    contracted = _sorted_on_disk(
+        machine, _spliced(by_succ.iter_blocks(),
+                          _Cursor(removed.iter_blocks(), "node")),
+        "node", "listrank/contracted")
+    by_succ.delete()
+
+    sub_ranks = _rank_on_disk(machine, contracted, salt + 1)
+
+    by_pred = external_merge_sort(machine, removed, key=field("pred"),
+                                  keep_input=False)
+    restored = _sorted_on_disk(
+        machine, _restored(by_pred.iter_blocks(),
+                           _Cursor(sub_ranks.iter_blocks(), "node"),
+                           _Cursor(contracted.iter_blocks(), "node")),
+        "node", "listrank/restored")
+    by_pred.delete()
+    contracted.delete()
+
+    merged = _written(machine, _merged_by_node(sub_ranks.iter_blocks(),
+                                               restored.iter_blocks),
+                      "listrank/ranks")
+    sub_ranks.delete()
+    restored.delete()
+    return merged
+
+
+def _sorted_on_disk(machine: Machine, payloads: Iterable["np.ndarray"],
+                    key: str, name: str) -> FileStream:
+    """``payloads`` written to a stream and sorted to disk by the field
+    ``key`` — the control's boundary where the fused round has a
+    Sorter."""
+    return external_merge_sort(machine, _written(machine, payloads, name),
+                               key=field(key), keep_input=False)
+
+
+def _pred_pairs(blocks: Iterable["np.ndarray"]) -> Iterator["np.ndarray"]:
+    """Stage 1: the ``(at, pred)`` pair of every linked node of the
+    ``(node, succ, w)`` blocks — ``pred[succ] = node``."""
+    for block in blocks:
+        linked = block[block["succ"] != _TAIL]
+        pairs = np.empty(len(linked), _PRED)
+        pairs["at"] = linked["succ"]
+        pairs["pred"] = linked["node"]
+        yield pairs
+
+
+def _classified(blocks: Iterable["np.ndarray"], preds: _Cursor, salt: int
+                ) -> Iterator[Tuple["np.ndarray", "np.ndarray"]]:
+    """Stage 2: the independent set is ``coin(v) & ~coin(pred(v))``.
+
+    Joins the node-ordered ``(node, succ, w)`` blocks with the
+    ``(at, pred)`` pairs in ``at`` order and yields, per piece, the
+    survivors and the removed nodes' ``(node, pred, succ, w)`` records
+    — enough to splice and restore.  ``preds`` is closed once the
+    blocks are spent."""
+    try:
+        for block in blocks:
+            for start, stop in _pieces(block["node"], preds):
+                piece = block[start:stop]
+                nodes = piece["node"]
+                index, in_set = preds.lookup(nodes)
+                in_set &= _coins(nodes, salt)
+                predecessors = preds.rows["pred"][index[in_set]] \
+                    if in_set.any() else index[:0]
+                keep = ~_coins(predecessors, salt)
+                in_set[in_set] = keep
+                gone = piece[in_set]
+                side = np.empty(len(gone), _REMOVED)
+                side["node"] = gone["node"]
+                side["pred"] = predecessors[keep]
+                side["succ"] = gone["succ"]
+                side["w"] = gone["w"]
+                yield piece[~in_set], side
+    finally:
+        preds.close()  # release the pull's reader frames eagerly
+
+
+def _spliced(survivors: Iterable["np.ndarray"], removed: _Cursor
+             ) -> Iterator["np.ndarray"]:
+    """Stage 3: survivors in successor order whose successor was
+    removed now point to the removed node's successor and absorb its
+    weight.  ``removed`` (node order) is closed once the survivors are
+    spent."""
+    try:
+        for segment in survivors:
+            for start, stop in _pieces(segment["succ"], removed):
+                patched = segment[start:stop].copy()
+                successors = patched["succ"]
+                index, spliced = removed.lookup(successors)
+                spliced &= successors != _TAIL
+                if spliced.any():
+                    held = removed.rows[index[spliced]]
+                    patched["succ"][spliced] = held["succ"]
+                    patched["w"][spliced] += held["w"]
+                yield patched
+    finally:
+        removed.close()
+
+
+def _restored(removed: Iterable["np.ndarray"], ranks: _Cursor,
+              info: _Cursor) -> Iterator["np.ndarray"]:
+    """Stage 5: ``rank(removed) = rank(pred) + weight(pred at time of
+    removal) = rank(pred) + (pred's contracted weight - removed node's
+    own weight)``, as ``(node, rank)`` records.  ``removed`` comes in
+    predecessor order; the ``ranks`` and contracted ``info`` cursors
+    (node order) are closed once it is spent."""
+    try:
+        for segment in removed:
+            for start, stop in _pieces(segment["pred"], ranks, info):
+                piece = segment[start:stop]
+                rank_at, rank_found = ranks.lookup(piece["pred"])
+                info_at, info_found = info.lookup(piece["pred"])
+                assert rank_found.all() and info_found.all()
+                ranked = np.empty(len(piece), _RANK)
+                ranked["node"] = piece["node"]
+                ranked["rank"] = ranks.rows["rank"][rank_at] \
+                    + (info.rows["w"][info_at] - piece["w"])
+                yield ranked
+    finally:
+        ranks.close()
+        info.close()
+
+
+def _merged_by_node(a_iter: Iterator["np.ndarray"],
+                    b_source: Callable[[], Iterator["np.ndarray"]]
                     ) -> Iterator["np.ndarray"]:
-    """Merge a node-sorted payload source and the pull of ``b_sorter``
-    (planned once ``a``'s scan holds its frame) into node-sorted
+    """Stage 6: two node-sorted payload sources merged into node-sorted
     pieces, ``b``'s record first on a tie, as a record merge would:
     each side's held payload is emitted up to the other side's last
     key, and the side whose payload ran out is read next, where a
-    record merge reads it."""
+    record merge reads it.  ``b_source()`` opens the ``b`` side once
+    ``a``'s scan holds its frame (a Sorter's pull is planned then)."""
     try:
         a = next(a_iter, None)
-        b_iter = b_sorter.finish_segments()
+        b_iter = b_source()
         b = next(b_iter, None)
         while a is not None or b is not None:
             if b is None:
@@ -591,217 +687,34 @@ def _by_node(first: "np.ndarray", second: "np.ndarray") -> "np.ndarray":
     return both[both["node"].argsort(kind="stable")]
 
 
-def _rank_recursive_materialized(
-    machine: Machine,
-    records: FileStream,
-    salt: int,
-) -> FileStream:
-    """The stream-to-stream round: every intermediate is materialized
-    and every sort is disk-to-disk — the measured control for
-    :func:`_rank_recursive`'s fused rounds."""
-    n = len(records)
-    base_capacity = machine.M - 2 * machine.B
-    if n <= base_capacity:
-        return _rank_in_memory(machine, records)
-
-    # --- 1. attach predecessors: pred[succ] = node ------------------
-    pred_stream = FileStream(machine, name="listrank/preds")
-    for node, successor, _ in records:
-        if successor != _TAIL:
-            pred_stream.append((successor, node))
-    pred_stream.finalize()
-    # em: ok(EM103) materialized control for F25/parity
-    preds = external_merge_sort(
-        machine, pred_stream, key=lambda r: r[0], keep_input=False
-    )
-
-    # --- 2. classify: independent set = coin(v) & ~coin(pred(v)) ----
-    def coin(node: int) -> bool:
-        return bool(_hash_bits((node, salt)) & 1)
-
-    # Merge records (by node) with preds (by node) to see each node's
-    # predecessor; emit contracted list pieces and side records.
-    survivors = FileStream(machine, name="listrank/survivors")
-    removed = FileStream(machine, name="listrank/removed")
-    pred_iter = iter(preds)
-    pred_entry = next(pred_iter, None)
-    for node, successor, weight in records:
-        while pred_entry is not None and pred_entry[0] < node:
-            pred_entry = next(pred_iter, None)
-        predecessor = (
-            pred_entry[1]
-            if pred_entry is not None and pred_entry[0] == node
-            else None
-        )
-        in_set = (
-            predecessor is not None
-            and coin(node)
-            and not coin(predecessor)
-        )
-        if in_set:
-            # (node, pred, succ, weight): enough to splice and restore.
-            removed.append((node, predecessor, successor, weight))
-        else:
-            survivors.append((node, successor, weight))
-    pred_iter.close()  # release the lookup reader's frame
-    survivors.finalize()
-    removed.finalize()
-    preds.delete()
-
-    if len(removed) == 0:
-        # Unlucky coins removed nothing; retry with a fresh salt.
-        result = _rank_recursive_materialized(
-            machine, survivors, salt + 1
-        )
-        survivors.delete()
-        removed.delete()
-        return result
-
-    # --- 3. splice: survivors whose successor was removed now point to
-    # the removed node's successor and absorb its weight. -------------
-    # Join survivors (keyed by successor) with removed (keyed by node;
-    # it was appended in node order, so the sort is a formality kept
-    # for the control's stream-to-stream shape).
-    # em: ok(EM103) materialized control for F25/parity
-    by_successor = external_merge_sort(
-        machine, survivors, key=lambda r: r[1], keep_input=False
-    )
-    # em: ok(EM103) materialized control for F25/parity
-    removed_sorted = external_merge_sort(
-        machine, removed, key=lambda r: r[0]
-    )
-    patched = FileStream(machine, name="listrank/patched")
-    removed_iter = iter(removed_sorted)
-    removed_entry = next(removed_iter, None)
-    for node, successor, weight in by_successor:
-        while removed_entry is not None and removed_entry[0] < successor:
-            removed_entry = next(removed_iter, None)
-        if (
-            successor != _TAIL
-            and removed_entry is not None
-            and removed_entry[0] == successor
-        ):
-            _, _, removed_succ, removed_weight = removed_entry
-            patched.append((node, removed_succ, weight + removed_weight))
-        else:
-            patched.append((node, successor, weight))
-    removed_iter.close()
-    patched.finalize()
-    by_successor.delete()
-    removed_sorted.delete()
-
-    contracted = external_merge_sort(
-        machine, patched, key=lambda r: r[0], keep_input=False
-    )
-
-    # --- 4. recurse -------------------------------------------------
-    sub_ranks = _rank_recursive_materialized(machine, contracted, salt + 1)
-
-    # --- 5. reintegrate: rank(removed) = rank(pred) + weight(pred at
-    # time of removal).  The predecessor's weight then was its *current*
-    # weight before absorbing; we stored the removed node's own weight,
-    # so recompute: rank(node) = rank(pred) + (weight added when stepping
-    # pred -> node), which equals pred's weight before splicing =
-    # pred's weight in the contracted list minus node's weight.
-    # em: ok(EM103) materialized control for F25/parity
-    removed_by_pred = external_merge_sort(
-        machine, removed, key=lambda r: r[1], keep_input=False
-    )
-    # The predecessor's contracted weight comes straight from the
-    # contracted stream, which is already sorted by node id.
-    pred_info = contracted
-    restored = FileStream(machine, name="listrank/restored")
-    rank_iter = iter(sub_ranks)
-    info_iter = iter(pred_info)
-    rank_entry = next(rank_iter, None)
-    info_entry = next(info_iter, None)
-    for node, predecessor, _, weight in removed_by_pred:
-        while rank_entry is not None and rank_entry[0] < predecessor:
-            rank_entry = next(rank_iter, None)
-        while info_entry is not None and info_entry[0] < predecessor:
-            info_entry = next(info_iter, None)
-        assert rank_entry is not None and rank_entry[0] == predecessor
-        assert info_entry is not None and info_entry[0] == predecessor
-        pred_rank = rank_entry[1]
-        pred_weight_now = info_entry[2]
-        restored.append((node, pred_rank + (pred_weight_now - weight)))
-    rank_iter.close()
-    info_iter.close()
-    restored.finalize()
-    removed_by_pred.delete()
-    contracted.delete()
-
-    # --- 6. merge sub_ranks with restored (both → sorted by node) ----
-    # em: ok(EM103) materialized control for F25/parity
-    restored_sorted = external_merge_sort(
-        machine, restored, key=lambda r: r[0], keep_input=False
-    )
-    merged = FileStream(machine, name="listrank/ranks")
-    a_iter = iter(sub_ranks)
-    b_iter = iter(restored_sorted)
-    a = next(a_iter, None)
-    b = next(b_iter, None)
-    while a is not None or b is not None:
-        if b is None or (a is not None and a[0] < b[0]):
-            merged.append(a)
-            a = next(a_iter, None)
-        else:
-            merged.append(b)
-            b = next(b_iter, None)
-    merged.finalize()
-    sub_ranks.delete()
-    restored_sorted.delete()
-    removed.delete()
-    survivors.delete()
-    return merged
-
-
 def _rank_in_memory(machine: Machine, records: FileStream) -> FileStream:
-    """Base case: the list fits in memory; walk it directly.
-
-    Serves both representations: typed ``(node, succ, w)`` records give
-    typed ``(node, rank)`` records, tuples (the materialized control)
-    give tuples."""
+    """Base case: the list fits in memory; walk it directly."""
     if len(records) > machine.M:
         raise MemoryLimitExceeded(
             len(records), machine.budget.in_use, machine.M)
     with machine.budget.reserve(len(records)):
-        table = concat(list(records.iter_blocks()))
-        typed = isinstance(table, np.ndarray)
-        if typed:
-            nodes = table["node"].tolist()
-            succs = table["succ"].tolist()
-            weights = table["w"].tolist()
-        else:
-            nodes = [node for node, _, _ in table]
-            succs = [succ for _, succ, _ in table]
-            weights = [w for _, _, w in table]
-        successor: Dict[int, int] = dict(zip(nodes, succs))
-        weight: Dict[int, int] = dict(zip(nodes, weights))
-        targets = set(succs)
-        targets.discard(_TAIL)
+        table = concat(list(records.iter_blocks())
+                       or [np.empty(0, _NODE)])
+        nodes = table["node"].tolist()
+        successor = dict(zip(nodes, table["succ"].tolist()))
+        weight = dict(zip(nodes, table["w"].tolist()))
+        heads = successor.keys() - set(successor.values())
+        if successor and len(heads) != 1:
+            raise ConfigurationError(
+                f"input is not a single linked list "
+                f"(found {len(heads)} heads)"
+            )
         ranks: Dict[int, int] = {}
-        if successor:
-            heads = [v for v in successor if v not in targets]
-            if len(heads) != 1:
-                raise ConfigurationError(
-                    f"input is not a single linked list "
-                    f"(found {len(heads)} heads)"
-                )
-            node = heads[0]
-            rank = 0
-            while node != _TAIL:
-                ranks[node] = rank
-                rank += weight[node]
-                node = successor[node]
+        node, rank = next(iter(heads), _TAIL), 0
+        while node != _TAIL:
+            ranks[node] = rank
+            rank += weight[node]
+            node = successor[node]
         # em: ok(EM004) base case: ≤ M - 2B nodes, reserved above
         order = sorted(ranks)
-        if typed:
-            ranked = np.empty(len(order), _RANK)
-            ranked["node"] = order
-            ranked["rank"] = [ranks[node] for node in order]
-        else:
-            ranked = [(node, ranks[node]) for node in order]
+        ranked = np.empty(len(order), _RANK)
+        ranked["node"] = order
+        ranked["rank"] = [ranks[node] for node in order]
         output = FileStream(machine, name="listrank/ranks")
         try:
             output.append_payload(ranked)

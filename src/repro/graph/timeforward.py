@@ -17,7 +17,7 @@ Applications implemented on top of the generic engine:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Tuple
 
 from ..analysis.sanitizer import io_bound, sized
 from ..core.bounds import scan_io, sort_io
@@ -74,42 +74,12 @@ def time_forward_process(
     (:meth:`~repro.pq.sequence_heap.ExternalPriorityQueue.footprint`),
     so it leaves that space free.
     """
-
-    def validated() -> Iterable[Tuple[int, int]]:
-        for u, v in edges:
-            if not (0 <= u < num_vertices and 0 <= v < num_vertices):
-                raise ConfigurationError(
-                    f"edge ({u}, {v}) outside vertex range"
-                )
-            if u >= v:
-                raise ConfigurationError(
-                    f"edge ({u}, {v}) violates topological numbering "
-                    f"(u < v)"
-                )
-            yield (u, v)
-
-    results: Dict[int, Any] = {}
-    # The sort pushes with all of memory.  The pull is planned beside
-    # the queue's working space, and the queue opens once the first
-    # edge is pulled (after any merge-down, which may use it).
     with Sorter(machine, name="tfp/edges") as sorter:
-        sorter.consume(validated())
-        edge_iter = sorter.finish(
-            beside=ExternalPriorityQueue.footprint(machine))
-        pending = next(edge_iter, None)
-        with ExternalPriorityQueue(machine) as queue:
-            for vertex in range(num_vertices):
-                incoming: List[Any] = []
-                while len(queue) > 0 and \
-                        queue.peek_min()[0][0] == vertex:
-                    (_, sender), value = queue.delete_min()
-                    incoming.append(value)
-                value = compute(vertex, incoming)
-                results[vertex] = value
-                while pending is not None and pending[0] == vertex:
-                    queue.insert((pending[1], vertex), value)
-                    pending = next(edge_iter, None)
-    return results
+        sorter.consume(_validated(num_vertices, edges))
+        return _forwarded(
+            machine, num_vertices,
+            sorter.finish(beside=ExternalPriorityQueue.footprint(machine)),
+            compute)
 
 
 @io_bound(_tfp_theory, factor=6.0, n=_tfp_n)
@@ -119,14 +89,29 @@ def time_forward_process_materialized(
     edges: Iterable[Tuple[int, int]],
     compute: Callable[[int, List[Any]], Any],
 ) -> Dict[int, Any]:
-    """The stream-to-stream variant: materialize the edge stream, sort
-    it to disk, scan the sorted copy.
+    """:func:`time_forward_process` with its edge sort on disk: the
+    validated edges are written, sorted by
+    :func:`~repro.sort.merge.external_merge_sort`, and the same vertex
+    loop scans the sorted copy.
 
     Kept as the measured control for the pipelining experiment (F25)
     and the fused/materialized parity suite; new code should call
     :func:`time_forward_process`, which fuses both sort boundaries.
     """
-    edge_stream = FileStream(machine, name="tfp/edges")
+    edge_stream = FileStream.from_records(
+        machine, _validated(num_vertices, edges), name="tfp/edges")
+    # em: ok(EM103) materialized control for F25/parity
+    by_source = external_merge_sort(machine, edge_stream, keep_input=False)
+    try:
+        return _forwarded(machine, num_vertices, iter(by_source), compute)
+    finally:
+        by_source.delete()
+
+
+def _validated(num_vertices: int, edges: Iterable[Tuple[int, int]]
+               ) -> Iterator[Tuple[int, int]]:
+    """``edges``, each checked to lie in the vertex range and to follow
+    the topological numbering."""
     for u, v in edges:
         if not (0 <= u < num_vertices and 0 <= v < num_vertices):
             raise ConfigurationError(
@@ -136,17 +121,23 @@ def time_forward_process_materialized(
             raise ConfigurationError(
                 f"edge ({u}, {v}) violates topological numbering (u < v)"
             )
-        edge_stream.append((u, v))
-    edge_stream.finalize()
-    # em: ok(EM103) materialized control for F25/parity
-    by_source = external_merge_sort(
-        machine, edge_stream, key=lambda e: e, keep_input=False
-    )
+        yield (u, v)
 
+
+def _forwarded(
+    machine: Machine,
+    num_vertices: int,
+    by_source: Iterator[Tuple[int, int]],
+    compute: Callable[[int, List[Any]], Any],
+) -> Dict[int, Any]:
+    """The vertex loop over the edges in ``(u, v)`` order: each vertex
+    takes its incoming values off the priority queue, and its value is
+    sent along its out-edges.  The queue opens once the first edge is
+    read (after any merge-down of a pulled sort, which may use its
+    frames)."""
     results: Dict[int, Any] = {}
+    pending = next(by_source, None)
     with ExternalPriorityQueue(machine) as queue:
-        edge_iter = iter(by_source)
-        pending = next(edge_iter, None)
         for vertex in range(num_vertices):
             incoming: List[Any] = []
             while len(queue) > 0 and queue.peek_min()[0][0] == vertex:
@@ -156,8 +147,7 @@ def time_forward_process_materialized(
             results[vertex] = value
             while pending is not None and pending[0] == vertex:
                 queue.insert((pending[1], vertex), value)
-                pending = next(edge_iter, None)
-    by_source.delete()
+                pending = next(by_source, None)
     return results
 
 

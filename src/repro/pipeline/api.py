@@ -97,11 +97,8 @@ class Pipeline:
         self._stages.append(("flat_map", fn))
         return self
 
-    def sort(
-        self,
-        key: Optional[Callable[[Any], Any]] = None,
-        fan_in: Optional[int] = None,
-    ) -> "Pipeline":
+    def sort(self, key: Optional[Callable[[Any], Any]] = None
+             ) -> "Pipeline":
         """A fused sort boundary: upstream records are pushed straight
         into a :class:`~repro.pipeline.sorter.Sorter` and the merged
         order is pulled straight out — the input is never written and
@@ -111,7 +108,7 @@ class Pipeline:
         The Sorter plans its run buffer and pull from the frames free
         when it runs; a downstream sort's run buffer grows into the
         frames the pull gives back."""
-        self._stages.append(("sort", (key, fan_in)))
+        self._stages.append(("sort", key))
         return self
 
     # ------------------------------------------------------------------
@@ -157,9 +154,8 @@ class Pipeline:
                 # loop variable after later stages rebind it
                 records = chain.from_iterable(map(payload, records))
             else:  # sort
-                key, fan_in = payload
-                sorter = Sorter(self.machine, key, f"{self.name}/sort{index}",
-                                fan_in)
+                sorter = Sorter(self.machine, payload,
+                                f"{self.name}/sort{index}")
                 self._sorters.append(sorter)
                 sorter.consume(records)
                 records = sorter.finish(beside)

@@ -67,11 +67,6 @@ class Sorter:
             every frame is charged to.
         key: sort key; default sorts records directly.
         name: label prefix for run streams and trace phases.
-        fan_in: cap on the merge arity of the merge-down before the
-            pull; default lets one sorter use the machine maximum.
-        stream_cls: stream class for the run files (pass
-            :class:`~repro.core.stream.StripedStream` on multi-disk
-            machines).
 
     The frame plan follows the budget the Sorter sees:
 
@@ -124,24 +119,16 @@ class Sorter:
         machine: Machine,
         key: Optional[Callable[[Any], Any]] = None,
         name: str = "sorter",
-        fan_in: Optional[int] = None,
-        stream_cls=FileStream,
     ):
         self.machine = machine
         self._key = key or identity
         self._name = name
-        self._fan_in = fan_in
-        self._stream_cls = stream_cls
         # Fail fast on a geometrically un-mergeable configuration,
         # before the producer spends a pass pushing records in.  (A
         # *static* check: construction may legitimately happen while
         # another sorter's pull holds most of the free budget, so the
         # dynamic plan is made at finish() time instead.)
-        if fan_in is not None and fan_in < 2:
-            raise ConfigurationError(
-                f"merge fan-in must be >= 2, got {fan_in}"
-            )
-        if machine.m - stream_cls.writer_frames(machine) < 2:
+        if machine.m - FileStream.writer_frames(machine) < 2:
             raise ConfigurationError(
                 f"sorter {name!r}: machine has {machine.m} frames, too "
                 f"few for a binary merge plus its output writer"
@@ -217,9 +204,7 @@ class Sorter:
         grow."""
         machine = self.machine
         blocks = memoryload_blocks(
-            machine, machine.budget.available + self._reserved,
-            self._stream_cls,
-        )
+            machine, machine.budget.available + self._reserved)
         if blocks * machine.B > self._reserved:
             self._room = blocks * machine.B - self._reserved
             self._hold(blocks)
@@ -247,7 +232,7 @@ class Sorter:
             return
         with self.machine.trace(f"{self._name}-runs"):
             self._runs.append(write_run(
-                self.machine, chunk, self._key, self._stream_cls,
+                self.machine, chunk, self._key, FileStream,
                 f"{self._name}/run/{len(self._runs)}",
             ))
 
@@ -392,28 +377,21 @@ class Sorter:
         while len(self._runs) > width:
             level += 1
             first, count = 0, len(self._runs)
-            arity = plan_merge_arity(
-                machine, count, fan_in=self._fan_in,
-                stream_cls=self._stream_cls,
-            )
+            arity = plan_merge_arity(machine, count)
             if count - width + 1 <= arity:
                 count -= width - 1
                 sizes = [run.num_blocks for run in self._runs]
                 first = min(range(len(sizes) - count + 1),
                             key=lambda i: sum(sizes[i:i + count]))
             else:
-                widest = plan_merge_arity(
-                    machine, fan_in=self._fan_in,
-                    stream_cls=self._stream_cls,
-                )
+                widest = plan_merge_arity(machine)
                 arity = min(widest, max(arity, -(-count // width)))
             landed: List[FileStream] = []
             try:
                 merged = merge_pass(
                     machine, self._runs[first:first + count], arity,
-                    key=self._key, stream_cls=self._stream_cls,
-                    level=level, name_prefix=f"{self._name}/merge",
-                    out=landed,
+                    key=self._key, level=level,
+                    name_prefix=f"{self._name}/merge", out=landed,
                 )
             except BaseException:
                 # The inputs stay in ``_runs`` for close(); the outputs

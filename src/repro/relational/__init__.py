@@ -11,7 +11,6 @@ from .joins import (
     hash_group_by,
     merge_join_iterators,
     sort_merge_join,
-    sort_merge_join_materialized,
 )
 from .operators import (
     AGGREGATES,
@@ -23,7 +22,11 @@ from .operators import (
     select,
     top_k,
 )
-from .steps import merge_join_steps, sort_merge_join_steps
+from .steps import (
+    merge_join_steps,
+    sort_merge_join_materialized,
+    sort_merge_join_steps,
+)
 from .table import Table
 
 __all__ = [

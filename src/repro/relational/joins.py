@@ -26,7 +26,6 @@ from ..core.machine import Machine
 from ..core.stream import FileStream
 from ..pipeline.sorter import Sorter
 from ..search.hashing import _hash_bits
-from ..sort.merge import external_merge_sort
 from .table import Table
 
 _MAX_HASH_RECURSION = 8
@@ -163,7 +162,7 @@ def sort_merge_join(
     records, the right side first on a tie, so its one pull is the
     merge of both sorted orders and neither is ever written
     (``~2·(N/DB)`` I/Os saved per side over
-    :func:`sort_merge_join_materialized`).
+    :func:`~repro.relational.steps.sort_merge_join_materialized`).
 
     The pull is planned beside the key-group share — half of memory
     plus four frames, never more than leaves three frames to the sort —
@@ -212,42 +211,6 @@ def _join_tagged(machine: Machine, tagged: Iterable[Tuple]
                         yield row, match
         finally:
             budget.release(len(group))
-
-
-@io_bound(_smj_theory, factor=3.0, n=_join_n)
-def sort_merge_join_materialized(
-    left: Table,
-    right: Table,
-    left_column: str,
-    right_column: str,
-    name: str = "smj",
-) -> Table:
-    """The stream-to-stream join: sort both inputs to disk, then merge.
-
-    Kept as the measured control for the pipelining experiment (F25)
-    and the fused/materialized parity suite; new code should call
-    :func:`sort_merge_join`, which skips both sorted-intermediate
-    boundaries."""
-    machine = left.machine
-    left_key = left.key_fn(left_column)
-    right_key = right.key_fn(right_column)
-    # em: ok(EM103) materialized control for F25/parity
-    left_sorted = external_merge_sort(machine, left.stream, key=left_key)
-    # em: ok(EM103) materialized control for F25/parity
-    right_sorted = external_merge_sort(machine, right.stream, key=right_key)
-    result = _output_table(
-        machine,
-        left,
-        right,
-        merge_join_iterators(
-            machine, iter(left_sorted), iter(right_sorted),
-            left_key, right_key,
-        ),
-        name,
-    )
-    left_sorted.delete()
-    right_sorted.delete()
-    return result
 
 
 @io_bound(_bnl_theory, factor=2.0, n=_join_n)

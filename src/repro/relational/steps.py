@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, Optional, Tuple
 
-from ..core.intents import StreamRead
+from ..analysis.sanitizer import io_bound
+from ..core.intents import StreamRead, drive
 from ..core.machine import Machine
 from ..core.stream import FileStream
 from ..sort.steps import merge_sort_steps
-from .joins import _joined_columns
+from .joins import _join_n, _joined_columns, _smj_theory
 from .table import Table
 
 
@@ -51,6 +52,18 @@ def _next_row(cursor: _RowCursor):
     row = cursor.records[cursor.offset]
     cursor.offset += 1
     return row
+
+
+def _paired(machine: Machine, out: FileStream, buffer: List[Tuple],
+            left_row: Tuple, group: List[Tuple]) -> None:
+    """Append ``left_row`` joined with each row of ``group`` to
+    ``buffer``, writing every block it fills to ``out``."""
+    B = machine.block_size
+    for match in group:
+        buffer.append(tuple(left_row) + tuple(match))
+        if len(buffer) >= B:
+            out.append_block(buffer[:B])
+            del buffer[:B]
 
 
 def merge_join_steps(
@@ -103,25 +116,19 @@ def merge_join_steps(
                             right_row = yield from _next_row(right)
                         while left_row is not None \
                                 and left_key(left_row) == lk:
-                            for match in group:
-                                buffer.append(
-                                    tuple(left_row) + tuple(match)
-                                )
-                                if len(buffer) >= B:
-                                    out.append_block(buffer[:B])
-                                    del buffer[:B]
+                            _paired(machine, out, buffer, left_row, group)
                             left_row = yield from _next_row(left)
                     finally:
                         budget.release(len(group))
-            while buffer:
-                out.append_block(buffer[:B])
-                del buffer[:B]
+            if buffer:
+                out.append_block(buffer)
         except BaseException:
             out.delete()
             raise
     return out.finalize()
 
 
+@io_bound(_smj_theory, factor=3.0, n=_join_n)
 def sort_merge_join_steps(
     left: Table,
     right: Table,
@@ -162,3 +169,23 @@ def sort_merge_join_steps(
         left_sorted.delete()
         right_sorted.delete()
     return Table(machine, _joined_columns(left, right), out, name=name)
+
+
+@io_bound(_smj_theory, factor=3.0, n=_join_n)
+def sort_merge_join_materialized(
+    left: Table,
+    right: Table,
+    left_column: str,
+    right_column: str,
+    name: str = "smj",
+) -> Table:
+    """:func:`~repro.relational.joins.sort_merge_join` with its sorts on
+    disk: :func:`sort_merge_join_steps` driven alone, which sorts both
+    inputs to disk and merge-joins the sorted streams.
+
+    Kept as the measured control for the pipelining experiment (F25)
+    and the fused/materialized parity suite; new code should call
+    :func:`~repro.relational.joins.sort_merge_join`, which skips both
+    sorted-intermediate boundaries."""
+    return drive(left.machine, sort_merge_join_steps(
+        left, right, left_column, right_column, name=name))

@@ -172,7 +172,8 @@ class TestSorterConsume:
         # Like push_block, consume is charged for the records it is
         # given: one round's consume is that round's share of the data,
         # not N records times the N-bounded round count.  The round's
-        # FileStream.from_records is one write pass over the pull, N/B.
+        # FileStream.from_records is one write pass over the pull, N/B,
+        # and the pull it iterates one read pass, N/B.
         sorter_path = "src/repro/pipeline/sorter.py"
         sources = fixture(SORTER_ROUNDS) + [
             (sorter_path, (REPO / sorter_path).read_text())]
@@ -181,8 +182,63 @@ class TestSorterConsume:
                     if f.path == ALGO and f.rule == "EM201"]
         assert findings == []
         entry = report["fixture.jump_until_stable"]
-        assert entry["inferred"] == "N·log_m(n)/B + N/B"
+        assert entry["inferred"] == "N·log_m(n)/B + 2·N/B"
         assert entry["certified"] is True
+
+
+SORTER_PULL = """
+from ..analysis.sanitizer import io_bound
+from ..core.bounds import sort_io
+from ..core.stream import FileStream
+from ..pipeline.sorter import Sorter
+
+def _first_of_each(records):
+    previous = None
+    for record in records:
+        if record != previous:
+            yield record
+        previous = record
+
+@io_bound(lambda machine, n: sort_io(n, machine.M, machine.B, machine.D))
+def pulled(machine, stream):
+    '''A sort and its pull into a writer: ``Sort(N)`` I/Os.'''
+    with Sorter(machine) as ordered:
+        ordered.consume(stream)
+        out = FileStream(machine)
+        PULL
+        return out.finalize()
+"""
+
+#: each way of iterating a Sorter, and its ``finish()`` twin
+SORTER_PULL_TWINS = [
+    ("for record in ordered: out.append(record)",
+     "for record in ordered.finish(): out.append(record)"),
+    ("out.extend(_first_of_each(ordered))",
+     "out.extend(_first_of_each(ordered.finish()))"),
+    ("out.extend(record for record in ordered)",
+     "out.extend(record for record in ordered.finish())"),
+    ("out.extend(list(ordered))",
+     "out.extend(list(ordered.finish()))"),
+]
+
+
+class TestSorterPull:
+    @pytest.mark.parametrize("iterated, finished", SORTER_PULL_TWINS)
+    def test_iterating_a_sorter_is_charged_as_its_finish(
+            self, iterated, finished):
+        # Iterating the Sorter pulls its final merge as finish() does:
+        # one read pass, N/B, beside the sort and the write.
+        sorter_path = "src/repro/pipeline/sorter.py"
+        rows = []
+        for pull in (iterated, finished):
+            sources = fixture(SORTER_PULL.replace("PULL", pull)) + [
+                (sorter_path, (REPO / sorter_path).read_text())]
+            report = {}
+            lint_sources(sources, report=report)
+            rows.append(report["fixture.pulled"])
+        assert rows[0]["inferred"] == rows[1]["inferred"]
+        assert "2·N/B" in rows[0]["inferred"]
+        assert rows[0]["certified"] is rows[1]["certified"] is True
 
 
 STREAM_BUILDERS = """

@@ -770,14 +770,23 @@ class TestFusionSavesIO:
 
 
 class TestF25Gate:
-    def test_gate_fails_when_the_join_is_materialized(self, monkeypatch):
-        # With the fused join swapped for its materialized control, the
-        # smoke's fused-must-win assert has to catch it.
-        import repro.relational
+    @pytest.mark.parametrize("package, consumer, fused, control", [
+        ("repro.relational", "join", "sort_merge_join",
+         sort_merge_join_materialized),
+        ("repro.graph", "time_forward", "time_forward_process",
+         time_forward_process_materialized),
+        ("repro.graph", "list_ranking", "list_ranking",
+         list_ranking_materialized),
+    ], ids=["join", "time_forward", "list_ranking"])
+    def test_gate_fails_when_a_consumer_is_materialized(
+            self, monkeypatch, package, consumer, fused, control):
+        # With a fused consumer swapped for its materialized control,
+        # the smoke's fused-must-win assert has to catch it.
+        import importlib
 
-        monkeypatch.setattr(repro.relational, "sort_merge_join",
-                            sort_merge_join_materialized)
-        with pytest.raises(AssertionError, match="join: fused"):
+        monkeypatch.setattr(importlib.import_module(package), fused,
+                            control)
+        with pytest.raises(AssertionError, match=f"{consumer}: fused"):
             bench_smoke.pipeline_smoke()
 
 

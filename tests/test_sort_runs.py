@@ -98,9 +98,11 @@ def test_callers_share_the_memoryload_rule(D, stream_cls, held, blocks):
         for run in runs:
             run.delete()
 
-        with Sorter(m, stream_cls=stream_cls) as sorter:
+        # The Sorter's runs are FileStreams.
+        with Sorter(m) as sorter:
             sorter.consume(data)
-            assert len(sorter._runs[0]) == blocks * m.B
+            assert len(sorter._runs[0]) == memoryload_blocks(
+                m, available) * m.B
 
         # The cooperative sort writes its runs block by block through a
         # FileStream; its first intent reads one memoryload.
