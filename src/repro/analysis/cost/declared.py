@@ -22,7 +22,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Optional, Set
 
-from ..flow.summaries import FunctionInfo, ModuleInfo
+from ..flow.summaries import FunctionInfo, ModuleInfo, Project
 from .expr import Cost, Term, add, mul, normalized, sort_terms
 
 #: sentinel abstract values
@@ -439,11 +439,11 @@ def _io_bound_decorator(func: FunctionInfo) -> Optional[ast.Call]:
     return None
 
 
-def declared_bound(func: FunctionInfo, project=None
+def declared_bound(func: FunctionInfo, project: Project
                    ) -> Optional[DeclaredBound]:
     """The theory callable's symbolic bound, or ``None`` if the
     decorator is absent or uninterpretable.  A theory named by import
-    is found in ``project`` when it is given."""
+    is found in ``project``."""
     dec = _io_bound_decorator(func)
     if dec is None:
         return None
@@ -454,8 +454,7 @@ def declared_bound(func: FunctionInfo, project=None
         value = eval_theory_function(theory, module)
     elif isinstance(theory, ast.Name):
         target = module.functions.get(theory.id)
-        if target is None and project is not None \
-                and theory.id in module.imports:
+        if target is None and theory.id in module.imports:
             found = project.functions_by_name.get(theory.id, [])
             target = found[0] if len(found) == 1 else None
         if target is not None:
