@@ -6,6 +6,8 @@ to one I/O per element once a column's blocks exceed the pool.
 
 Reproduction: square matrices of growing size; blocked transpose must
 stay at exactly ``2N/B`` while the naive loop approaches ``N`` reads.
+The smallest matrix (16 blocks) fits the pool's frames, so there the
+naive loop's column walk hits cached blocks and costs what blocked does.
 """
 
 from conftest import report
@@ -18,7 +20,7 @@ B, M_BLOCKS = 16, 32  # B^2 = 256 <= M - B = 496
 
 def run_experiment():
     rows = []
-    for side in (32, 64, 128):
+    for side in (16, 64, 128):
         n = side * side
         m1 = Machine(block_size=B, memory_blocks=M_BLOCKS)
         mat1 = ExternalMatrix.from_function(
@@ -41,8 +43,11 @@ def run_experiment():
             f"{naive / blocked:.1f}x",
         ])
         assert blocked == 2 * n // B  # exactly two passes
-    # The gap must widen as the matrix outgrows the pool.
-    assert float(rows[-1][4][:-1]) > float(rows[0][4][:-1])
+    # A matrix the pool holds costs the naive loop no extra I/O; the gap
+    # opens once the matrix outgrows the pool.
+    blocked_io, naive_io = zip(*(row[2:4] for row in rows))
+    assert naive_io[0] == blocked_io[0]
+    assert all(n > b for n, b in zip(naive_io[1:], blocked_io[1:]))
     return rows
 
 

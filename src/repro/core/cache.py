@@ -65,13 +65,17 @@ from .exceptions import (
     PoolError,
 )
 
+_NO_DIRTY: frozenset = frozenset()
+"""``victim``'s default ``dirty``: an eviction that may write back."""
+
 
 class EvictionPolicy:
     """Interface for eviction policies.
 
     The pool notifies the policy of every access and insertion; when a frame
     is needed the pool asks :meth:`victim` which resident, unpinned block to
-    evict.
+    evict; an online policy stops at the first evictable block of its
+    own order.
     """
 
     name = "abstract"
@@ -88,8 +92,11 @@ class EvictionPolicy:
         """A block left the pool (evicted or explicitly dropped)."""
         raise NotImplementedError
 
-    def victim(self, candidates) -> int:
-        """Choose one of ``candidates`` (a set of evictable ids) to evict."""
+    def victim(self, pinned, dirty=_NO_DIRTY) -> Optional[int]:
+        """Choose a resident block in neither ``pinned`` nor ``dirty``
+        (containers with constant-time ``in``) to evict, or return
+        ``None`` when there is none; a search that finds nothing leaves
+        the policy's state as it was."""
         raise NotImplementedError
 
 
@@ -110,11 +117,11 @@ class LRUPolicy(EvictionPolicy):
     def on_remove(self, block_id: int) -> None:
         self._order.pop(block_id, None)
 
-    def victim(self, candidates) -> int:
+    def victim(self, pinned, dirty=_NO_DIRTY) -> Optional[int]:
         for block_id in self._order:
-            if block_id in candidates:
+            if block_id not in pinned and block_id not in dirty:
                 return block_id
-        raise PoolError("no evictable frame (all pinned)")
+        return None
 
 
 class MRUPolicy(EvictionPolicy):
@@ -138,11 +145,11 @@ class MRUPolicy(EvictionPolicy):
     def on_remove(self, block_id: int) -> None:
         self._order.pop(block_id, None)
 
-    def victim(self, candidates) -> int:
+    def victim(self, pinned, dirty=_NO_DIRTY) -> Optional[int]:
         for block_id in reversed(self._order):
-            if block_id in candidates:
+            if block_id not in pinned and block_id not in dirty:
                 return block_id
-        raise PoolError("no evictable frame (all pinned)")
+        return None
 
 
 class FIFOPolicy(EvictionPolicy):
@@ -164,18 +171,20 @@ class FIFOPolicy(EvictionPolicy):
     def on_remove(self, block_id: int) -> None:
         self._resident.discard(block_id)
 
-    def victim(self, candidates) -> int:
-        while self._queue:
-            block_id = self._queue[0]
-            if block_id not in self._resident:
-                self._queue.popleft()
-                continue
-            if block_id in candidates:
-                return block_id
-            # Pinned: rotate it to the back so we can make progress.
-            self._queue.popleft()
-            self._queue.append(block_id)
-        raise PoolError("no evictable frame (all pinned)")
+    def victim(self, pinned, dirty=_NO_DIRTY) -> Optional[int]:
+        for ahead, block_id in enumerate(self._queue):
+            if block_id in self._resident and block_id not in pinned \
+                    and block_id not in dirty:
+                break
+        else:
+            return None
+        # Drop the stale entries ahead of the victim and rotate the
+        # resident ones (pinned or dirty) to the back.
+        for _ in range(ahead):
+            skipped = self._queue.popleft()
+            if skipped in self._resident:
+                self._queue.append(skipped)
+        return block_id
 
 
 class ClockPolicy(EvictionPolicy):
@@ -196,25 +205,20 @@ class ClockPolicy(EvictionPolicy):
     def on_remove(self, block_id: int) -> None:
         self._ref.pop(block_id, None)
 
-    def victim(self, candidates) -> int:
+    def victim(self, pinned, dirty=_NO_DIRTY) -> Optional[int]:
         # Sweep the clock hand: clear reference bits until an unreferenced
-        # evictable block is found.
-        for _ in range(2 * len(self._ref) + 1):
-            if not self._ref:
-                break
+        # evictable block is found.  Two turns find one if any exists; two
+        # turns that find none leave hand and bits where they were.
+        for _ in range(2 * len(self._ref)):
             block_id, referenced = next(iter(self._ref.items()))
             self._ref.move_to_end(block_id)
-            if block_id not in candidates:
+            if block_id in pinned or block_id in dirty:
                 continue
             if referenced:
                 self._ref[block_id] = False
             else:
                 return block_id
-        # Everything was referenced; fall back to the current hand position.
-        for block_id in self._ref:
-            if block_id in candidates:
-                return block_id
-        raise PoolError("no evictable frame (all pinned)")
+        return None
 
 
 class MinPolicy(EvictionPolicy):
@@ -222,7 +226,8 @@ class MinPolicy(EvictionPolicy):
 
     Requires the full future access trace up front, so it is only usable in
     ablation experiments where the trace is known.  Evicts the evictable
-    block whose next use is farthest in the future.
+    block whose next use is farthest in the future, scanning every
+    evictable block.
     """
 
     name = "min"
@@ -232,15 +237,18 @@ class MinPolicy(EvictionPolicy):
         for position, block_id in enumerate(trace):
             self._future.setdefault(block_id, deque()).append(position)
         self._clock = 0
+        # Resident blocks in the pool's frame order: the scan's order.
+        self._resident: Dict[int, None] = {}
 
     def on_insert(self, block_id: int) -> None:
+        self._resident[block_id] = None
         self._advance(block_id)
 
     def on_access(self, block_id: int) -> None:
         self._advance(block_id)
 
     def on_remove(self, block_id: int) -> None:
-        pass
+        self._resident.pop(block_id, None)
 
     def _advance(self, block_id: int) -> None:
         # Blocks absent from the offline trace (e.g. fresh allocations
@@ -257,7 +265,13 @@ class MinPolicy(EvictionPolicy):
             positions.popleft()
         self._clock += 1
 
-    def victim(self, candidates) -> int:
+    def victim(self, pinned, dirty=_NO_DIRTY) -> Optional[int]:
+        # Ties (blocks never used again) break in the iteration order of
+        # the unpinned set built in frame order — less the dirty set on a
+        # clean-first pass — so MIN keeps its historical victims.
+        candidates = {b for b in self._resident if b not in pinned}
+        if dirty is not _NO_DIRTY:
+            candidates = candidates - dirty
         farthest_block = None
         farthest_next = -1
         for block_id in candidates:
@@ -268,8 +282,6 @@ class MinPolicy(EvictionPolicy):
                 farthest_block = block_id
                 if next_use == float("inf"):
                     break
-        if farthest_block is None:
-            raise PoolError("no evictable frame (all pinned)")
         return farthest_block
 
 
@@ -608,22 +620,16 @@ class BufferPool:
             return 0
         freed = 0
         dirty_victims: List[Tuple[int, Block]] = []
-        while freed < deficit:
-            candidates = {
-                block_id
-                for block_id in self._frames
-                if self._pins.get(block_id, 0) == 0
-            }
-            if not candidates:
-                break
-            clean = candidates - self._dirty
-            if clean:
-                victim = self.policy.victim(clean)
+        # Pins name only resident frames, so equal sizes mean every
+        # frame is pinned.
+        while freed < deficit and len(self._pins) < len(self._frames):
+            victim = self.policy.victim(self._pins, self._dirty)
+            if victim is not None:
                 payload = self._frames.pop(victim)
                 self.policy.on_remove(victim)
                 self._verify_retired(victim, payload, was_dirty=False)
             else:
-                victim = self.policy.victim(candidates)
+                victim = self.policy.victim(self._pins)
                 payload = self._frames.pop(victim)
                 self._dirty.discard(victim)
                 self.policy.on_remove(victim)
@@ -765,16 +771,11 @@ class BufferPool:
     def _make_room(self, needed: int) -> None:
         """Evict victims until ``needed`` frames are free."""
         while len(self._frames) > self.capacity - needed:
-            candidates = {
-                block_id
-                for block_id in self._frames
-                if self._pins.get(block_id, 0) == 0
-            }
-            if not candidates:
+            if len(self._pins) == len(self._frames):
                 raise PoolError(
                     "buffer pool exhausted: every frame is pinned"
                 )
-            victim = self.policy.victim(candidates)
+            victim = self.policy.victim(self._pins)
             self._retire(victim)
             self.evictions += 1
             self._notify("eviction", victim)

@@ -1,5 +1,7 @@
 """Unit tests for the buffer pool and eviction policies."""
 
+import random
+
 import pytest
 
 from repro.core import (
@@ -8,6 +10,8 @@ from repro.core import (
     ConfigurationError,
     FIFOPolicy,
     LRUPolicy,
+    Machine,
+    MemoryLimitExceeded,
     MinPolicy,
     MRUPolicy,
     PoolError,
@@ -343,3 +347,221 @@ class TestMinClockDrift:
         offline = self.run_workload(lambda: MinPolicy(trace), ops, 3, 8)
         assert offline <= lru
         assert offline < 50
+
+
+def _reference_victim(policy, candidates):
+    """Each policy's choice over a materialized set of evictable ids,
+    the way the pool chose victims before it tested frames in place."""
+    if isinstance(policy, (LRUPolicy, MRUPolicy)):
+        order = policy._order if isinstance(policy, LRUPolicy) \
+            else reversed(policy._order)
+        return next(b for b in order if b in candidates)
+    if isinstance(policy, FIFOPolicy):
+        queue = policy._queue
+        while True:
+            if queue[0] not in policy._resident:
+                queue.popleft()
+            elif queue[0] in candidates:
+                return queue[0]
+            else:
+                queue.rotate(-1)
+    if isinstance(policy, ClockPolicy):
+        ref = policy._ref
+        for _ in range(2 * len(ref) + 1):
+            block_id, referenced = next(iter(ref.items()))
+            ref.move_to_end(block_id)
+            if block_id not in candidates:
+                continue
+            if not referenced:
+                return block_id
+            ref[block_id] = False
+        return next(b for b in ref if b in candidates)
+    farthest, farthest_next = None, -1
+    for block_id in candidates:
+        positions = policy._future.get(block_id)
+        next_use = positions[0] if positions else float("inf")
+        if next_use > farthest_next:
+            farthest, farthest_next = block_id, next_use
+            if next_use == float("inf"):
+                break
+    return farthest
+
+
+class _CandidateSetPool(BufferPool):
+    """The reference chooser: every eviction builds the set of unpinned
+    frames (less the dirty ones on reclaim's clean-first pass) and
+    hands it to :func:`_reference_victim`."""
+
+    passes = None  # reclaim passes taken, by kind
+
+    def _unpinned(self):
+        return {b for b in self._frames if self._pins.get(b, 0) == 0}
+
+    def _make_room(self, needed):
+        while len(self._frames) > self.capacity - needed:
+            candidates = self._unpinned()
+            if not candidates:
+                raise PoolError("buffer pool exhausted: every frame is pinned")
+            victim = _reference_victim(self.policy, candidates)
+            self._retire(victim)
+            self.evictions += 1
+            self._notify("eviction", victim)
+
+    def reclaim(self, deficit):
+        freed, dirty_victims = 0, []
+        while freed < deficit:
+            candidates = self._unpinned()
+            if not candidates:
+                break
+            clean = candidates - self._dirty
+            if clean:
+                self.passes["clean"] += 1
+                victim = _reference_victim(self.policy, clean)
+                payload = self._frames.pop(victim)
+                self.policy.on_remove(victim)
+                self._verify_retired(victim, payload, was_dirty=False)
+            else:
+                self.passes["dirty"] += 1
+                victim = _reference_victim(self.policy, candidates)
+                payload = self._frames.pop(victim)
+                self._dirty.discard(victim)
+                self.policy.on_remove(victim)
+                dirty_victims.append((victim, payload))
+            self._budget.release(self._frame_records, reclaimable=True)
+            freed += self._frame_records
+            self.evictions += 1
+            self._notify("eviction", victim)
+        if dirty_victims:
+            runtime = self._runtime()
+            runtime.writer.discard([b for b, _ in dirty_victims])
+            runtime.scheduler.write_batch(dirty_victims)
+        return freed
+
+
+class TestVictimParity:
+    """The pool tests frames in place (a pin-table or dirty-set lookup)
+    instead of building a candidate set per eviction; every policy must
+    still pick the victims the candidate-set chooser picked, and every
+    counter must come out the same."""
+
+    B, FRAMES, BLOCKS, OPS = 4, 10, 40, 600
+
+    def make_ops(self, seed):
+        rng = random.Random(seed)
+        kinds = ["get"] * 8 + ["get_many"] * 2 + [
+            "put_new", "pin", "unpin", "dirty", "invalidate", "hold",
+            "free", "reclaim"]
+        ops, trace = [], []
+        for _ in range(self.OPS):
+            kind = rng.choice(kinds)
+            if kind == "get":
+                arg = rng.randrange(self.BLOCKS)
+                trace.append(arg)
+            elif kind == "get_many":
+                arg = [rng.randrange(self.BLOCKS)
+                       for _ in range(rng.randint(1, 4))]
+                trace.extend(arg)
+            elif kind in ("hold", "reclaim"):
+                arg = rng.randint(1, 4)
+            else:
+                arg = rng.random()
+            ops.append((kind, arg))
+        return ops, trace
+
+    def run(self, pool_class, make_policy, seed):
+        ops, trace = self.make_ops(seed)
+        # MIN sees only the first quarter of the trace, so most of its
+        # choices are ties between blocks it expects never to see again.
+        machine = Machine(block_size=self.B, memory_blocks=self.FRAMES,
+                          policy=make_policy(trace[:len(trace) // 4]))
+        ids = []
+        for i in range(self.BLOCKS):
+            ids.append(machine.disk.allocate())
+            machine.disk.write(ids[-1], [i])
+        machine.reset_stats()
+        machine.runtime  # noqa: B018 - installs the budget's reclaimer
+        pool = machine.pool
+        pool.__class__ = pool_class
+        pool.passes = {"clean": 0, "dirty": 0}
+        events, pinned, held = [], [], []
+        notify = pool._notify
+        pool._notify = lambda event, block_id: (
+            events.append((event, block_id)), notify(event, block_id))
+
+        def pick(r, pool_of):
+            return pool_of[int(r * len(pool_of))] if pool_of else None
+
+        for kind, arg in ops:
+            resident = sorted(pool._frames)
+            try:
+                if kind == "get":
+                    pool.get(ids[arg])
+                elif kind == "get_many":
+                    pool.get_many([ids[i] for i in arg])
+                elif kind == "put_new":
+                    pool.put_new(machine.disk.allocate(), [kind])
+                elif kind == "pin" and len(pinned) < 3:
+                    block_id = pick(arg, resident)
+                    if block_id is not None:
+                        pool.pin(block_id)
+                        pinned.append(block_id)
+                elif kind == "unpin" and pinned:
+                    pool.unpin(pinned.pop(int(arg * len(pinned))))
+                elif kind == "dirty" and resident:
+                    pool.mark_dirty(pick(arg, resident))
+                elif kind == "invalidate" and resident:
+                    block_id = pick(arg, resident)
+                    pool.invalidate(block_id)
+                    pinned = [b for b in pinned if b != block_id]
+                elif kind == "hold" and len(held) < 3:
+                    machine.budget.acquire(arg * self.B)
+                    held.append(arg * self.B)
+                elif kind == "free" and held:
+                    machine.budget.release(held.pop())
+                elif kind == "reclaim":
+                    pool.reclaim(arg * self.B)
+            except (PoolError, MemoryLimitExceeded) as exc:
+                events.append(("raised", type(exc).__name__))
+        pool.flush_all()
+        counters = (pool.hits, pool.misses, pool.evictions, pool.bypasses)
+        return events, counters, machine.stats(), pool.passes
+
+    @pytest.mark.parametrize("make_policy", [
+        lambda trace: LRUPolicy(),
+        lambda trace: MRUPolicy(),
+        lambda trace: FIFOPolicy(),
+        lambda trace: ClockPolicy(),
+        MinPolicy,
+    ], ids=["lru", "mru", "fifo", "clock", "min"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_same_victims_and_counters(self, make_policy, seed):
+        events, counters, stats, passes = self.run(
+            _CandidateSetPool, make_policy, seed)
+        assert self.run(BufferPool, make_policy, seed)[:3] == \
+            (events, counters, stats)
+        # The trace reaches every branch the in-place test replaced.
+        assert passes["clean"] and passes["dirty"]
+        assert {"eviction", "bypass"} <= {event for event, _ in events}
+
+    @pytest.mark.parametrize("make_policy", [
+        LRUPolicy, MRUPolicy, FIFOPolicy, ClockPolicy,
+        lambda: MinPolicy([]),
+    ], ids=["lru", "mru", "fifo", "clock", "min"])
+    def test_pinned_frames_stop_eviction(self, make_policy):
+        machine = Machine(block_size=self.B, memory_blocks=3,
+                          policy=make_policy())
+        ids = [machine.disk.allocate() for _ in range(4)]
+        for block_id in ids:
+            machine.disk.write(block_id, [block_id])
+        pool = machine.pool
+        for block_id in ids[:3]:
+            pool.get(block_id)
+            pool.pin(block_id)
+        with pytest.raises(PoolError, match="every frame is pinned"):
+            pool.get(ids[3])
+        pool.unpin(ids[0])
+        pool.mark_dirty(ids[0])
+        assert pool.reclaim(10 * self.B) == self.B  # the one dirty frame
+        assert pool.reclaim(self.B) == 0  # only pinned frames are left
+        assert sorted(pool._frames) == sorted(ids[1:3])
+        assert machine.disk.peek(ids[0]) == [ids[0]]

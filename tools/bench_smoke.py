@@ -66,6 +66,7 @@ the list-ranking control's six disk sorts are outside this gate.
 import argparse
 import functools
 import json
+import statistics
 import sys
 import time
 from math import ceil
@@ -117,10 +118,13 @@ POOL_UPSERT_EVERY = 4  # faulted-query mix: dirty pages for torn writes
 # record-object path by 2x wall-clock on the in-memory backend at every
 # F1 size, with bit-identical simulated I/O.  The real-file backend adds
 # the same syscall floor to both paths, compressing the ratio, so it
-# carries a sanity floor rather than the full gate.  Each side keeps
-# its fastest of RAW_REPS runs at the largest size; smaller sizes run
-# proportionally more (20 at n=2000), so every point times about as
-# many records and a short burst of host noise cannot decide the gate.
+# carries a sanity floor rather than the full gate.  Each rep times the
+# seed path and then the key-pointer path back to back, so both halves
+# of a pair see the same host phase, and the gate takes the median of
+# the paired ratios.  The largest size runs RAW_REPS pairs; smaller
+# sizes run proportionally more (20 at n=2000), so every point times
+# about as many records and a short burst of host noise cannot decide
+# the gate.
 RAW_REPS = 5
 RAW_SPEEDUP_BOUND = 2.0
 RAW_FILE_SPEEDUP_BOUND = 1.4
@@ -289,6 +293,29 @@ def _seed_record_sort(machine, stream):
     return runs[0]
 
 
+def _seed_path(machine, data, payload):
+    """The seed's ingest (one append per record) and record sort."""
+    return _seed_record_sort(machine, FileStream.from_records(machine, data))
+
+
+def _key_pointer_path(machine, data, payload):
+    """Block-copy ingest and the key-pointer sort."""
+    return external_merge_sort(machine,
+                               FileStream.from_payload(machine, payload))
+
+
+def _timed_sort(path, backend, data, payload, reference):
+    """Run one sort path on a fresh machine: ``(seconds, stats)``."""
+    machine = _raw_machine(backend)
+    start = time.perf_counter()
+    out = path(machine, data, payload)
+    elapsed = time.perf_counter() - start
+    assert list(out) == reference
+    stats = machine.stats()
+    _raw_close(machine, backend)
+    return elapsed, stats
+
+
 def raw_speed_smoke():
     """Key-pointer sort vs the seed record-object path, both backends.
 
@@ -307,40 +334,29 @@ def raw_speed_smoke():
         reference = sorted(data)
         reps = RAW_REPS * max(F1_SIZES) // n
         for backend in ("memory", "file"):
-            seed_wall = kp_wall = float("inf")
-            seed_stats = kp_stats = None
+            seed_walls, kp_walls, ratios = [], [], []
             for _ in range(reps):
-                machine = _raw_machine(backend)
-                start = time.perf_counter()
-                stream = FileStream.from_records(machine, data)
-                out = _seed_record_sort(machine, stream)
-                elapsed = time.perf_counter() - start
-                assert list(out) == reference
-                seed_stats = machine.stats()
-                _raw_close(machine, backend)
-                seed_wall = min(seed_wall, elapsed)
-
-                machine = _raw_machine(backend)
-                start = time.perf_counter()
-                stream = FileStream.from_payload(machine, payload)
-                out = external_merge_sort(machine, stream)
-                elapsed = time.perf_counter() - start
-                assert list(out) == reference
-                kp_stats = machine.stats()
-                _raw_close(machine, backend)
-                kp_wall = min(kp_wall, elapsed)
-            assert seed_stats == kp_stats, (
-                f"n={n} {backend}: simulated I/O diverged — "
-                f"seed {seed_stats} vs key-pointer {kp_stats}"
-            )
-            ratio = seed_wall / kp_wall
+                seed_wall, seed_stats = _timed_sort(
+                    _seed_path, backend, data, payload, reference)
+                kp_wall, kp_stats = _timed_sort(
+                    _key_pointer_path, backend, data, payload, reference)
+                assert seed_stats == kp_stats, (
+                    f"n={n} {backend}: simulated I/O diverged — "
+                    f"seed {seed_stats} vs key-pointer {kp_stats}"
+                )
+                seed_walls.append(seed_wall)
+                kp_walls.append(kp_wall)
+                ratios.append(seed_wall / kp_wall)
+            ratio = statistics.median(ratios)
+            seed_wall = statistics.median(seed_walls)
+            kp_wall = statistics.median(kp_walls)
             bound = (RAW_SPEEDUP_BOUND if backend == "memory"
                      else RAW_FILE_SPEEDUP_BOUND)
             assert ratio >= bound, (
                 f"n={n} {backend}: key-pointer sort only "
                 f"{ratio:.2f}x faster than the record path "
-                f"({kp_wall * 1e3:.1f}ms vs {seed_wall * 1e3:.1f}ms), "
-                f"bound {bound}x"
+                f"(median of {reps} pairs; {kp_wall * 1e3:.1f}ms vs "
+                f"{seed_wall * 1e3:.1f}ms), bound {bound}x"
             )
             points.append({
                 "n": n,
