@@ -153,37 +153,33 @@ class MRUPolicy(EvictionPolicy):
 
 
 class FIFOPolicy(EvictionPolicy):
-    """Evict blocks in the order they entered the pool."""
+    """Evict blocks in the order they entered the pool (a block that
+    leaves and comes back queues as the newest arrival)."""
 
     name = "fifo"
 
     def __init__(self):
-        self._queue: deque = deque()
-        self._resident: set = set()
+        self._queue: "OrderedDict[int, None]" = OrderedDict()
 
     def on_insert(self, block_id: int) -> None:
-        self._queue.append(block_id)
-        self._resident.add(block_id)
+        self._queue[block_id] = None
 
     def on_access(self, block_id: int) -> None:
         pass  # FIFO ignores accesses
 
     def on_remove(self, block_id: int) -> None:
-        self._resident.discard(block_id)
+        self._queue.pop(block_id, None)
 
     def victim(self, pinned, dirty=_NO_DIRTY) -> Optional[int]:
-        for ahead, block_id in enumerate(self._queue):
-            if block_id in self._resident and block_id not in pinned \
-                    and block_id not in dirty:
+        skipped = []
+        for block_id in self._queue:
+            if block_id not in pinned and block_id not in dirty:
                 break
+            skipped.append(block_id)
         else:
             return None
-        # Drop the stale entries ahead of the victim and rotate the
-        # resident ones (pinned or dirty) to the back.
-        for _ in range(ahead):
-            skipped = self._queue.popleft()
-            if skipped in self._resident:
-                self._queue.append(skipped)
+        for ahead in skipped:  # pinned or dirty: rotate to the back
+            self._queue.move_to_end(ahead)
         return block_id
 
 

@@ -17,8 +17,9 @@ This module is the single place that knows the payload representations:
 Every helper preserves the input's representation, so a typed payload
 stays typed through streams, the buffer pool, the write-behind window,
 and the fault injector's torn prefixes.  Algorithms never branch on the
-representation themselves; they call :func:`argsort` / :func:`take` /
-:func:`concat` and get the batch implementation when one exists.
+representation themselves; they call :func:`sort_payload` /
+:func:`argsort` / :func:`take` / :func:`concat` and get the batch
+implementation when one exists.
 """
 
 from __future__ import annotations
@@ -176,6 +177,33 @@ def argsort(payload: Sequence[Any],
     else:
         keys = [key(record) for record in payload]
     return sorted(range(len(payload)), key=keys.__getitem__)
+
+
+def sorts_by_value(payload: Sequence[Any],
+                   key: Optional[Callable[[Any], Any]] = None) -> bool:
+    """Whether ``payload`` is an integer or bool ndarray under the
+    identity key: equal keys are then the same bytes, so no order among
+    them can show.  Not floats: ``-0.0 == 0.0``, and NaN."""
+    column = _vector_keys(payload, key)
+    return column is payload and payload.dtype.kind in "iub"
+
+
+def sort_payload(payload: Sequence[Any],
+                 key: Optional[Callable[[Any], Any]] = None
+                 ) -> Sequence[Any]:
+    """``payload`` stably ordered by ``key``, as a new payload: the
+    key-pointer sort (:func:`argsort`, then one :func:`take`), or
+    ``np.sort`` of the values when the payload :func:`sorts_by_value`.
+    """
+    if sorts_by_value(payload, key):
+        return np.sort(payload)
+    return take(payload, argsort(payload, key))
+
+
+def merge_values(left, right):
+    """Merge two sorted integer columns: numpy's stable sort is a
+    timsort, which merges the two runs in linear time."""
+    return np.sort(np.concatenate((left, right)), kind="stable")
 
 
 def key_list(payload: Sequence[Any],

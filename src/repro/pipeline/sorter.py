@@ -46,7 +46,7 @@ from typing import Any, Callable, Iterable, Iterator, List, Optional, \
 
 from ..core.exceptions import ConfigurationError, StreamError
 from ..core.machine import Machine
-from ..core.records import argsort, concat, take
+from ..core.records import concat, sort_payload
 from ..core.stream import FileStream
 from ..runtime.prefetch import ForecastingPrefetcher
 from ..sort.merge import BlockMerger, merge_pass, plan_merge_arity
@@ -305,7 +305,7 @@ class Sorter:
         # D-1 for the window that consumer writes through.
         resident = None
         if len(self._runs) + blocks + machine.num_disks <= frames:
-            resident = take(chunk, argsort(chunk, self._key))
+            resident = sort_payload(chunk, self._key)
         else:
             self._spill(chunk)
             blocks = 0

@@ -29,7 +29,7 @@ from ..analysis.sanitizer import io_bound
 from ..core.bounds import sort_io
 from ..core.exceptions import ConfigurationError
 from ..core.machine import Machine
-from ..core.records import BlockBuilder, argsort, key_column, np, take
+from ..core.records import BlockBuilder, key_column, np, sort_payload, take
 from ..core.stream import FileStream
 from .runs import identity
 
@@ -237,8 +237,7 @@ def distribution_sort(
                     chunk = current.read_block_range(
                         0, current.num_blocks
                     )
-                    order = argsort(chunk, key)
-                    out_builder.push(take(chunk, order))
+                    out_builder.push(sort_payload(chunk, key))
             else:
                 pivots = _sample_pivots(
                     machine, current, key, k, oversample

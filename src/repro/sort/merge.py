@@ -11,9 +11,10 @@ the pipelined ``Sorter``'s pulled merge and the sequence heap's level
 merges all run it.  It consumes whole block payloads and asks for a
 run's next block only when its resident block is used up.  Typed
 payloads merge in incremental rounds of a constant number of numpy
-calls and are never unpacked into Python objects; other payloads gallop
-by binary search and move records as slices.  It is stable: ties are
-broken by ascending source index.
+calls and are never unpacked into Python objects — integer keys carry
+no run tags until two runs tie; other payloads gallop by binary search
+and move records as slices.  It is stable: ties are broken by ascending
+source index.
 
 The merge phase of the sort is two cooperative generators, the only
 merge-phase code: :func:`merge_group_steps` merges one group, its
@@ -39,7 +40,8 @@ from ..core.bounds import scan_io, sort_io
 from ..core.exceptions import ConfigurationError, StreamError
 from ..core.intents import drive
 from ..core.machine import Machine
-from ..core.records import BlockBuilder, concat, key_column, key_list, np
+from ..core.records import BlockBuilder, concat, key_column, key_list, \
+    merge_values, np, sorts_by_value
 from ..core.stream import FileStream
 from ..runtime.prefetch import ForecastingPrefetcher
 from .runs import form_runs_load_sort, form_runs_replacement_selection, identity
@@ -74,7 +76,12 @@ class BlockMerger:
       and everything before it — refills ``c``, and places the new
       block with one ``searchsorted`` and one mask (plus, when it ties
       a resident key, a running count of lower-run tags).  A round is
-      a constant number of numpy calls, whatever ``k``.
+      a constant number of numpy calls, whatever ``k``.  Integer
+      identity keys keep no tags while no key is resident from two
+      runs: the ties at ``bound`` are then all run ``c``'s, and a
+      refill is one :func:`~repro.core.records.merge_values`.  The
+      first tie across runs rebuilds the tags from each run's current
+      block and hands the merge to the tagged round.
     * **Galloping**, for object payloads and opaque keys: the leading
       run's key list is binary-searched for the longest prefix below
       the runner-up, emitted as one segment — ``O(log B)`` comparisons
@@ -134,26 +141,31 @@ class BlockMerger:
     def _typed_rounds(self, dtype):
         key = self._key
         by_value = key is identity
-        parts, tags, heap = [], [], []
+        blocks, tags, heap = {}, [], []
         for run, head in enumerate(self._heads):
             if head is not None and not len(head):
                 head = yield from self._refill(run)
             if head is None:
                 continue
-            head = np.asarray(head, dtype=dtype)
-            parts.append(head)
+            blocks[run] = head = np.asarray(head, dtype=dtype)
             tags.append(np.full(len(head), run, np.int32))
             heap.append((key_column(head, key).item(-1), run))
         if not heap:
             return
         heapq.heapify(heap)
-        payload = concat(parts)
+        payload = concat(list(blocks.values()))
         keys = key_column(payload, key)
         order = keys.argsort(kind="stable")
         keys = keys[order]
         tags = np.concatenate(tags)[order]
         payload = keys if by_value else payload[order]
-        steps = np.arange(max(map(len, parts)))
+        # Equal integers are the same bytes: while no key is resident
+        # from two runs, no order among ties can show, so integer keys
+        # go untagged until the first tie across runs.
+        if sorts_by_value(payload, key) and not np.count_nonzero(
+                (keys[1:] == keys[:-1]) & (tags[1:] != tags[:-1])):
+            tags = None
+        steps = np.arange(max(map(len, blocks.values())))
         while heap:
             bound, run = heap[0]
             if len(heap) == 1:
@@ -161,13 +173,16 @@ class BlockMerger:
                 yield from self._rest(run)
                 return
             cut = keys.searchsorted(bound, "right")
-            if cut > 1 and keys.item(cut - 2) == bound:
+            if tags is not None and cut > 1 \
+                    and keys.item(cut - 2) == bound:
                 # Ties at the bound: only those of runs up to ``run``.
                 low = keys.searchsorted(bound, "left")
                 cut = low + int(tags[low:cut].searchsorted(run, "right"))
             yield payload, 0, cut
-            keys, tags = keys[cut:], tags[cut:]
+            keys = keys[cut:]
             payload = keys if by_value else payload[cut:]
+            if tags is not None:
+                tags = tags[cut:]
             block = yield from self._refill(run)
             if block is None:
                 heapq.heappop(heap)
@@ -179,7 +194,14 @@ class BlockMerger:
             # Each record of the block goes after the resident records
             # of smaller keys and, among equal keys, of lower runs.
             where = keys.searchsorted(column)
-            if np.count_nonzero(keys.take(where, mode="clip") == column):
+            tied = np.count_nonzero(keys.take(where, mode="clip") == column)
+            if tags is None:
+                if not tied:
+                    blocks[run] = column
+                    keys = payload = merge_values(keys, column)
+                    continue
+                tags = _run_tags(blocks, bound)
+            if tied:
                 below = np.zeros(len(keys) + 1, np.intp)
                 np.cumsum(tags < run, out=below[1:])
                 after = keys.searchsorted(column, "right")
@@ -258,6 +280,17 @@ class BlockMerger:
         builder.flush()
         while pending:
             yield pending.popleft()
+
+
+def _run_tags(blocks, bound):
+    """The run tags of the resident keys, built when an untagged merge
+    meets its first tie across runs: each run's resident records are
+    its current block's above the last ``bound``, and no key is
+    resident from two runs, so their key order is the resident one."""
+    parts = [block[block.searchsorted(bound, "right"):]
+             for block in blocks.values()]
+    tags = np.repeat(np.fromiter(blocks, np.int32), list(map(len, parts)))
+    return tags[np.concatenate(parts).argsort(kind="stable")]
 
 
 def _place(resident, new, where, rest):

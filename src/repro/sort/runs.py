@@ -26,7 +26,7 @@ from ..core.bounds import scan_io
 from ..core.exceptions import ConfigurationError
 from ..core.intents import StreamRead, drive
 from ..core.machine import Machine
-from ..core.records import argsort, concat, take
+from ..core.records import concat, sort_payload
 from ..core.stream import FileStream
 
 
@@ -73,14 +73,13 @@ def write_run(machine: Machine, chunk,
               name: str) -> FileStream:
     """Order one memoryload and write it as a finalized run.
 
-    Arge–Thorup: sort (key, pointer), then move each record exactly
-    once through its pointer — payload size stays out of the
-    comparisons, ties keep input order (stability).  On a typed chunk
-    both calls are single vectorized passes.  The caller holds (and
-    has reserved) the chunk, so the blocks are written straight from it
+    :func:`~repro.core.records.sort_payload` orders it stably —
+    Arge–Thorup's key-pointer sort, or ``np.sort`` of the values when
+    the keys are the chunk's own integers.  The caller holds (and has
+    reserved) the chunk, so the blocks are written straight from it
     with no staging frame; a write that dies deletes the run.
     """
-    permuted = take(chunk, argsort(chunk, key))
+    permuted = sort_payload(chunk, key)
     B = machine.B
     run = stream_cls(machine, name=name)
     try:

@@ -5,9 +5,9 @@ The OLAP workhorse of the multi-tenant query service
 generators — the only load-sort code there is:
 
 * :func:`~repro.sort.runs.form_runs_steps` — memoryload runs, ordered
-  key-pointer style (Arge–Thorup: one stable ``argsort``, one ``take``;
-  a typed payload stays typed), with optional ``filter_fn``/``map_fn``
-  stages;
+  by :func:`~repro.core.records.sort_payload` (Arge–Thorup's
+  key-pointer sort, or ``np.sort`` for integer identity keys; a typed
+  payload stays typed), with optional ``filter_fn``/``map_fn`` stages;
 * :func:`~repro.sort.merge.merge_group_steps` — one group merged by a
   :class:`~repro.sort.merge.BlockMerger` whose refills are forecast
   batches (Knuth's forecasting rule, one block per idle disk);

@@ -202,6 +202,22 @@ class TestEvictionPolicies:
         assert not pool.is_resident(ids[0])
         assert pool.is_resident(ids[1])
 
+    def test_fifo_requeues_a_returning_block_as_newest(self):
+        """A block invalidated and read again queues behind the blocks
+        that stayed: after 0, 1, 2, invalidate 1, 1, a capacity-3 pool
+        evicts 0 then 2, and keeps 1."""
+        disk, ids = make_disk()
+        pool = self.run_trace(FIFOPolicy(), [0, 1, 2], 3, disk, ids)
+        pool.invalidate(ids[1])
+        pool.get(ids[1])
+        pool.get(ids[3])
+        assert not pool.is_resident(ids[0])
+        assert pool.is_resident(ids[1]) and pool.is_resident(ids[2])
+        pool.get(ids[4])
+        assert not pool.is_resident(ids[2])
+        assert pool.is_resident(ids[1])
+        assert list(pool.policy._queue) == [ids[1], ids[3], ids[4]]
+
     def test_clock_sweep_evicts_unreferenced_first(self):
         disk, ids = make_disk()
         # After [0,1,2] the sweep has cleared 1's bit; 2 enters referenced,
@@ -359,12 +375,10 @@ def _reference_victim(policy, candidates):
     if isinstance(policy, FIFOPolicy):
         queue = policy._queue
         while True:
-            if queue[0] not in policy._resident:
-                queue.popleft()
-            elif queue[0] in candidates:
-                return queue[0]
-            else:
-                queue.rotate(-1)
+            head = next(iter(queue))
+            if head in candidates:
+                return head
+            queue.move_to_end(head)
     if isinstance(policy, ClockPolicy):
         ref = policy._ref
         for _ in range(2 * len(ref) + 1):

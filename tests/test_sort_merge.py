@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.core import (
     ConfigurationError,
+    FileDiskArray,
     FileStream,
     Machine,
     MemoryLimitExceeded,
@@ -19,6 +20,7 @@ from repro.core import (
     scan_io,
     sort_io,
 )
+from repro.core.records import concat
 from repro.core.exceptions import RetryExhaustedError
 from repro.faults import FaultPlan
 from repro.sort import (
@@ -27,7 +29,9 @@ from repro.sort import (
     merge_streams,
     two_way_merge_sort,
 )
+from repro.sort import merge as merge_module
 from repro.sort.merge import BlockMerger
+from repro.sort.runs import memoryload_blocks
 from repro.workloads import uniform_ints
 
 # The record-at-a-time loser tree is the raw-speed gate's baseline in
@@ -398,3 +402,107 @@ class TestTypedMergeIO:
         data["v"] = rng.random(len(data))
         out, _ = self._sort(data, D, key=field("k"))
         assert out == data[np.argsort(data["k"], kind="stable")].tolist()
+
+
+class TestIntegerTieParity:
+    """Integer identity keys sort with ``np.sort`` and merge untagged
+    until two runs tie; the same keys as a one-field structured dtype
+    under a ``field`` key always take the tagged round.  Both give the
+    same output, the same ``IOStats`` and the same ``budget.peak``."""
+
+    B, M_BLOCKS = 8, 6
+
+    def _machine(self, backend, D, tmp_path):
+        disk = None
+        if backend == "file":
+            disk = FileDiskArray(self.B, num_disks=D,
+                                 path=str(tmp_path / "disk.blocks"))
+        return Machine(block_size=self.B, memory_blocks=self.M_BLOCKS,
+                       num_disks=D, disk=disk)
+
+    def _sort(self, backend, D, tmp_path, data, key=None):
+        m = self._machine(backend, D, tmp_path)
+        try:
+            stream = FileStream.from_payload(m, data)
+            before = m.stats()
+            out = external_merge_sort(m, stream, key=key)
+            return concat(list(out.iter_blocks())), m.stats() - before, \
+                m.budget.peak
+        finally:
+            if backend == "file":
+                m.disk.close()
+
+    def _load(self, D):
+        """Records per run-formation memoryload at ``D`` disks."""
+        m = Machine(block_size=self.B, memory_blocks=self.M_BLOCKS,
+                    num_disks=D)
+        return memoryload_blocks(m, m.budget.available) * self.B
+
+    def _case(self, case, dtype, load):
+        rng = np.random.default_rng(7)
+        if dtype == np.bool_:
+            if case == "heads_tie":
+                return rng.random(600) < 0.5
+            # Run 0 opens with False, run 1 is all True: no tie at the
+            # heads; run 0's True tail ties run 1 mid-merge.
+            head = np.zeros(load, bool)
+            if case == "handoff":
+                head[-4:] = True
+            return np.concatenate([head, np.ones(load, bool)])
+        n = 240 if dtype == np.uint8 else 2000
+        if case == "heads_tie":
+            return rng.integers(0, 4, n).astype(dtype)
+        if case == "handoff":
+            # Distinct keys but for one middle value every run holds.
+            data = rng.permutation(n)
+            data[::7] = n // 2
+            return data.astype(dtype)
+        # One run of three repeated keys, every other key distinct.
+        rest = rng.permutation(np.arange(3, 3 + n - load))
+        return np.concatenate([rng.integers(0, 3, load), rest]).astype(dtype)
+
+    @pytest.mark.parametrize("backend", ["memory", "file"])
+    @pytest.mark.parametrize("D", [1, 2, 4])
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.bool_])
+    @pytest.mark.parametrize("case", ["heads_tie", "handoff", "within_run"])
+    def test_untagged_merge_matches_tagged(self, monkeypatch, tmp_path,
+                                           backend, D, dtype, case):
+        data = self._case(case, dtype, self._load(D))
+        reference = np.zeros(len(data), [("k", dtype)])
+        reference["k"] = data
+        expected, ref_stats, ref_peak = self._sort(
+            backend, D, tmp_path, reference, key=field("k"))
+        calls = {"_run_tags": 0, "merge_values": 0}
+        for name in calls:
+            def spy(*args, _name=name, _real=getattr(merge_module, name)):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(merge_module, name, spy)
+        out, stats, peak = self._sort(backend, D, tmp_path, data)
+        assert out.dtype == dtype
+        assert np.array_equal(out, expected["k"])
+        assert np.array_equal(out, np.sort(data))
+        assert stats == ref_stats
+        assert peak == ref_peak
+        # Each case reaches the path it names.
+        if case == "heads_tie":
+            assert calls == {"_run_tags": 0, "merge_values": 0}
+        elif case == "handoff":
+            assert calls["_run_tags"] > 0
+        else:
+            assert calls["_run_tags"] == 0 and calls["merge_values"] > 0
+
+    @pytest.mark.parametrize("backend", ["memory", "file"])
+    @pytest.mark.parametrize("D", [1, 4])
+    def test_float_zeros_keep_stable_order(self, tmp_path, backend, D):
+        data = np.random.default_rng(3).choice([-0.0, 0.0, 1.5, -2.0], 600)
+        reference = np.zeros(len(data), [("k", "<f8")])
+        reference["k"] = data
+        expected, ref_stats, ref_peak = self._sort(
+            backend, D, tmp_path, reference, key=field("k"))
+        out, stats, peak = self._sort(backend, D, tmp_path, data)
+        stable = data[np.argsort(data, kind="stable")]
+        assert np.array_equal(np.signbit(out), np.signbit(stable))
+        assert np.array_equal(np.signbit(expected["k"]), np.signbit(stable))
+        assert np.array_equal(out, stable)
+        assert (stats, peak) == (ref_stats, ref_peak)
