@@ -12,7 +12,9 @@ time-forward processing, and recursive list ranking — each run fused
 (`repro.pipeline.Sorter` boundaries) and as their materialized
 controls, the same code with every sort written to disk and sorted by
 `external_merge_sort` (the join control drives the cooperative
-`sort_merge_join_steps`); same inputs, same machine; I/O counts are
+`sort_merge_join_steps`, which sorts each side to disk with
+`merge_sort_steps` and pairs the merged sides with the fused join's
+key-group routine); same inputs, same machine; I/O counts are
 compared.
 The machine is sized so the final-merge fan-in covers the run counts
 (m = 48): on smaller machines the fused plan degrades toward the

@@ -597,6 +597,11 @@ def _em103_fusion(func: FunctionInfo) -> List[Finding]:
             elif isinstance(parent, ast.Attribute) \
                     and parent.attr in _LIFECYCLE_METHODS:
                 pass
+            elif (isinstance(parent, ast.Attribute)
+                    and parent.attr == "iter_blocks"
+                    and isinstance(parents.get(parent), ast.Call)
+                    and parents[parent].func is parent):
+                scans += 1  # ``x.iter_blocks()``: a scan a block at a time
             elif parent is assign.value:
                 pass  # ``x = sort(machine, x, ...)`` rebinding read
             else:

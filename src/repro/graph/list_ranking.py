@@ -521,6 +521,7 @@ def _rank_on_disk(
         removed.delete()
         return _rank_on_disk(machine, records, salt + 1)
 
+    # em: ok(EM103) materialized control for F25/parity
     by_succ = external_merge_sort(machine, survivors, key=field("succ"),
                                   keep_input=False)
     contracted = _sorted_on_disk(
@@ -531,6 +532,7 @@ def _rank_on_disk(
 
     sub_ranks = _rank_on_disk(machine, contracted, salt + 1)
 
+    # em: ok(EM103) materialized control for F25/parity
     by_pred = external_merge_sort(machine, removed, key=field("pred"),
                                   keep_input=False)
     restored = _sorted_on_disk(

@@ -23,7 +23,6 @@ from .operators import (
     top_k,
 )
 from .steps import (
-    merge_join_steps,
     sort_merge_join_materialized,
     sort_merge_join_steps,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "sort_merge_join",
     "sort_merge_join_materialized",
     "sort_merge_join_steps",
-    "merge_join_steps",
     "grace_hash_join",
     "block_nested_loop_join",
     "merge_join_iterators",

@@ -15,9 +15,8 @@ database textbooks derive from the I/O model:
 
 from __future__ import annotations
 
-from itertools import groupby
 from operator import itemgetter
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Tuple
 
 from ..analysis.sanitizer import io_bound
 from ..core.bounds import scan_io, sort_io
@@ -78,24 +77,6 @@ def _joined_columns(left: Table, right: Table) -> List[str]:
     for col in right.columns:
         columns.append(col if col not in columns else f"{col}_r")
     return columns
-
-
-def _output_table(
-    machine: Machine,
-    left: Table,
-    right: Table,
-    pairs: Iterator[Tuple[Tuple, Tuple]],
-    name: str,
-) -> Table:
-    out = FileStream(machine, name=f"table/{name}")
-    try:
-        for left_row, right_row in pairs:
-            out.append(tuple(left_row) + tuple(right_row))
-        out.finalize()
-    except BaseException:
-        out.delete()
-        raise
-    return Table(machine, _joined_columns(left, right), out, name=name)
 
 
 def merge_join_iterators(
@@ -163,6 +144,7 @@ def sort_merge_join(
     merge of both sorted orders and neither is ever written
     (``~2·(N/DB)`` I/Os saved per side over
     :func:`~repro.relational.steps.sort_merge_join_materialized`).
+    The pulled segments are paired by :func:`_join_tagged`.
 
     The pull is planned beside the key-group share — half of memory
     plus four frames, never more than leaves three frames to the sort —
@@ -174,43 +156,64 @@ def sort_merge_join(
     share = min(machine.M // 2 + 4 * machine.B, machine.M - 3 * machine.B)
     with machine.trace(name), \
             Sorter(machine, key=_by_key_and_side, name=name) as sorter:
-        for table, column, side in ((right, right_column, 0),
-                                    (left, left_column, 1)):
-            sorter.consume(_tagged(table.stream, table.key_fn(column), side))
-        return _output_table(
-            machine, left, right,
-            _join_tagged(machine, sorter.finish(beside=share)), name)
+        for rows, tag in _tagged_sides(left, right, left_column,
+                                       right_column):
+            sorter.consume(map(tag, rows))
+        segments = sorter.finish_segments(beside=share)
+        out = FileStream(machine, name=f"table/{name}")
+        pairing = _join_tagged(machine.budget, out.append)
+        next(pairing)
+        try:
+            for segment in segments:
+                pairing.send(segment)
+            pairing.close()
+            out.finalize()
+        except BaseException:
+            pairing.close()
+            out.delete()
+            raise
+    return Table(machine, _joined_columns(left, right), out, name=name)
 
 
 _by_key_and_side = itemgetter(0, 1)
 
 
-def _tagged(rows: Iterable[Tuple], key: Callable[[Tuple], Any],
-            side: int) -> Iterator[Tuple]:
-    """``(key, side, row)`` for every row of ``rows``."""
-    return ((key(row), side, row) for row in rows)
+def _tagged_sides(left: Table, right: Table, left_column: str,
+                  right_column: str) -> List[Tuple[FileStream, Callable]]:
+    """Each side's stream with its ``row -> (key, side, row)`` tagger,
+    the right side (0) first: its rows sort first on a key tie."""
+    def tagger(key, side):
+        return lambda row: (key(row), side, row)
+    return [(table.stream, tagger(table.key_fn(column), side))
+            for table, column, side in ((right, right_column, 0),
+                                        (left, left_column, 1))]
 
 
-def _join_tagged(machine: Machine, tagged: Iterable[Tuple]
-                 ) -> Iterator[Tuple[Tuple, Tuple]]:
-    """Merge-join ``(key, side, row)`` records ordered by key and side:
-    each key's right rows (side 0) come first and are buffered, one
-    budget record each, then every left row (side 1) of that key is
-    paired with them in order — :func:`merge_join_iterators`' output
-    order."""
-    budget = machine.budget
-    for _, records in groupby(tagged, itemgetter(0)):
-        group: List[Tuple] = []
-        try:
-            for _, side, row in records:
+def _join_tagged(budget, append: Callable[[Tuple], None]):
+    """Merge-join ``(key, side, row)`` records ordered by key and side,
+    pushed in with ``send`` a payload segment at a time (prime it with
+    ``next``): each key's right rows (side 0) come first and are held,
+    one ``budget`` record each, then every left row (side 1) of that
+    key is paired with them in order and ``append``-ed as ``left_row +
+    right_row`` — :func:`merge_join_iterators`' output order.  A key
+    group stays open across segments until the next key or ``close``."""
+    group: List[Tuple] = []
+    current = object()   # equal to no key
+    try:
+        while True:
+            for key, side, row in (yield):
+                if key != current:
+                    budget.release(len(group))
+                    group = []
+                    current = key
                 if side == 0:
                     budget.acquire(1)
                     group.append(row)
                 else:
                     for match in group:
-                        yield row, match
-        finally:
-            budget.release(len(group))
+                        append(tuple(row) + tuple(match))
+    finally:
+        budget.release(len(group))
 
 
 @io_bound(_bnl_theory, factor=2.0, n=_join_n)
@@ -234,27 +237,31 @@ def block_nested_loop_join(
     out = FileStream(machine, name=f"table/{name}")
     reader = iter(left.stream)
     exhausted = False
-    while not exhausted:
-        with machine.budget.reserve(chunk_capacity):
-            build: Dict[Any, List[Tuple]] = {}
-            loaded = 0
-            for row in reader:
-                build.setdefault(left_key(row), []).append(row)
-                loaded += 1
-                if loaded == chunk_capacity:
+    try:
+        while not exhausted:
+            with machine.budget.reserve(chunk_capacity):
+                build: Dict[Any, List[Tuple]] = {}
+                loaded = 0
+                for row in reader:
+                    build.setdefault(left_key(row), []).append(row)
+                    loaded += 1
+                    if loaded == chunk_capacity:
+                        break
+                else:
+                    exhausted = True
+                if not build:
                     break
-            else:
-                exhausted = True
-            if not build:
-                break
-            # em: ok(EM102) the ceil(|R|/M) rescans of S ARE the block
-            # nested loop algorithm; its declared bound charges them
-            for right_row in right.rows():
-                for left_row in build.get(right_key(right_row), ()):
-                    out.append(tuple(left_row) + tuple(right_row))
-    return Table(
-        left.machine, _joined_columns(left, right), out.finalize(), name=name
-    )
+                # em: ok(EM102) the ceil(|R|/M) rescans of S ARE the
+                # block nested loop algorithm; its declared bound
+                # charges them
+                for right_row in right.rows():
+                    for left_row in build.get(right_key(right_row), ()):
+                        out.append(tuple(left_row) + tuple(right_row))
+        out.finalize()
+    except BaseException:
+        out.delete()
+        raise
+    return Table(left.machine, _joined_columns(left, right), out, name=name)
 
 
 @io_bound(lambda machine, n: 3 * scan_io(n, machine.B, machine.D)
@@ -298,44 +305,52 @@ def hash_group_by(
         FileStream(machine, name=f"hgb/part/{i}")
         for i in range(num_partitions)
     ]
-    for row in table.rows():
-        index = _hash_bits(key_fn(row)) % num_partitions
-        parts[index].append(row)
-    for part in parts:
-        part.finalize()
+    streams = list(parts)   # every stream to delete on failure
+    try:
+        for row in table.rows():
+            index = _hash_bits(key_fn(row)) % num_partitions
+            parts[index].append(row)
+        for part in parts:
+            part.finalize()
 
-    out = FileStream(machine, name=f"table/{name}")
-    state_capacity = machine.M - 2 * machine.B
-    for part in parts:
-        if len(part) == 0:
+        out = FileStream(machine, name=f"table/{name}")
+        streams.append(out)
+        state_capacity = machine.M - 2 * machine.B
+        for part in parts:
+            if len(part) == 0:
+                part.delete()
+                continue
+            with machine.budget.reserve(state_capacity):
+                states: Dict[Any, list] = {}
+                for row in part:
+                    group = key_fn(row)
+                    if group not in states:
+                        if len(states) >= state_capacity:
+                            raise EMError(
+                                "hash aggregation overflow: too many "
+                                "distinct groups per partition; use "
+                                "sort-based group_by instead"
+                            )
+                        states[group] = [spec[0].init() for spec in specs]
+                    states[group] = [
+                        spec[0].step(state, row[spec[1]])
+                        for spec, state in zip(specs, states[group])
+                    ]
+                for group, group_states in states.items():
+                    out.append(
+                        tuple([group] + [
+                            spec[0].final(state)
+                            for spec, state in zip(specs, group_states)
+                        ])
+                    )
             part.delete()
-            continue
-        with machine.budget.reserve(state_capacity):
-            states: Dict[Any, list] = {}
-            for row in part:
-                group = key_fn(row)
-                if group not in states:
-                    if len(states) >= state_capacity:
-                        raise EMError(
-                            "hash aggregation overflow: too many distinct "
-                            "groups per partition; use sort-based "
-                            "group_by instead"
-                        )
-                    states[group] = [spec[0].init() for spec in specs]
-                states[group] = [
-                    spec[0].step(state, row[spec[1]])
-                    for spec, state in zip(specs, states[group])
-                ]
-            for group, group_states in states.items():
-                out.append(
-                    tuple([group] + [
-                        spec[0].final(state)
-                        for spec, state in zip(specs, group_states)
-                    ])
-                )
-        part.delete()
+        out.finalize()
+    except BaseException:
+        for stream in streams:
+            stream.delete()
+        raise
     columns = [key_column] + [spec[2] for spec in specs]
-    return _Table(machine, columns, out.finalize(), name=name)
+    return _Table(machine, columns, out, name=name)
 
 
 # em: ok(EM201) the max-recursion fallback is block-nested-loop —
@@ -366,12 +381,14 @@ def grace_hash_join(
         )
     num_partitions = max(2, machine.m - 2)
     out = FileStream(machine, name=f"table/{name}")
+    streams = [out]   # every stream to delete on failure
 
     def partition(table: Table, key_fn) -> List[FileStream]:
         parts = [
             FileStream(machine, name=f"ghj/part{_depth}/{i}")
             for i in range(num_partitions)
         ]
+        streams.extend(parts)
         for row in table.rows():
             index = (_hash_bits((key_fn(row), _salt))) % num_partitions
             parts[index].append(row)
@@ -379,42 +396,50 @@ def grace_hash_join(
             part.finalize()
         return parts
 
-    left_parts = partition(left, left_key)
-    right_parts = partition(right, right_key)
-    # Resident during probe: build dict + left reader + right reader +
-    # output writer frame.
-    build_capacity = machine.M - 3 * machine.B
+    try:
+        left_parts = partition(left, left_key)
+        right_parts = partition(right, right_key)
+        # Resident during probe: build dict + left reader + right
+        # reader + output writer frame.
+        build_capacity = machine.M - 3 * machine.B
 
-    for left_part, right_part in zip(left_parts, right_parts):
-        if len(left_part) == 0 or len(right_part) == 0:
-            continue
-        if len(left_part) > build_capacity:
-            # Recurse on the oversized partition pair with a fresh salt.
-            # Release the output writer's staging frame first; the nested
-            # call needs the full frame budget for its own partitioning.
-            out.sync()
-            sub = grace_hash_join(
-                Table(machine, left.columns, left_part, name="ghj/sub-l"),
-                Table(machine, right.columns, right_part, name="ghj/sub-r"),
-                left_column,
-                right_column,
-                _depth=_depth + 1,
-                _salt=_salt + 1,
-            )
-            for row in sub.rows():
-                out.append(row)
-            sub.delete()
-            continue
-        with machine.budget.reserve(len(left_part)):
-            build: Dict[Any, List[Tuple]] = {}
-            for row in left_part:
-                build.setdefault(left_key(row), []).append(row)
-            for right_row in right_part:
-                for left_row in build.get(right_key(right_row), ()):
-                    out.append(tuple(left_row) + tuple(right_row))
+        for left_part, right_part in zip(left_parts, right_parts):
+            if len(left_part) == 0 or len(right_part) == 0:
+                continue
+            if len(left_part) > build_capacity:
+                # Recurse on the oversized partition pair with a fresh
+                # salt.  Release the output writer's staging frame
+                # first; the nested call needs the full frame budget
+                # for its own partitioning.
+                out.sync()
+                sub = grace_hash_join(
+                    Table(machine, left.columns, left_part,
+                          name="ghj/sub-l"),
+                    Table(machine, right.columns, right_part,
+                          name="ghj/sub-r"),
+                    left_column,
+                    right_column,
+                    _depth=_depth + 1,
+                    _salt=_salt + 1,
+                )
+                streams.append(sub.stream)
+                for row in sub.rows():
+                    out.append(row)
+                sub.delete()
+                continue
+            with machine.budget.reserve(len(left_part)):
+                build: Dict[Any, List[Tuple]] = {}
+                for row in left_part:
+                    build.setdefault(left_key(row), []).append(row)
+                for right_row in right_part:
+                    for left_row in build.get(right_key(right_row), ()):
+                        out.append(tuple(left_row) + tuple(right_row))
 
-    for part in left_parts + right_parts:
-        part.delete()
-    return Table(
-        machine, _joined_columns(left, right), out.finalize(), name=name
-    )
+        for part in left_parts + right_parts:
+            part.delete()
+        out.finalize()
+    except BaseException:
+        for stream in streams:
+            stream.delete()
+        raise
+    return Table(machine, _joined_columns(left, right), out, name=name)

@@ -136,8 +136,8 @@ def join_job(left: Table, right: Table, left_column: str,
              right_column: str, name: str = "join") -> Job:
     """A cooperative sort-merge join (OLAP traffic): both sorts plus the
     merge, all charged to the tenant.  The floor covers the widest
-    stage — two cursors, the output buffer, and one buffered join-key
-    group record."""
+    stage — the merge's two reader frames, the output buffer, and one
+    buffered join-key group record."""
     machine = left.machine
     return Job(
         name,

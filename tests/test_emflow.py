@@ -256,6 +256,34 @@ def _run(machine, stream: FileStream):
         findings = flow_findings([(ALGO, src)], rule="EM103")
         assert len(findings) == 1
 
+    def test_single_iter_blocks_scan_is_flagged(self):
+        # ``x.iter_blocks()`` reads the sorted copy once, a block at a
+        # time: the same round trip a Sorter boundary skips.
+        src = '''
+def _run(machine, stream: FileStream):
+    ordered = external_merge_sort(machine, stream, key=lambda r: r)
+    total = 0
+    for payload in ordered.iter_blocks():
+        total += len(payload)
+    ordered.delete()
+    return total
+'''
+        findings = flow_findings([(ALGO, src)], rule="EM103")
+        assert len(findings) == 1
+        assert "'ordered'" in findings[0].message
+
+    def test_uncalled_iter_blocks_is_not_a_single_scan(self):
+        # A bound ``x.iter_blocks`` handed on may be called any number
+        # of times, so it is not counted as the one scan.
+        src = '''
+def _run(machine, stream: FileStream):
+    ordered = external_merge_sort(machine, stream, key=lambda r: r)
+    total = _consume(ordered.iter_blocks)
+    ordered.delete()
+    return total
+'''
+        assert flow_findings([(ALGO, src)], rule="EM103") == []
+
     def test_refactored_modules_are_fusion_clean(self):
         # The pipelined refactor leaves no unwaived sort-then-scan
         # boundary in the fused join / time-forward / list-ranking /

@@ -769,6 +769,24 @@ class TestFusionSavesIO:
         assert fused_io.total < mat_io.total
 
 
+class TestJoinControlReadAhead:
+    def test_join_control_moves_about_d_blocks_per_step(self):
+        # bench_smoke's join_io shape on four disks: the cooperative
+        # join's merge reads forecast batches, so its steps stay within
+        # 1.2x of one step per D transfers.
+        D = 4
+        build, probe = foreign_key_relations(
+            bench_smoke.PIPE_JOIN_N // 20, bench_smoke.PIPE_JOIN_N, seed=41)
+        m = Machine(block_size=bench_smoke.PIPE_B,
+                    memory_blocks=bench_smoke.PIPE_M_BLOCKS, num_disks=D)
+        left = Table.from_rows(m, ("k", "b"), build, name="build")
+        right = Table.from_rows(m, ("k", "p"), probe, name="probe")
+        with m.measure() as io:
+            sort_merge_join_materialized(left, right, "k", "k", name="out")
+        ideal = -(-io.total // D)
+        assert io.total_steps <= 1.2 * ideal, (io.total_steps, io.total)
+
+
 class TestF25Gate:
     @pytest.mark.parametrize("package, consumer, fused, control", [
         ("repro.relational", "join", "sort_merge_join",

@@ -1,21 +1,29 @@
 """Tests for the relational layer."""
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ConfigurationError, Machine, scan_io
+from repro.core.exceptions import EMError
+from repro.core.filedisk import FileDiskArray
+from repro.faults import FaultPlan
 from repro.relational import (
     Table,
     block_nested_loop_join,
     grace_hash_join,
     group_by,
+    hash_group_by,
     merge_join_iterators,
     order_by,
     project,
     select,
     sort_merge_join,
+    sort_merge_join_materialized,
 )
+from repro.service import DONE, QueryService, join_job
 from repro.workloads import foreign_key_relations, relation
 
 
@@ -238,6 +246,102 @@ class TestMergeJoinIterators:
                                           right(), key, key))
         assert pairs == [((1, "l"), (1, "r"))]
         assert pulled == [0, 1, 2]
+
+
+def _service_join(left, right, left_column, right_column):
+    """:func:`join_job` run alone under a :class:`QueryService`."""
+    service = QueryService(left.machine)
+    service.add_tenant("olap")
+    job = service.submit("olap", join_job(left, right, left_column,
+                                          right_column))
+    service.run()
+    assert job.status == DONE, job.error
+    return job.result
+
+
+class TestJoinParity:
+    """The fused join, its materialized control and the service's
+    ``join_job`` pair the same rows in the same order."""
+
+    SIDES = {
+        # Keys 1, 4 and 6 match many-to-many; 0 and 3 occur only on
+        # the left, 2, 5 and 8 only on the right.
+        "many_to_many": (
+            [((0, 1, 3, 4, 6)[i % 5], f"l{i}") for i in range(90)],
+            [((1, 2, 4, 5, 6, 8)[i % 6], f"r{i}") for i in range(70)],
+        ),
+        "empty_left": ([], [(k % 4, f"r{k}") for k in range(40)]),
+        "empty_right": ([(k % 4, f"l{k}") for k in range(40)], []),
+    }
+
+    @pytest.mark.parametrize("backend", ["memory", "file"])
+    @pytest.mark.parametrize("D", [1, 4])
+    @pytest.mark.parametrize("sides", sorted(SIDES))
+    def test_same_rows_in_same_order(self, tmp_path, backend, D, sides):
+        disk = FileDiskArray(8, num_disks=D, path=str(tmp_path / "d")) \
+            if backend == "file" else None
+        m = Machine(block_size=8, memory_blocks=8, num_disks=D, disk=disk)
+        left_rows, right_rows = self.SIDES[sides]
+        left = Table.from_rows(m, ("k", "l"), left_rows, name="l")
+        right = Table.from_rows(m, ("k", "r"), right_rows, name="r")
+        m.runtime.flush()
+        blocks = m.disk.allocated_blocks
+        answers = []
+        for join in (sort_merge_join, sort_merge_join_materialized,
+                     _service_join):
+            result = join(left, right, "k", "k")
+            answers.append(list(result.rows()))
+            result.delete()
+            m.runtime.flush()
+            assert m.budget.in_use == 0, join.__name__
+            assert m.disk.allocated_blocks == blocks, join.__name__
+        expected = sorted(reference_join(left_rows, right_rows, 0, 0),
+                          key=lambda row: row[0])
+        assert sorted(answers[0]) == sorted(expected)
+        assert [row[0] for row in answers[0]] == \
+            [row[0] for row in expected]
+        assert answers[1] == answers[0]
+        assert answers[2] == answers[0]
+
+
+FAILING_CALLS = {
+    "grace": lambda l, r: grace_hash_join(l, r, "k", "k"),
+    "bnl": lambda l, r: block_nested_loop_join(l, r, "k", "k"),
+    "hash_group_by": lambda l, r: hash_group_by(r, "k", [("count", "p")]),
+    "smj": lambda l, r: sort_merge_join(l, r, "k", "k"),
+    "smj_materialized":
+        lambda l, r: sort_merge_join_materialized(l, r, "k", "k"),
+}
+
+
+class TestFailureCleanup:
+    @pytest.mark.parametrize("call", sorted(FAILING_CALLS))
+    def test_failed_call_frees_blocks_and_budget(self, call):
+        """A call whose read or write exhausts its retries gives back
+        every block and budget record it took."""
+        build, probe = foreign_key_relations(100, 1500)
+        failures = 0
+        for seed in range(40):
+            m = Machine(block_size=16, memory_blocks=12)
+            left = Table.from_rows(m, ("k", "b"), build, name="l")
+            right = Table.from_rows(m, ("k", "p"), probe, name="r")
+            gc.collect()
+            blocks, in_use = m.disk.allocated_blocks, m.budget.in_use
+            plan = FaultPlan(seed=seed, read_error_rate=0.3,
+                             write_error_rate=0.2)
+            try:
+                with m.inject_faults(plan):
+                    FAILING_CALLS[call](left, right)
+            except EMError:
+                failures += 1
+            else:
+                continue
+            gc.collect()
+            assert m.disk.allocated_blocks == blocks, seed
+            assert m.budget.in_use == in_use, seed
+            if failures == 4:
+                return
+        pytest.fail(f"only {failures} of 40 fault plans failed {call}")
 
 
 class TestJoinIOProfiles:
