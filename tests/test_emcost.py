@@ -9,7 +9,8 @@ Three layers of coverage:
   that must not;
 * golden inferred expressions for the sort family plus the clean-tree
   gate — ``src/repro`` must stay triaged to zero unwaived EM2xx
-  findings and every ``@io_bound`` function must get an inferred cost.
+  findings and every ``@io_bound`` function must get an inferred cost;
+* every row of the tree's cost report, pinned in ``emcost_pins.py``.
 
 Fixture paths classify the snippets as ``algorithm`` modules (the
 strict tier); assertions filter by rule id so the per-line findings the
@@ -32,6 +33,8 @@ from repro.analysis.cost.expr import (
 )
 from repro.analysis.flow import split_by_baseline, write_baseline
 from repro.analysis.rules import COST_RULES, RULES
+
+from .emcost_pins import PINS
 
 ALGO = "src/repro/algo/fixture.py"
 REPO = Path(__file__).resolve().parents[1]
@@ -571,3 +574,30 @@ class TestCleanTree:
                   for f in tree_findings if f.waived}
         assert ("dominance.py", "EM201") in waived
         assert ("joins.py", "EM201") in waived
+
+
+class TestCostPins:
+    def test_report_matches_pins(self, tree_report):
+        """Every row of the tree's cost report, as pinned: a change
+        that moves a declared or inferred expression, or a
+        certification, shows up in ``emcost_pins.py``'s diff."""
+        rows = {name: (entry["declared"], entry["inferred"],
+                       entry["certified"])
+                for name, entry in tree_report.items()}
+        assert rows == PINS
+
+
+if __name__ == "__main__":
+    from repro.analysis import lint_paths
+
+    from . import emcost_pins
+
+    report = {}
+    lint_paths([str(REPO / "src" / "repro")], report=report)
+    print(f'"""{emcost_pins.__doc__}"""\n\nPINS = {{')
+    for name, entry in sorted(report.items()):
+        print(f"    {name!r}: (")
+        print(f"        {entry['declared']!r},")
+        print(f"        {entry['inferred']!r},")
+        print(f"        {entry['certified']!r}),")
+    print("}")
