@@ -30,7 +30,6 @@ Run the linter with ``python tools/emlint.py src/repro`` (or the
 from .emlint import Finding, Waiver, lint_source, unwaived
 from .engine import lint_paths, lint_sources
 from .flow import to_sarif, write_baseline
-from .rules import ALL_RULES, FLOW_RULES, RULES
 from .sanitizer import (
     IOBoundViolation,
     SanitizerRecord,
@@ -42,6 +41,16 @@ from .sanitizer import (
     sanitizer_report,
     sized,
 )
+
+
+def __getattr__(name: str):
+    """The rule catalogues load with the per-line rules, on first use:
+    an algorithm that imports the sanitizer loads no analyzer tier."""
+    if name in ("ALL_RULES", "FLOW_RULES", "RULES"):
+        from . import rules
+        return getattr(rules, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Finding",

@@ -23,7 +23,7 @@ import ast
 from typing import Dict, List, Optional, Set
 
 from ..flow.summaries import FunctionInfo, ModuleInfo, Project
-from .expr import Cost, Term, add, mul, normalized, sort_terms
+from .expr import Cost, Term, add, mul, normalized
 
 #: sentinel abstract values
 MACHINE = object()    # the machine parameter

@@ -10,8 +10,10 @@ the declared bound.
 
 Loop recognition (the heart of the analysis):
 
-* ``for`` over a stream (or reader/combinator of streams) — trip ``N``
-  records plus one ``Scan(N)`` read charge;
+* ``for`` over a stream (or a combinator of streams) — trip ``N``
+  records plus one ``Scan(N)`` read charge; a reader (``iter(s)``,
+  ``s.iter_blocks()``) is charged its ``Scan(N)`` where it is opened,
+  however it is consumed;
 * ``for`` over ``range(...)`` — trip evaluated symbolically from the
   tracked local environment (``num_blocks`` ~ ``N/B`` etc.);
 * ``for`` over an unknown container — trip bounded by ``N`` (a single
@@ -35,12 +37,16 @@ from __future__ import annotations
 import ast
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from ..rules import MATERIALIZERS, STREAM_CLASSES, STREAM_RETURNING
+from ..rules import MATERIALIZERS
+from ..streams import (
+    BLOCK_READERS, READER, SORTER, STREAM, STREAMS, builds,
+    call_head as _call_head, kind, opens,
+)
 from .declared import MACHINE, SymEval
 from .expr import Cost, Term, mul, normalized
 from ..flow.summaries import (
-    STREAM_METHODS, FunctionInfo, Project, _calls_in, _positional_args,
-    expr_key,
+    FunctionInfo, Project, _calls_in, _positional_args, assigned_names,
+    expr_key, names_in,
 )
 
 #: per-call single-block transfers
@@ -48,13 +54,6 @@ _BLOCK_METHODS = {"read_block", "write_block", "append_block", "put",
                   "load", "store"}
 #: per-record amortized writes on stream-like receivers
 _RECORD_WRITES = {"append", "push", "add", "appendleft"}
-#: block-payload iterators — one block per trip, N/B trips total.
-#: ``iter_blocks`` scans a stream (its reads are charged here);
-#: ``blocks`` re-emits payloads from readers charged at their source,
-#: and so does a sorter's ``finish_segments`` (charged by its contract).
-_BLOCK_STREAM_ITERS = {"iter_blocks", "blocks", "finish_segments"}
-#: stream constructors that write their records argument in one pass
-_STREAM_BUILDERS = {"from_records", "from_payload"}
 #: cooperative read intents — a generator yields them to its driver,
 #: which reads the requested blocks as one batch
 _READ_INTENTS = {"StreamRead"}
@@ -176,19 +175,20 @@ class Summary:
 
 
 class _Ctx:
-    __slots__ = ("func", "streams", "stream_lists", "readers", "env",
-                 "callsites", "ksites", "bsites")
+    __slots__ = ("func", "env", "callsites", "ksites", "bsites")
 
     def __init__(self, func: FunctionInfo) -> None:
         self.func = func
-        self.streams: Set[str] = set(func.stream_names)
-        self.stream_lists: Set[str] = set()
-        #: one-shot iterators (``iter(stream)``): consumed, not restarted
-        self.readers: Set[str] = set()
         self.env: Dict[str, object] = {}
-        self.callsites = {id(site.call): site for site in func.calls}
+        self.callsites = func.site_of
         self.ksites: Set[Tuple[str, int, str]] = set()
         self.bsites: Set[Tuple[str, int, str]] = set()
+
+    def kind(self, node: ast.AST) -> Optional[str]:
+        return kind(node, self.func.streams, self.func.returns)
+
+    def opened(self, call: ast.AST) -> Optional[ast.AST]:
+        return opens(call, self.func.streams, self.func.returns)
 
 
 class _AlgoEval(SymEval):
@@ -204,7 +204,7 @@ class _AlgoEval(SymEval):
         value = self.ctx.env.get(name)
         if value is not None:
             return value
-        if name in self.ctx.streams:
+        if self.ctx.func.streams.get(name) in (STREAM, READER, SORTER):
             return [Term(1, {"N": 1})]
         return None
 
@@ -215,40 +215,6 @@ class _AlgoEval(SymEval):
                     "N" in t.powers for t in inner):
                 return mul(inner, [Term(1, {"B": -1})])
         return super().resolve_attribute(node)
-
-
-def _names_in(node: ast.AST) -> FrozenSet[str]:
-    return frozenset(n.id for n in ast.walk(node)
-                     if isinstance(n, ast.Name))
-
-
-def _assigned_names(stmts: Iterable[ast.stmt]) -> Set[str]:
-    names: Set[str] = set()
-    for stmt in stmts:
-        for node in ast.walk(stmt):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                continue
-            targets: List[ast.AST] = []
-            if isinstance(node, ast.Assign):
-                targets = list(node.targets)
-            elif isinstance(node, (ast.AugAssign, ast.AnnAssign,
-                                   ast.NamedExpr)):
-                targets = [node.target]
-            elif isinstance(node, (ast.For, ast.AsyncFor)):
-                targets = [node.target]
-            elif isinstance(node, ast.withitem) \
-                    and node.optional_vars is not None:
-                targets = [node.optional_vars]
-            for target in targets:
-                for sub in ast.walk(target):
-                    if isinstance(sub, ast.Name):
-                        names.add(sub.id)
-    return names
-
-
-def _target_names(target: ast.AST) -> Set[str]:
-    return {n.id for n in ast.walk(target) if isinstance(n, ast.Name)}
 
 
 class Inferencer:
@@ -320,8 +286,6 @@ class Inferencer:
             ])
         if isinstance(stmt, (ast.With, ast.AsyncWith)):
             header = self._charge_calls(stmt, ctx, variant)
-            for item in stmt.items:
-                self._track_with_item(item, ctx)
             return header + self._block(stmt.body, ctx, variant)
         if isinstance(stmt, ast.Try):
             items = self._block(stmt.body, ctx, variant)
@@ -348,47 +312,7 @@ class Inferencer:
             return
         if not isinstance(target, ast.Name):
             return
-        name = target.id
-        # stream tracking
-        if isinstance(value, ast.Call):
-            head = _call_head(value)
-            if head in STREAM_CLASSES or head in STREAM_RETURNING \
-                    or head == "finalize" or _is_stream_builder(value):
-                ctx.streams.add(name)
-            elif head in ("iter", "enumerate", "reversed") and value.args:
-                inner = value.args[0]
-                if isinstance(inner, ast.Name) \
-                        and inner.id in ctx.streams:
-                    ctx.streams.add(name)
-                    if head == "iter":
-                        ctx.readers.add(name)
-            else:
-                site = ctx.callsites.get(id(value))
-                callee = site.callee if site is not None else None
-                if callee is not None:
-                    kind = _returns_kind(callee)
-                    if kind == "stream":
-                        ctx.streams.add(name)
-                    elif kind == "stream_list":
-                        ctx.stream_lists.add(name)
-        elif isinstance(value, (ast.ListComp, ast.GeneratorExp)):
-            head = _comp_elt_head(value)
-            if head in STREAM_CLASSES:
-                ctx.stream_lists.add(name)
-        ctx.env[name] = _AlgoEval(ctx).eval(value)
-
-    def _track_with_item(self, item: ast.withitem, ctx: _Ctx) -> None:
-        """``with closing(iter(stream)) as reader:`` binds ``reader``
-        exactly like ``reader = iter(stream)`` — unwrap the release
-        guard and reuse the assignment tracking."""
-        if not isinstance(item.optional_vars, ast.Name):
-            return
-        value = item.context_expr
-        if isinstance(value, ast.Call) and len(value.args) == 1 \
-                and _call_head(value) == "closing":
-            value = value.args[0]
-        self._track_assign(
-            ast.Assign(targets=[item.optional_vars], value=value), ctx)
+        ctx.env[target.id] = _AlgoEval(ctx).eval(value)
 
     # -- charging calls ------------------------------------------------
 
@@ -414,8 +338,7 @@ class Inferencer:
                                               _positional_args(site))
                     if param != "self"
                     and callee.local_types.get(param) != "Sorter"]
-        if not (isinstance(call.func, ast.Name)
-                or _is_stream_builder(call)):
+        if not (isinstance(call.func, ast.Name) or builds(call)):
             args = [arg for arg in args if isinstance(arg, _COMPREHENSIONS)]
         return [item for arg in args if arg is not None
                 for item in self._sorter_pull(arg, ctx)]
@@ -442,24 +365,24 @@ class Inferencer:
                      variant: FrozenSet[str]) -> List[Item]:
         fn = call.func
         origin = f"{ctx.func.path}:{call.lineno}"
-        subjects = _names_in(call)
+        subjects = names_in(call)
+        source = ctx.opened(call)
+        if source is not None:
+            # a reader on a stream reads it once, wherever it is opened
+            return [Item(_SCAN, True, names_in(source),
+                         f"reader at {origin}")]
 
         if isinstance(fn, ast.Name):
             if fn.id in MATERIALIZERS and call.args:
                 arg = call.args[0]
-                if _is_stream_expr(arg, ctx):
-                    return [Item(_SCAN, True, _names_in(arg),
+                if ctx.kind(arg) == STREAM:
+                    return [Item(_SCAN, True, names_in(arg),
                                  f"{fn.id}() scan at {origin}")]
             if fn.id in _READ_INTENTS and call.args:
                 # ``yield StreamRead(ids)``: the driver reads ``ids`` as
                 # one wave — a batch over the data like ``get_many``.
                 return [Item(_SCAN, True, subjects,
                              f"{fn.id}() wave at {origin}")]
-            if fn.id == "next" and call.args:
-                arg = call.args[0]
-                if _is_reader_expr(arg, ctx):
-                    return [Item(_PER_RECORD_WRITE, False, subjects,
-                                 f"next() read at {origin}")]
             site = ctx.callsites.get(id(call))
             callee = site.callee if site is not None else None
             return self._charge_callee(callee, subjects, origin, ctx)
@@ -468,14 +391,13 @@ class Inferencer:
             attr = fn.attr
             recv = fn.value
             recv_key = expr_key(recv)
-            if _is_stream_builder(call):
+            data = builds(call) and (call.args[1:2] or [
+                kw.value for kw in call.keywords
+                if kw.arg in ("records", "payload")])
+            if data:
                 # ``FileStream.from_records(machine, records)``: one
                 # write pass over the records it is given
-                data = call.args[1:2] or [kw.value for kw in call.keywords
-                                          if kw.arg in ("records",
-                                                        "payload")]
-                return [Item(_SCAN, True,
-                             _names_in(data[0]) if data else subjects,
+                return [Item(_SCAN, True, names_in(data[0]),
                              f"{recv_key}.{attr}() write at {origin}")]
             # structure contracts first (BPlusTree.get, pq.insert, ...)
             cls = self.project._receiver_class(ctx.func, recv)
@@ -503,10 +425,6 @@ class Inferencer:
             if attr in _RECORD_WRITES and _is_charged_receiver(recv, ctx):
                 return [Item(_PER_RECORD_WRITE, False, subjects,
                              f"{attr}() at {origin}")]
-            if attr in STREAM_METHODS:
-                # header-position scans are charged by the loop walker;
-                # a bare ``x.scan()`` expression charges here
-                return []
             if attr in _FREE_METHODS:
                 return []
             site = ctx.callsites.get(id(call))
@@ -532,8 +450,7 @@ class Inferencer:
              variant: FrozenSet[str]) -> List[Item]:
         kind, trip, iter_subjects, charge_scan = \
             self._classify_iter(stmt.iter, ctx)
-        local = frozenset(_assigned_names(stmt.body)
-                          | _target_names(stmt.target))
+        local = frozenset(_assigned(stmt.body) | names_in(stmt.target))
         header = self._charge_calls(stmt, ctx, variant | local)
         body = self._block(list(stmt.body) + list(stmt.orelse),
                            ctx, variant | local)
@@ -562,14 +479,14 @@ class Inferencer:
 
     def _while(self, stmt: ast.While, ctx: _Ctx,
                variant: FrozenSet[str]) -> List[Item]:
-        local = frozenset(_assigned_names(stmt.body))
+        local = frozenset(_assigned(stmt.body))
         header = self._charge_calls(stmt, ctx, variant | local)
         body = self._block(list(stmt.body) + list(stmt.orelse),
                            ctx, variant | local)
         if not body:
             return header
         kind, payload = self._classify_while(stmt, ctx)
-        test_subjects = _names_in(stmt.test)
+        test_subjects = names_in(stmt.test)
         out: List[Item] = list(header)
         if kind == "cursor":
             # a merge-join cursor: ``entry = next(it, None)`` advances a
@@ -618,9 +535,10 @@ class Inferencer:
             # a reader consumed one memoryload per round: N/M rounds.
             # A one-shot iterator's scan is spread across the rounds
             # (each round reads fresh records), so it is charged once.
+            readers = {name for name, found in ctx.func.streams.items()
+                       if found == READER} - local
             for it in body:
-                if it.once or (it.aggregate
-                               and it.subjects & ctx.readers):
+                if it.once or (it.aggregate and it.subjects & readers):
                     out.append(it)
                 else:
                     out.extend(_multiply(it, payload, local,
@@ -645,13 +563,13 @@ class Inferencer:
             self, node: ast.AST, ctx: _Ctx,
     ) -> Tuple[str, Cost, FrozenSet[str], bool]:
         """-> (kind, trip cost, subjects, charge a Scan read?)"""
-        subjects = _names_in(node)
-        if isinstance(node, ast.Name):
-            if node.id in ctx.streams:
-                return "stream", [_N], subjects, True
-            if node.id in ctx.stream_lists:
-                return "container", [_N], subjects, False
-            value = ctx.env.get(node.id)
+        subjects = names_in(node)
+        found = ctx.kind(node)
+        if isinstance(node, (ast.Name, ast.Attribute, ast.Subscript)):
+            if found in (STREAM, READER):
+                # a reader was charged where it was opened
+                return "stream", [_N], subjects, found == STREAM
+            value = _AlgoEval(ctx).eval(node)
             if isinstance(value, list) and value \
                     and all(isinstance(t, Term) for t in value):
                 return "count", value, subjects, False
@@ -661,8 +579,13 @@ class Inferencer:
             if head == "range":
                 trip = self._range_trip(node, ctx)
                 return "count", trip, subjects, False
-            if head in ("enumerate", "iter", "reversed", "sorted",
-                        "zip"):
+            if isinstance(node.func, ast.Attribute) \
+                    and head in BLOCK_READERS:
+                # a reader opened here is charged as a call of the
+                # header; a block reader trips once per block
+                return ("count", [Term(1, {"N": 1, "B": -1})], subjects,
+                        False)
+            if head in ("enumerate", "reversed", "sorted", "zip"):
                 for arg in node.args:
                     kind, trip, inner, scan_it = \
                         self._classify_iter(arg, ctx)
@@ -674,38 +597,26 @@ class Inferencer:
                 # one block's payload: B records (the read itself is
                 # charged at the call site, not here)
                 return "count", [Term(1, {"B": 1})], subjects, False
-            if isinstance(node.func, ast.Attribute) \
-                    and node.func.attr in _BLOCK_STREAM_ITERS:
-                # whole-payload loop: N/B trips.  A stream's own
-                # ``iter_blocks`` performs the reads (charge the scan);
-                # a merger's ``blocks`` replays payloads whose reads
-                # were charged where its readers were opened.
-                return ("count", [Term(1, {"N": 1, "B": -1})], subjects,
-                        node.func.attr == "iter_blocks")
-            if isinstance(node.func, ast.Attribute) \
-                    and node.func.attr in STREAM_METHODS:
-                return "stream", [_N], subjects, True
-            # stream combinators (a merge over run readers etc.):
-            # any stream-ish argument makes this a merged record loop
-            for arg in ast.walk(node):
-                if isinstance(arg, ast.Name) and (
-                        arg.id in ctx.streams
-                        or arg.id in ctx.stream_lists):
-                    return "stream", [_N], subjects, True
+            # stream combinators (a merge over run readers etc.): a
+            # stream argument makes this a merged record loop, which
+            # reads the streams unless their readers were opened here
+            if found is not None or self._streams_in(node, ctx):
+                return ("stream", [_N], subjects,
+                        self._streams_in(node, ctx))
             return "container", [_N], subjects, False
         if isinstance(node, (ast.Tuple, ast.List)):
             return "count", [Term(float(len(node.elts)))], subjects, \
                 False
-        if isinstance(node, ast.Attribute) or isinstance(
-                node, ast.Subscript):
-            if _is_stream_expr(node, ctx):
-                return "stream", [_N], subjects, True
-            value = _AlgoEval(ctx).eval(node)
-            if isinstance(value, list) and value \
-                    and all(isinstance(t, Term) for t in value):
-                return "count", value, subjects, False
-            return "container", [_N], subjects, False
         return "container", [_N], subjects, False
+
+    def _streams_in(self, node: ast.AST, ctx: _Ctx) -> bool:
+        """Does a stream, or a list of them, occur in ``node`` outside
+        the readers it opens?"""
+        if isinstance(node, ast.Name):
+            return ctx.kind(node) in (STREAM, STREAMS)
+        return ctx.opened(node) is None and any(
+            self._streams_in(child, ctx)
+            for child in ast.iter_child_nodes(node))
 
     def _is_flush_guard(self, test: ast.expr, ctx: _Ctx) -> bool:
         """``len(buffer) == B`` (or ``>= B``) — a block-flush guard."""
@@ -749,7 +660,7 @@ class Inferencer:
 
     def _classify_while(self, stmt: ast.While,
                         ctx: _Ctx) -> Tuple[str, object]:
-        test_names = _names_in(stmt.test)
+        test_names = names_in(stmt.test)
         # merge-join cursor: the body (no nested loops) advances a test
         # variable with ``entry = next(it, default)`` — amortized over
         # the iterator's stream
@@ -769,7 +680,7 @@ class Inferencer:
                     reassigned = any(
                         isinstance(sub, ast.Assign)
                         and len(sub.targets) == 1
-                        and shrunk in _target_names(sub.targets[0])
+                        and shrunk in names_in(sub.targets[0])
                         for sub in ast.walk(stmt))
                     limit = None
                     for comp in ast.walk(stmt.test):
@@ -829,7 +740,7 @@ class Inferencer:
                 site = ctx.callsites.get(id(node.value))
                 if site is not None and site.callee is not None \
                         and site.callee.module.kind == "algorithm":
-                    for name in _target_names(node.targets[0]):
+                    for name in names_in(node.targets[0]):
                         project_call_names.add(name)
             if isinstance(node, ast.Call):
                 fn = node.func
@@ -838,7 +749,7 @@ class Inferencer:
                         and isinstance(fn.value, ast.Name) \
                         and fn.value.id in test_names:
                     popped = True
-                if self._head_of(fn) == "heappop" and node.args \
+                if _call_head(node) == "heappop" and node.args \
                         and isinstance(node.args[0], ast.Name) \
                         and node.args[0].id in test_names:
                     popped = True
@@ -847,7 +758,7 @@ class Inferencer:
                         and isinstance(fn.value, ast.Name) \
                         and fn.value.id in test_names:
                     refill_exprs.extend(node.args)
-                if self._head_of(fn) == "heappush" and node.args \
+                if _call_head(node) == "heappush" and node.args \
                         and isinstance(node.args[0], ast.Name) \
                         and node.args[0].id in test_names:
                     refill_exprs.extend(node.args[1:])
@@ -859,7 +770,7 @@ class Inferencer:
                         refill_exprs.append(node.value)
         if popped:
             for expr in refill_exprs:
-                names = _names_in(expr)
+                names = names_in(expr)
                 if names & project_call_names:
                     return "refine", None
                 for sub in ast.walk(expr):
@@ -872,15 +783,6 @@ class Inferencer:
             return "drain", None
         return "unknown", None
 
-    @staticmethod
-    def _head_of(fn: ast.expr) -> str:
-        """Bare or module-qualified function name (``heapq.heappop``)."""
-        if isinstance(fn, ast.Name):
-            return fn.id
-        if isinstance(fn, ast.Attribute):
-            return fn.attr
-        return ""
-
     def _cursor_subjects(
             self, stmt: ast.While) -> Optional[FrozenSet[str]]:
         """The sources a merge-join cursor loop advances over, or
@@ -889,7 +791,7 @@ class Inferencer:
         generator, ``x = yield from step(source)`` with an ``x is not
         None`` test; it may hold nested cursor loops (a join's
         key-group scans) but no other loop."""
-        test_names = _names_in(stmt.test)
+        test_names = names_in(stmt.test)
         sentinels = {node.left.id for node in ast.walk(stmt.test)
                      if isinstance(node, ast.Compare)
                      and isinstance(node.left, ast.Name)
@@ -911,12 +813,12 @@ class Inferencer:
             value = node.value
             if isinstance(value, ast.Call) and _call_head(value) == "next" \
                     and value.args:
-                subjects |= _names_in(value.args[0])
+                subjects |= names_in(value.args[0])
             elif isinstance(value, ast.YieldFrom) \
                     and isinstance(value.value, ast.Call) \
                     and node.targets[0].id in sentinels:
                 for arg in value.value.args:
-                    subjects |= _names_in(arg)
+                    subjects |= names_in(arg)
         return frozenset(subjects) if subjects else None
 
     def _chunk_rounds(self, stmt: ast.While,
@@ -940,6 +842,10 @@ class Inferencer:
 # ---------------------------------------------------------------------
 # item plumbing
 # ---------------------------------------------------------------------
+
+def _assigned(stmts: Iterable[ast.stmt]) -> Set[str]:
+    return assigned_names(node for stmt in stmts for node in ast.walk(stmt))
+
 
 def _remap(it: Item, local: FrozenSet[str],
            outer_subjects: FrozenSet[str]) -> Item:
@@ -988,80 +894,12 @@ def _join_branches(branches: List[List[Item]]) -> List[Item]:
     return list(joined.values())
 
 
-def _call_head(call: ast.Call) -> Optional[str]:
-    fn = call.func
-    if isinstance(fn, ast.Name):
-        return fn.id
-    if isinstance(fn, ast.Attribute):
-        return fn.attr
-    return None
-
-
-def _comp_elt_head(node: ast.AST) -> Optional[str]:
-    elt = getattr(node, "elt", None)
-    if isinstance(elt, ast.Call):
-        return _call_head(elt)
-    if isinstance(elt, ast.Tuple):
-        for sub in elt.elts:
-            if isinstance(sub, ast.Call):
-                head = _call_head(sub)
-                if head in STREAM_CLASSES:
-                    return head
-    return None
-
-
-def _returns_kind(callee: FunctionInfo) -> Optional[str]:
-    returns = getattr(callee.node, "returns", None)
-    text = ""
-    if returns is not None:
-        try:
-            text = ast.unparse(returns)
-        except Exception:  # pragma: no cover - exotic annotations
-            text = ""
-    if "Stream" in text or "BlockFile" in text:
-        if "List" in text or "list" in text or "Tuple" in text:
-            return "stream_list"
-        return "stream"
-    if callee.returns_stream:
-        return "stream"
-    return None
-
-
-def _is_stream_builder(call: ast.Call) -> bool:
-    """``FileStream.from_records(...)`` / ``.from_payload(...)``."""
-    fn = call.func
-    return isinstance(fn, ast.Attribute) and fn.attr in _STREAM_BUILDERS \
-        and expr_key(fn.value) in STREAM_CLASSES
-
-
-def _is_stream_expr(node: ast.AST, ctx: _Ctx) -> bool:
-    if isinstance(node, ast.Name):
-        return node.id in ctx.streams
-    if isinstance(node, ast.Subscript) \
-            and isinstance(node.value, ast.Name):
-        return node.value.id in ctx.stream_lists
-    if isinstance(node, ast.Call):
-        head = _call_head(node)
-        if head in STREAM_METHODS:
-            return True
-    return False
-
-
-def _is_reader_expr(node: ast.AST, ctx: _Ctx) -> bool:
-    if isinstance(node, ast.Name):
-        return node.id in ctx.streams or "reader" in node.id
-    return _is_stream_expr(node, ctx)
-
-
 def _is_charged_receiver(node: ast.AST, ctx: _Ctx) -> bool:
     if isinstance(node, ast.Name):
-        return node.id in ctx.streams \
-            or node.id in ctx.func.local_types \
-            or node.id in ctx.stream_lists
+        return node.id in ctx.func.streams \
+            or node.id in ctx.func.local_types
     if isinstance(node, ast.Subscript):
-        return _is_charged_receiver(node.value, ctx) \
-            or (isinstance(node.value, ast.Name)
-                and node.value.id in ctx.stream_lists)
+        return _is_charged_receiver(node.value, ctx)
     if isinstance(node, ast.Attribute):
         # self.runs / machine-owned containers: charged
         return True

@@ -15,11 +15,14 @@ import ast
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..emlint import Finding
-from ..rules import MATERIALIZERS, STREAM_RETURNING
+from ..streams import (
+    READER, STREAM, bound_value, call_head, kind, reader_source,
+)
 from .cfg import CFG
 from .summaries import (
     AcquireSite, CallSite, ClassInfo, FunctionInfo, Project,
-    RELEASING_NAMES, STREAM_METHODS, expr_key, walk_shallow,
+    RELEASING_NAMES, _positional_args, assigned_names, expr_key, names_in,
+    walk_shallow,
 )
 
 #: attributes of the machine/model that define the memory envelope;
@@ -244,7 +247,6 @@ def _rebase_key(callee: FunctionInfo, key: str,
     if parts[0] not in callee.params:
         return None
     idx = callee.params.index(parts[0])
-    from .summaries import _positional_args
     args = _positional_args(site)
     if idx >= len(args) or args[idx] is None:
         return None
@@ -331,18 +333,16 @@ def _releasing_nodes_for(func: FunctionInfo, cinfo: ClassInfo,
 def _releases_or_escapes(stmt: ast.AST, name: str,
                          releasing: Set[str]) -> bool:
     if isinstance(stmt, (ast.With, ast.AsyncWith)):
-        for item in stmt.items:
-            expr = item.context_expr
-            if isinstance(expr, ast.Name) and expr.id == name:
-                return True
-        return False
+        # ``with x:`` and ``with closing(x):`` close on exit
+        return any(name in names_in(item.context_expr)
+                   for item in stmt.items)
     if isinstance(stmt, ast.Return):
-        return stmt.value is not None and _mentions(stmt.value, name)
+        return stmt.value is not None and name in names_in(stmt.value)
     if isinstance(stmt, ast.Assign):
         target = stmt.targets[0]
         # storing into an attribute/container transfers ownership
         if isinstance(target, (ast.Attribute, ast.Subscript)) \
-                and _mentions(stmt.value, name):
+                and name in names_in(stmt.value):
             return True
     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
                          ast.ClassDef)):
@@ -354,20 +354,17 @@ def _releases_or_escapes(stmt: ast.AST, name: str,
                     and isinstance(fn.value, ast.Name)
                     and fn.value.id == name and fn.attr in releasing):
                 return True
+            if isinstance(fn, ast.Name) and fn.id == "next":
+                continue  # consumption, not an escape
             # passing the object onward is an ownership escape
             for arg in list(node.args) + [k.value for k in node.keywords]:
                 if isinstance(arg, ast.Name) and arg.id == name:
                     return True
         if isinstance(node, (ast.Yield, ast.YieldFrom)) \
                 and node.value is not None \
-                and _mentions(node.value, name):
+                and name in names_in(node.value):
             return True
     return False
-
-
-def _mentions(node: ast.AST, name: str) -> bool:
-    return any(isinstance(n, ast.Name) and n.id == name
-               for n in ast.walk(node))
 
 
 # ---------------------------------------------------------------------
@@ -379,10 +376,14 @@ def _em102(project: Project, func: FunctionInfo) -> List[Finding]:
     loops = [n for n in walk_shallow(func.node)
              if isinstance(n, (ast.For, ast.AsyncFor, ast.While))]
     for outer in loops:
-        assigned = _assigned_names(outer)
-        for node in _loop_body_nodes(outer):
-            if isinstance(node, (ast.For, ast.AsyncFor)):
-                desc = _stream_scan_desc(func, node.iter, assigned)
+        body = [node for stmt in outer.body
+                for node in [stmt] + walk_shallow(stmt)]
+        assigned = assigned_names([outer] + body)
+        for node in body:
+            opened = node.iter if isinstance(
+                node, (ast.For, ast.AsyncFor)) else _opened(func, node)
+            if opened is not None:
+                desc = _stream_scan_desc(func, opened, assigned)
                 if desc:
                     findings.append(Finding(
                         rule="EM102", path=func.path,
@@ -394,7 +395,7 @@ def _em102(project: Project, func: FunctionInfo) -> List[Finding]:
                         trace=(f"outer loop at {func.path}:"
                                f"{outer.lineno}",),
                     ))
-            elif isinstance(node, ast.Call):
+            if isinstance(node, ast.Call):
                 finding = _scan_via_callee(project, func, node, outer,
                                            assigned)
                 if finding is not None:
@@ -402,67 +403,40 @@ def _em102(project: Project, func: FunctionInfo) -> List[Finding]:
     return findings
 
 
-def _loop_body_nodes(outer: ast.AST) -> List[ast.AST]:
-    nodes: List[ast.AST] = []
-    for stmt in outer.body:
-        nodes.extend([stmt] + walk_shallow(stmt))
-    return nodes
-
-
-def _assigned_names(outer: ast.AST) -> Set[str]:
-    """Names (re)bound anywhere inside the loop, including its target:
-    iterating values derived from these is not a re-scan."""
-    assigned: Set[str] = set()
-    targets: List[ast.AST] = []
-    if isinstance(outer, (ast.For, ast.AsyncFor)):
-        targets.append(outer.target)
-    for node in _loop_body_nodes(outer):
-        if isinstance(node, ast.Assign):
-            targets.extend(node.targets)
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            targets.append(node.target)
-        elif isinstance(node, (ast.For, ast.AsyncFor)):
-            targets.append(node.target)
-        elif isinstance(node, (ast.With, ast.AsyncWith)):
-            for item in node.items:
-                if item.optional_vars is not None:
-                    targets.append(item.optional_vars)
-    for target in targets:
-        for name_node in ast.walk(target):
-            if isinstance(name_node, ast.Name):
-                assigned.add(name_node.id)
-    return assigned
-
-
-def _stream_scan_desc(func: FunctionInfo, iter_expr: ast.AST,
-                      assigned: Set[str]) -> Optional[str]:
-    """Describe ``iter_expr`` when it fully scans a loop-invariant
-    stream; None otherwise."""
-    expr = iter_expr
-    # unwrap enumerate()/iter()/zip-of-one trivial wrappers
-    if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name) \
-            and expr.func.id in ("enumerate", "iter") and expr.args:
-        expr = expr.args[0]
-    if isinstance(expr, ast.Name):
-        if expr.id in func.stream_names and expr.id not in assigned:
-            return f"stream {expr.id!r}"
+def _opened(func: FunctionInfo, node: ast.AST) -> Optional[ast.AST]:
+    """The reader a plain or ``with`` binding opens, if any."""
+    if isinstance(node, ast.Assign):
+        values = [node.value]
+    elif isinstance(node, (ast.With, ast.AsyncWith)):
+        values = [bound_value(item) for item in node.items]
+    else:
         return None
+    return next((value for value in values
+                 if kind(value, func.streams, func.returns) == READER),
+                None)
+
+
+def _stream_scan_desc(func: FunctionInfo, expr: ast.AST,
+                      assigned: Set[str]) -> Optional[str]:
+    """Describe ``expr`` — a loop's iterable or a bound reader — when
+    it opens a full scan of a loop-invariant stream; None otherwise."""
+    if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name) \
+            and expr.func.id == "enumerate" and expr.args:
+        expr = expr.args[0]
+    source = reader_source(expr, func.streams, func.returns)
+    if isinstance(source, ast.Name):
+        expr = source  # iter(s) rescans the stream ``s``
+    found = kind(expr, func.streams, func.returns)
+    if names_in(expr) & assigned or found not in (STREAM, READER):
+        return None
+    if isinstance(expr, ast.Name):
+        return f"stream {expr.id!r}" if found == STREAM else None
     if isinstance(expr, ast.Call) and isinstance(
             expr.func, ast.Attribute):
-        recv = expr.func.value
-        if expr.func.attr in STREAM_METHODS \
-                and not _names_overlap(recv, assigned):
-            return f"{expr_key(recv)}.{expr.func.attr}()"
-    if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name) \
-            and expr.func.id in STREAM_RETURNING:
-        if not any(_names_overlap(a, assigned) for a in expr.args):
-            return f"{expr.func.id}(...)"
+        return f"{expr_key(expr.func.value)}.{expr.func.attr}()"
+    if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name):
+        return f"{expr.func.id}(...)"
     return None
-
-
-def _names_overlap(node: ast.AST, names: Set[str]) -> bool:
-    return any(isinstance(n, ast.Name) and n.id in names
-               for n in ast.walk(node))
 
 
 def _scan_via_callee(project: Project, func: FunctionInfo,
@@ -476,13 +450,13 @@ def _scan_via_callee(project: Project, func: FunctionInfo,
     if site is None or site.callee is None \
             or not site.callee.scans_params:
         return None
-    from .summaries import _positional_args
     args = _positional_args(site)
     for j in sorted(site.callee.scans_params):
         if j >= len(args) or args[j] is None:
             continue
         arg = args[j]
-        if isinstance(arg, ast.Name) and arg.id in func.stream_names \
+        if isinstance(arg, ast.Name) \
+                and func.streams.get(arg.id) == STREAM \
                 and arg.id not in assigned:
             callee = site.callee
             return Finding(
@@ -505,7 +479,6 @@ def _scan_via_callee(project: Project, func: FunctionInfo,
 
 def _em103(project: Project, func: FunctionInfo) -> List[Finding]:
     findings: List[Finding] = []
-    from .summaries import _positional_args
     for site in func.calls:
         callee = site.callee
         if callee is None or not callee.materializes_params:
@@ -516,7 +489,7 @@ def _em103(project: Project, func: FunctionInfo) -> List[Finding]:
                 continue
             arg = args[j]
             if not (isinstance(arg, ast.Name)
-                    and arg.id in func.stream_names):
+                    and func.streams.get(arg.id) == STREAM):
                 continue
             evidence = callee.materialize_evidence.get(
                 j, f"parameter {callee.params[j]!r}")
@@ -533,14 +506,6 @@ def _em103(project: Project, func: FunctionInfo) -> List[Finding]:
     return findings
 
 
-#: sorts that materialize their output as a stream on disk; when that
-#: output is consumed by exactly one sequential scan, a pipelined
-#: Sorter boundary elides the materialization
-_MATERIALIZING_SORTS = {
-    "external_merge_sort", "two_way_merge_sort", "distribution_sort",
-    "external_string_sort", "buffer_tree_sort",
-}
-
 #: stream methods that manage the object rather than read its records
 _LIFECYCLE_METHODS = {"delete", "close", "finalize"}
 
@@ -555,67 +520,52 @@ def _em103_fusion(func: FunctionInfo) -> List[Finding]:
     straight into the consumer and skips the round trip.
     """
     findings: List[Finding] = []
-    sorted_streams: Dict[str, Tuple[ast.Assign, str]] = {}
-    for node in walk_shallow(func.node):
-        if (isinstance(node, ast.Assign) and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-                and isinstance(node.value, ast.Call)):
-            head = node.value.func
-            head_name = head.id if isinstance(head, ast.Name) else \
-                head.attr if isinstance(head, ast.Attribute) else None
-            if head_name in _MATERIALIZING_SORTS:
-                target = node.targets[0].id
-                if target in sorted_streams:
-                    sorted_streams.pop(target)  # rebound: ambiguous
-                else:
-                    sorted_streams[target] = (node, head_name)
+    sorted_streams: Dict[str, Optional[ast.Call]] = {}
+    for name, value in func.sites:
+        if isinstance(value, ast.Call) and func.sorting(value):
+            # a name sorted into twice is ambiguous
+            sorted_streams[name] = None if name in sorted_streams \
+                else value
 
     parents: Dict[ast.AST, ast.AST] = {}
     for node in walk_shallow(func.node):
         for child in ast.iter_child_nodes(node):
             parents[child] = node
 
-    for name, (assign, sort_fn) in sorted_streams.items():
-        scans = 0
-        other = 0
+    for name, sort in sorted_streams.items():
+        if sort is None:
+            continue
+        scans = other = 0
         for node in walk_shallow(func.node):
             if not (isinstance(node, ast.Name) and node.id == name
                     and isinstance(node.ctx, ast.Load)):
                 continue
             parent = parents.get(node)
-            if isinstance(parent, ast.For) and parent.iter is node:
+            opener = parents.get(parent) \
+                if isinstance(parent, ast.Attribute) else parent
+            if (isinstance(parent, ast.For) and parent.iter is node) or \
+                    reader_source(opener, func.streams, func.returns) \
+                    is node:
                 scans += 1
-            elif (isinstance(parent, ast.Call)
-                    and isinstance(parent.func, ast.Name)
-                    and parent.func.id == "iter"
-                    and node in parent.args):
-                scans += 1
-            elif (isinstance(parent, ast.Call)
-                    and isinstance(parent.func, ast.Name)
-                    and parent.func.id == "len"):
-                pass  # size probe, not a read
-            elif isinstance(parent, ast.Attribute) \
-                    and parent.attr in _LIFECYCLE_METHODS:
-                pass
-            elif (isinstance(parent, ast.Attribute)
-                    and parent.attr == "iter_blocks"
-                    and isinstance(parents.get(parent), ast.Call)
-                    and parents[parent].func is parent):
-                scans += 1  # ``x.iter_blocks()``: a scan a block at a time
-            elif parent is assign.value:
-                pass  # ``x = sort(machine, x, ...)`` rebinding read
+            elif parent is sort or (
+                    isinstance(parent, ast.Attribute)
+                    and parent.attr in _LIFECYCLE_METHODS) or (
+                    isinstance(parent, ast.Call)
+                    and call_head(parent) == "len"):
+                pass  # ``x = sort(machine, x)``, lifecycle, size probe
             else:
                 other += 1
         if scans == 1 and other == 0:
+            sort_fn = call_head(sort)
             findings.append(Finding(
-                rule="EM103", path=func.path, line=assign.lineno,
-                col=assign.col_offset + 1,
+                rule="EM103", path=func.path, line=sort.lineno,
+                col=sort.col_offset + 1,
                 message=f"sorted stream {name!r} is materialized by "
                         f"{sort_fn}() and then consumed by a single "
                         "sequential scan: a pipelined Sorter boundary "
                         "skips the ~2·(N/DB) I/O round trip through "
                         "disk",
-                trace=(f"{sort_fn}() at {func.path}:{assign.lineno}",
+                trace=(f"{sort_fn}() at {func.path}:{sort.lineno}",
                        f"sole sequential scan of {name!r}"),
             ))
     return findings
@@ -771,7 +721,6 @@ def _guarded_names(func: FunctionInfo,
 
 def _em105(project: Project, func: FunctionInfo) -> List[Finding]:
     findings: List[Finding] = []
-    from .summaries import _positional_args
     own_machines = {p for p in func.params if "machine" in p}
     for site in func.calls:
         callee = site.callee

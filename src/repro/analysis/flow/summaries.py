@@ -11,7 +11,10 @@ that the EM100-series rules consume:
 * ``materializes_params`` — parameter indexes that reach a RAM
   materializer (``list``/``sorted``/... , EM001's sinks) in this
   function or transitively in a callee;
-* ``returns_stream`` — the return value is a (finalized) stream;
+* ``returns_stream`` — what the return value is in the stream
+  vocabulary of :mod:`repro.analysis.streams` (a stream, a list of
+  streams, a reader, or None), and ``returns_sort`` — it returns a
+  materializing sort's result;
 * ``net_hold_params`` — parameter indexes whose memory budget is still
   held when the function returns (ownership transfers to the caller);
 * per-class: ``instance_holds`` (the constructor acquires budget that
@@ -22,14 +25,13 @@ that the EM100-series rules consume:
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
+from .. import streams
 from ..emlint import classify
-from ..rules import MATERIALIZERS, STREAM_CLASSES, STREAM_RETURNING
+from ..rules import MATERIALIZERS
+from ..streams import call_head as _call_head, walk_shallow
 from .cfg import CFG, build_cfg
-
-#: methods that produce a full scan of the receiver's stream
-STREAM_METHODS = {"scan", "rows", "stream", "records", "entries"}
 
 #: method names that conventionally give budget back
 RELEASING_NAMES = {"close", "delete", "finalize", "release", "clear",
@@ -117,8 +119,12 @@ class FunctionInfo:
         self.with_reserves: List[AcquireSite] = []
         self.releases: List[ReleaseSite] = []
         self.calls: List[CallSite] = []
+        self.site_of: Dict[int, CallSite] = {}  # id(call) -> its site
         self.aliases: Dict[str, str] = {}      # name -> attribute chain
-        self.stream_names: Set[str] = set()
+        #: local name -> stream kind (:func:`repro.analysis.streams.kind`)
+        self.streams: Dict[str, str] = {}
+        #: ``(name, value)`` bindings and returned values
+        self.sites, self.returned = streams.binding_sites(node)
         self.local_types: Dict[str, str] = {}  # name -> class name
         #: subset of local_types that are *constructed here* (not
         #: annotated parameters): what EM105 cares about
@@ -126,7 +132,8 @@ class FunctionInfo:
         # summaries (fixpoint)
         self.scans_params: Set[int] = set()
         self.materializes_params: Set[int] = set()
-        self.returns_stream = False
+        self.returns_stream: Optional[str] = None
+        self.returns_sort = False
         self.net_hold_params: Set[int] = set()
         #: param index -> human-readable evidence ("list() at x.py:12",
         #: possibly a chain through further callees)
@@ -141,6 +148,21 @@ class FunctionInfo:
 
     def display(self) -> str:
         return f"{self.module.name}.{self.qualname}"
+
+    def returns(self, call: ast.Call) -> Optional[str]:
+        """What ``call`` returns: its resolved callee's answer, else
+        the seed's."""
+        site = self.site_of.get(id(call))
+        if site is not None and site.callee is not None:
+            return site.callee.returns_stream
+        return streams.seed_returns(call)
+
+    def sorting(self, call: ast.Call) -> bool:
+        """Is ``call`` a materializing sort: a seed sort, or a callee
+        that returns one's result?"""
+        site = self.site_of.get(id(call))
+        return streams.seed_sorts(call) or bool(
+            site and site.callee and site.callee.returns_sort)
 
     def canonical_key(self, key: str) -> str:
         """Expand one level of local aliasing: ``budget`` assigned from
@@ -235,8 +257,8 @@ class Project:
 
     def _index_function(self, func: FunctionInfo) -> None:
         cfg = func.cfg
-        # aliases / stream names / local constructor types first, from
-        # plain assignments anywhere in the body
+        # aliases and local constructor types first, from plain
+        # assignments anywhere in the body
         for node in walk_shallow(func.node):
             if isinstance(node, (ast.With, ast.AsyncWith)):
                 # ``with C(...) as name`` binds ``name`` to a C for the
@@ -269,30 +291,12 @@ class Project:
                     func.aliases[target.id] = expr_key(value)
                 elif isinstance(value, ast.Call):
                     head = _call_head(value)
-                    if head in STREAM_CLASSES or head in STREAM_RETURNING:
-                        func.stream_names.add(target.id)
-                    if head == "finalize":
-                        func.stream_names.add(target.id)
                     if head and head in self.classes_by_name:
                         func.local_types[target.id] = head
                         func.constructed_types[target.id] = head
-        for param in func.params:
-            if param == "stream" or param.endswith("_stream"):
-                func.stream_names.add(param)
-        # annotation-driven types and streams
-        for arg in (getattr(func.node.args, "posonlyargs", [])
-                    + func.node.args.args):
-            ann = arg.annotation
-            head = None
-            if isinstance(ann, ast.Name):
-                head = ann.id
-            elif isinstance(ann, ast.Attribute):
-                head = ann.attr
-            elif isinstance(ann, ast.Constant) and isinstance(
-                    ann.value, str):
-                head = ann.value.split("[")[0].split(".")[-1].strip()
-            if head in STREAM_CLASSES:
-                func.stream_names.add(arg.arg)
+        # annotation-driven types
+        for arg in _args(func.node):
+            head = streams.annotation_name(arg.annotation)
             if head and head in self.classes_by_name:
                 func.local_types[arg.arg] = head
 
@@ -324,6 +328,7 @@ class Project:
                             node.index, key, call.lineno))
                 func.calls.append(CallSite(
                     node.index, call, call.lineno, None, None))
+                func.site_of[id(call)] = func.calls[-1]
 
     def _resolve_calls(self, func: FunctionInfo) -> None:
         module = func.module
@@ -447,16 +452,6 @@ class Project:
                         func.materialize_evidence.setdefault(
                             params[arg.id],
                             f"{head}() at {func.path}:{node.lineno}")
-            # returns_stream seed
-            if isinstance(node, ast.Return) and node.value is not None:
-                value = node.value
-                if isinstance(value, ast.Call):
-                    head = _call_head(value)
-                    if head in STREAM_RETURNING or head in STREAM_CLASSES:
-                        func.returns_stream = True
-                if isinstance(value, ast.Name) \
-                        and value.id in func.stream_names:
-                    func.returns_stream = True
         # net budget holder: acquires a param's budget, no release of
         # that key anywhere in the function (or its class)
         class_release_keys: Set[str] = set()
@@ -473,8 +468,16 @@ class Project:
                 func.net_hold_params.add(params[root])
 
     def _propagate(self, func: FunctionInfo) -> bool:
-        """One round of interprocedural propagation through call sites."""
-        changed = False
+        """One round of interprocedural propagation through call sites,
+        the ``returns_stream`` / ``returns_sort`` fixpoint among them."""
+        func.streams = streams.local_kinds(
+            _args(func.node), func.sites, func.returns)
+        returned = (streams.returned(func.node.returns, func.returned,
+                                     func.streams, func.returns),
+                    any(isinstance(value, ast.Call) and func.sorting(value)
+                        for value in func.returned))
+        changed = returned != (func.returns_stream, func.returns_sort)
+        func.returns_stream, func.returns_sort = returned
         params = {name: i for i, name in enumerate(func.params)}
         for site in func.calls:
             callee = site.callee
@@ -501,47 +504,32 @@ class Project:
                         + callee.materialize_evidence.get(
                             j, "materialization"))
                     changed = True
-            # returns_stream through project calls
-        for node in walk_shallow(func.node):
-            if isinstance(node, ast.Return) and isinstance(
-                    node.value, ast.Call):
-                callee = self._callee_of_call(func, node.value)
-                if callee is not None and callee.returns_stream \
-                        and not func.returns_stream:
-                    func.returns_stream = True
-                    changed = True
         return changed
 
-    def _callee_of_call(self, func: FunctionInfo,
-                        call: ast.Call) -> Optional[FunctionInfo]:
-        for site in func.calls:
-            if site.call is call:
-                return site.callee
-        return None
+
+def _args(node: ast.AST) -> List[ast.arg]:
+    return list(getattr(node.args, "posonlyargs", [])) + node.args.args
 
 
-def _call_head(call: ast.Call) -> Optional[str]:
-    fn = call.func
-    if isinstance(fn, ast.Name):
-        return fn.id
-    if isinstance(fn, ast.Attribute):
-        return fn.attr
-    return None
+def names_in(node: ast.AST) -> FrozenSet[str]:
+    """Every name ``node`` mentions."""
+    return frozenset(n.id for n in ast.walk(node)
+                     if isinstance(n, ast.Name))
 
 
-def walk_shallow(node: ast.AST) -> List[ast.AST]:
-    """Like ``ast.walk`` but does not descend into nested function or
-    class definitions (which are their own analysis units)."""
-    out: List[ast.AST] = []
-    stack: List[ast.AST] = list(ast.iter_child_nodes(node))
-    while stack:
-        child = stack.pop()
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                              ast.ClassDef, ast.Lambda)):
-            continue
-        out.append(child)
-        stack.extend(ast.iter_child_nodes(child))
-    return out
+def assigned_names(nodes: Iterable[ast.AST]) -> Set[str]:
+    """Names that ``nodes`` bind by assignment, ``for`` or ``with``."""
+    targets: List[ast.AST] = []
+    for node in nodes:
+        if isinstance(node, ast.Assign):
+            targets.extend(node.targets)
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign, ast.NamedExpr,
+                               ast.For, ast.AsyncFor)):
+            targets.append(node.target)
+        elif isinstance(node, ast.withitem) \
+                and node.optional_vars is not None:
+            targets.append(node.optional_vars)
+    return {name for target in targets for name in names_in(target)}
 
 
 def _calls_in(stmt: ast.stmt) -> List[ast.Call]:

@@ -39,9 +39,13 @@ EM007     Waiver hygiene: malformed waiver comments, unknown rule ids,
 from __future__ import annotations
 
 import ast
-from typing import Any, List, Optional, Set
+from typing import Any, Dict, List, Optional, Set
 
 from .emlint import Finding
+from .streams import (
+    STREAMS, annotated, annotation_name, bound_value, call_head, kind,
+    local_kinds, seed_returns,
+)
 
 RULES = {
     "EM001": "unbounded materialization of a stream into RAM",
@@ -113,26 +117,14 @@ ALL_RULES = {**RULES, **FLOW_RULES, **COST_RULES, **STATE_RULES}
 MATERIALIZERS = {"list", "sorted", "tuple", "set", "dict", "Counter",
                  "frozenset"}
 
-#: names that construct a stream (``stream_cls`` is the conventional
-#: parameter through which algorithms accept an alternative class)
-STREAM_CLASSES = {"FileStream", "StripedStream", "stream_cls"}
-
 #: machine-backed containers: appending to these *is* charged, so they
 #: are exempt from EM005 (but materializing them still trips EM001)
-CHARGED_SINKS = STREAM_CLASSES | {
+CHARGED_SINKS = {
+    "FileStream", "StripedStream", "stream_cls",
     "Table", "AdjacencyStore", "ExternalMatrix", "BufferTree",
     "BPlusTree", "ExtendibleHashTable", "ExternalPriorityQueue",
     "BTreePriorityQueue", "BlockFile", "ExternalStack", "ExternalQueue",
     "Sorter", "ExVector",
-}
-
-#: library functions known to return a (finalized) stream
-STREAM_RETURNING = {
-    "external_merge_sort", "two_way_merge_sort", "merge_streams",
-    "distribution_sort", "external_string_sort", "buffer_tree_sort",
-    "permute", "permute_naive", "permute_by_sort",
-    "segment_intersections", "segment_intersections_naive",
-    "order_by", "distinct",
 }
 
 #: acceptable first-parameter annotations for EM003: either the machine
@@ -172,31 +164,13 @@ def _name_of(node: ast.AST) -> Optional[str]:
     return None
 
 
-def _annotation_name(node: Optional[ast.AST]) -> Optional[str]:
-    """Extract the head identifier from an annotation node."""
-    if node is None:
-        return None
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value.split("[")[0].split(".")[-1].strip()
-    if isinstance(node, ast.Subscript):
-        return _annotation_name(node.value)
-    return None
-
-
-def _looks_like_stream_name(name: str) -> bool:
-    return name == "stream" or name.endswith("_stream") or name == "reader"
-
-
 class _Scope:
     """Per-function tracking of which names hold streams / charged sinks
     and whether the function charges the budget itself."""
 
     def __init__(self, budget_aware: bool = False):
-        self.stream_names: Set[str] = set()
+        #: name -> stream kind (:func:`repro.analysis.streams.kind`)
+        self.stream_names: Dict[str, str] = {}
         self.charged_names: Set[str] = set()
         self.budget_aware = budget_aware
 
@@ -258,37 +232,17 @@ class ComplianceVisitor(ast.NodeVisitor):
     def _in_budget_context(self) -> bool:
         return self._budget_depth > 0 or self._scope.budget_aware
 
-    def _is_stream_expr(self, node: ast.AST) -> bool:
-        """Heuristic: does this expression evaluate to a stream (or a
-        reader over one)?"""
-        if isinstance(node, ast.Name):
-            return any(node.id in s.stream_names for s in self._scopes)
-        if isinstance(node, ast.Attribute):
-            return _looks_like_stream_name(node.attr)
-        if isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Name):
-                # a Sorter is a stream too: iterating it pulls the merge
-                if func.id in STREAM_CLASSES | STREAM_RETURNING | {
-                        "Sorter"}:
-                    return True
-                if func.id == "iter" and node.args:
-                    return self._is_stream_expr(node.args[0])
-            if isinstance(func, ast.Attribute):
-                if func.attr in ("from_records", "finalize", "finish"):
-                    return True
-        return False
+    def _kind(self, node: ast.AST) -> Optional[str]:
+        """What ``node`` is in the stream vocabulary, by this file's
+        bindings and the seed alone."""
+        names: Dict[str, str] = {}
+        for scope in self._scopes:
+            names.update(scope.stream_names)
+        return kind(node, names, seed_returns)
 
-    def _is_charged_expr(self, node: ast.AST) -> bool:
-        """Does this expression build a machine-backed container?"""
-        if isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Name) and func.id in CHARGED_SINKS:
-                return True
-            if isinstance(func, ast.Attribute) and func.attr in (
-                    "from_records", "from_rows", "finalize"):
-                return True
-        return self._is_stream_expr(node)
+    def _streaming(self, node: ast.AST) -> bool:
+        """Does ``node`` evaluate to a stream, a reader or a sorter?"""
+        return self._kind(node) not in (None, STREAMS)
 
     def _is_charged_name(self, name: str) -> bool:
         return any(
@@ -305,12 +259,11 @@ class ComplianceVisitor(ast.NodeVisitor):
                 and not node.name.startswith("_")):
             self._check_em003(node)
         scope = _Scope(budget_aware=_calls_acquire(node))
-        for arg in list(node.args.posonlyargs) + list(node.args.args):
-            ann = _annotation_name(arg.annotation)
-            if ann in STREAM_CLASSES or _looks_like_stream_name(arg.arg):
-                scope.stream_names.add(arg.arg)
-            elif ann in CHARGED_SINKS:
-                scope.charged_names.add(arg.arg)
+        params = list(node.args.posonlyargs) + list(node.args.args)
+        scope.stream_names = local_kinds(params, [], seed_returns)
+        scope.charged_names = {
+            arg.arg for arg in params
+            if annotation_name(arg.annotation) in CHARGED_SINKS}
         self._scopes.append(scope)
         self._def_depth += 1
         budget_depth, self._budget_depth = self._budget_depth, 0
@@ -345,11 +298,7 @@ class ComplianceVisitor(ast.NodeVisitor):
             # ``with Sorter(...) as sorter`` binds a charged sink /
             # stream for the block, same as the assignment form
             if isinstance(item.optional_vars, ast.Name):
-                name = item.optional_vars.id
-                if self._is_stream_expr(item.context_expr):
-                    self._scope.stream_names.add(name)
-                elif self._is_charged_expr(item.context_expr):
-                    self._scope.charged_names.add(name)
+                self._bind(item.optional_vars.id, bound_value(item))
         if reserves:
             self._budget_depth += 1
         try:
@@ -361,10 +310,10 @@ class ComplianceVisitor(ast.NodeVisitor):
 
     def visit_For(self, node: ast.For) -> None:
         self.visit(node.iter)
-        streaming = self._is_stream_expr(node.iter)
+        streaming = self._streaming(node.iter)
         for target_name in (n.id for n in ast.walk(node.target)
                             if isinstance(n, ast.Name)):
-            self._scope.stream_names.discard(target_name)
+            self._scope.stream_names.pop(target_name, None)
         if streaming:
             self._stream_loop_depth += 1
         try:
@@ -374,18 +323,24 @@ class ComplianceVisitor(ast.NodeVisitor):
             if streaming:
                 self._stream_loop_depth -= 1
 
+    def _bind(self, name: str, value: ast.AST) -> None:
+        """Track what ``name`` holds once ``value`` is bound to it."""
+        self._scope.stream_names.pop(name, None)
+        self._scope.charged_names.discard(name)
+        found = self._kind(value)
+        if found is not None:
+            self._scope.stream_names[name] = found
+        elif isinstance(value, ast.Call) and call_head(value) in (
+                CHARGED_SINKS if isinstance(value.func, ast.Name)
+                else {"from_rows"}):
+            # a machine-backed container
+            self._scope.charged_names.add(name)
+
     def visit_Assign(self, node: ast.Assign) -> None:
         self.visit(node.value)
-        is_stream = self._is_stream_expr(node.value)
-        is_charged = self._is_charged_expr(node.value)
         for target in node.targets:
             if isinstance(target, ast.Name):
-                self._scope.stream_names.discard(target.id)
-                self._scope.charged_names.discard(target.id)
-                if is_stream:
-                    self._scope.stream_names.add(target.id)
-                elif is_charged:
-                    self._scope.charged_names.add(target.id)
+                self._bind(target.id, node.value)
             elif isinstance(target, ast.Subscript):
                 self._check_em005_subscript(target)
                 self.visit(target)
@@ -396,12 +351,11 @@ class ComplianceVisitor(ast.NodeVisitor):
         if node.value is not None:
             self.visit(node.value)
         if isinstance(node.target, ast.Name):
-            ann = _annotation_name(node.annotation)
-            if ann in STREAM_CLASSES or (
-                    node.value is not None
-                    and self._is_stream_expr(node.value)):
-                self._scope.stream_names.add(node.target.id)
-            elif ann in CHARGED_SINKS:
+            found = annotated(node.annotation) or (
+                node.value is not None and self._kind(node.value))
+            if found:
+                self._scope.stream_names[node.target.id] = found
+            elif annotation_name(node.annotation) in CHARGED_SINKS:
                 self._scope.charged_names.add(node.target.id)
 
     # ------------------------------------------------------------------
@@ -425,7 +379,7 @@ class ComplianceVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
     def _check_em001(self, node: ast.Call, func: ast.Name) -> bool:
-        if func.id in MATERIALIZERS and node.args and self._is_stream_expr(
+        if func.id in MATERIALIZERS and node.args and self._streaming(
                 node.args[0]):
             self._report(
                 "EM001", node,
@@ -458,7 +412,7 @@ class ComplianceVisitor(ast.NodeVisitor):
         ok_first = False
         if params:
             first = params[0]
-            ann = _annotation_name(first.annotation)
+            ann = annotation_name(first.annotation)
             ok_first = first.arg == "machine" or ann in MACHINE_CARRIERS
         if not ok_first:
             self._report(
@@ -550,7 +504,7 @@ class ComplianceVisitor(ast.NodeVisitor):
     def _check_comprehension(self, node: Any, label: str) -> None:
         if self._algorithm() and not self._in_budget_context():
             for generator in node.generators:
-                if self._is_stream_expr(generator.iter):
+                if self._streaming(generator.iter):
                     self._report(
                         "EM005", node,
                         f"{label} over a stream materializes all N "

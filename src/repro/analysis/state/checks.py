@@ -31,23 +31,21 @@ import ast
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..emlint import Finding
-from ..flow.cfg import CFG, JUNCTION
+from ..flow.cfg import JUNCTION
 from ..flow.checks import (
     _binding_name, _leak_exits, _path_lines, _releases_or_escapes,
 )
 from ..flow.summaries import (
     CallSite, FunctionInfo, Project, RELEASING_NAMES, _calls_in,
-    expr_key, walk_shallow,
+    expr_key, names_in, walk_shallow,
 )
+from ..streams import call_head as _call_head, opens
 from .machines import (
     COMMIT_METHODS, FLUSH_METHODS, HANDLE_CLASSES, PAIRED_ACQUIRES,
     RAW_DISK_METHODS, SAFE_AFTER_TERMINAL, TERMINAL_METHODS,
     WITH_FORM_CLASSES, WRITE_METHODS, WRITER_RESERVE_RELEASES,
     is_whitelisted_raw_io,
 )
-
-#: stream classes whose ``iter()`` acquires a reader frame
-READER_SOURCES = {"FileStream", "StripedStream"}
 
 
 def run_checks(project: Project) -> List[Finding]:
@@ -86,15 +84,6 @@ def _attr_sites(func: FunctionInfo,
             key = func.canonical_key(expr_key(fn.value))
             out.append((site, fn.attr, key))
     return out
-
-
-def _call_head(call: ast.Call) -> Optional[str]:
-    fn = call.func
-    if isinstance(fn, ast.Name):
-        return fn.id
-    if isinstance(fn, ast.Attribute):
-        return fn.attr
-    return None
 
 
 def _released_in_finally(func: FunctionInfo, acquire: ast.Call,
@@ -261,7 +250,9 @@ def _em301_writer_reserve(func: FunctionInfo) -> List[Finding]:
 
 
 def _em301_reader(func: FunctionInfo) -> List[Finding]:
-    """``reader = iter(stream)`` holds a frame from its first ``next``;
+    """A reader bound to a name (``reader = iter(stream)``, see
+    :func:`repro.analysis.streams.opens`) holds a frame from its first
+    ``next``;
     if an exception handler is reachable while the reader is open and
     the handler can exit the function, the frame outlives the handler
     (the traceback keeps the generator alive).  Close the reader in a
@@ -274,13 +265,15 @@ def _em301_reader(func: FunctionInfo) -> List[Finding]:
         return findings
     for node in cfg.stmt_nodes():
         stmt = node.stmt
-        name, source = _reader_binding(func, stmt)
-        if name is None:
+        if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+                and isinstance(stmt.targets[0], ast.Name)
+                and opens(stmt.value, func.streams, func.returns)):
             continue
+        name = stmt.targets[0].id
         removed = {
             n.index for n in cfg.stmt_nodes()
             if n.stmt is not None and n.index != node.index
-            and _reader_released(n.stmt, name)}
+            and _releases_or_escapes(n.stmt, name, {"close"})}
         starts = sorted(cfg.succ[node.index] - cfg.exc_succ[node.index])
         reach = cfg.reachable(starts, removed)
         for junction in junctions:
@@ -306,8 +299,9 @@ def _em301_reader(func: FunctionInfo) -> List[Finding]:
             ) + ((f"leaking path: {path}",) if path else ())
             findings.append(Finding(
                 rule="EM301", path=func.path, line=stmt.lineno, col=1,
-                message=f"stream reader {name!r} (iter({source}) at "
-                        f"line {stmt.lineno}) can be left open across "
+                message=f"stream reader {name!r} "
+                        f"({ast.unparse(stmt.value)} at line "
+                        f"{stmt.lineno}) can be left open across "
                         f"the exception handler at line {handler_line}"
                         ": its frame stays pinned while the handler "
                         "runs; close it in a finally or wrap it in "
@@ -317,65 +311,6 @@ def _em301_reader(func: FunctionInfo) -> List[Finding]:
             ))
             break
     return findings
-
-
-def _reader_binding(func: FunctionInfo,
-                    stmt: Optional[ast.AST]
-                    ) -> Tuple[Optional[str], str]:
-    """(bound name, source text) for ``name = iter(stream)`` over a
-    known stream; (None, "") otherwise."""
-    if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
-            and isinstance(stmt.targets[0], ast.Name)
-            and isinstance(stmt.value, ast.Call)
-            and isinstance(stmt.value.func, ast.Name)
-            and stmt.value.func.id == "iter" and stmt.value.args):
-        return None, ""
-    arg = stmt.value.args[0]
-    if not isinstance(arg, ast.Name):
-        return None, ""
-    if arg.id not in func.stream_names \
-            and func.local_types.get(arg.id) not in READER_SOURCES:
-        return None, ""
-    return stmt.targets[0].id, arg.id
-
-
-def _reader_released(stmt: ast.AST, name: str) -> bool:
-    """Does ``stmt`` close the reader or pass ownership on?  Unlike
-    :func:`_releases_or_escapes`, feeding the reader to ``next()`` is
-    consumption, not an ownership transfer."""
-    if isinstance(stmt, (ast.With, ast.AsyncWith)):
-        # with closing(reader): ... — any item mentioning the name
-        return any(
-            isinstance(n, ast.Name) and n.id == name
-            for item in stmt.items
-            for n in ast.walk(item.context_expr))
-    if isinstance(stmt, ast.Return):
-        return stmt.value is not None and any(
-            isinstance(n, ast.Name) and n.id == name
-            for n in ast.walk(stmt.value))
-    if isinstance(stmt, ast.Assign):
-        target = stmt.targets[0]
-        if isinstance(target, (ast.Attribute, ast.Subscript)) and any(
-                isinstance(n, ast.Name) and n.id == name
-                for n in ast.walk(stmt.value)):
-            return True
-    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                         ast.ClassDef)):
-        return False
-    for node in ast.walk(stmt):
-        if isinstance(node, ast.Call):
-            fn = node.func
-            if (isinstance(fn, ast.Attribute)
-                    and isinstance(fn.value, ast.Name)
-                    and fn.value.id == name and fn.attr == "close"):
-                return True
-            head = _call_head(node)
-            if head == "next":
-                continue
-            for arg in list(node.args) + [k.value for k in node.keywords]:
-                if isinstance(arg, ast.Name) and arg.id == name:
-                    return True
-    return False
 
 
 # ---------------------------------------------------------------------
@@ -628,14 +563,14 @@ def _manifest_tainted(func: FunctionInfo) -> Set[str]:
             elif isinstance(node, (ast.ListComp, ast.SetComp,
                                    ast.DictComp, ast.GeneratorExp)):
                 for gen in node.generators:
-                    if _mentions_any(gen.iter, tainted):
+                    if names_in(gen.iter) & tainted:
                         for n in ast.walk(gen.target):
                             if isinstance(n, ast.Name) \
                                     and n.id not in tainted:
                                 tainted.add(n.id)
                                 changed = True
                 continue
-            if value is None or not _mentions_any(value, tainted):
+            if value is None or not names_in(value) & tainted:
                 continue
             for target in targets:
                 for n in ast.walk(target):
@@ -643,11 +578,6 @@ def _manifest_tainted(func: FunctionInfo) -> Set[str]:
                         tainted.add(n.id)
                         changed = True
     return tainted
-
-
-def _mentions_any(node: ast.AST, names: Set[str]) -> bool:
-    return any(isinstance(n, ast.Name) and n.id in names
-               for n in ast.walk(node))
 
 
 def _manifest_receiver(func: FunctionInfo, key: str) -> bool:
@@ -673,7 +603,7 @@ def _em305_manifest(func: FunctionInfo) -> List[Finding]:
                 blocks_arg = kw.value
         if blocks_arg is None:
             continue
-        if _mentions_any(blocks_arg, tainted):
+        if names_in(blocks_arg) & tainted:
             continue
         if _immediately_deleted(func, site.call):
             continue

@@ -196,6 +196,8 @@ def dominance_counts_naive(
         with machine.budget.reserve(len(chunk)):
             for index, _ in chunk:
                 results[index] = 0
+            # em: ok(EM102) the all-pairs baseline rescans the points
+            # once per memoryload of queries, by design
             for px, py in point_stream:
                 for index, (qx, qy) in chunk:
                     if px <= qx and py <= qy:

@@ -73,6 +73,8 @@ def segment_intersections_naive(
                 exhausted = True
             if not chunk:
                 break
+            # em: ok(EM102) the ceil(|H|/M) rescans of V ARE the block
+            # nested loop baseline; its declared bound charges them
             for vertical in v_stream:
                 x, y1, y2 = vertical
                 for horizontal in chunk:

@@ -293,6 +293,8 @@ def _ranks_of(ranked: FileStream) -> Dict[int, int]:
     """``{node: rank}`` from a stream of ``(node, rank)`` records."""
     ranks: Dict[int, int] = {}
     for block in ranked.iter_blocks():
+        # em: ok(EM005) the N-entry rank map is the declared in-RAM
+        # result
         ranks.update(zip(block["node"].tolist(), block["rank"].tolist()))
     return ranks
 
@@ -505,6 +507,7 @@ def _rank_on_disk(
     if len(records) <= machine.M - 2 * machine.B:
         return _rank_in_memory(machine, records)
 
+    # em: ok(EM103) materialized control for F25/parity
     preds = _sorted_on_disk(machine, _pred_pairs(records.iter_blocks()),
                             "at", "listrank/preds")
     survivors = FileStream(machine, name="listrank/survivors")
@@ -695,6 +698,7 @@ def _rank_in_memory(machine: Machine, records: FileStream) -> FileStream:
         raise MemoryLimitExceeded(
             len(records), machine.budget.in_use, machine.M)
     with machine.budget.reserve(len(records)):
+        # em: ok(EM001) base case: ≤ M - 2B nodes, reserved above
         table = concat(list(records.iter_blocks())
                        or [np.empty(0, _NODE)])
         nodes = table["node"].tolist()

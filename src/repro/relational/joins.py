@@ -15,6 +15,7 @@ database textbooks derive from the I/O model:
 
 from __future__ import annotations
 
+from contextlib import closing
 from operator import itemgetter
 from typing import Any, Callable, Dict, Iterator, List, Tuple
 
@@ -158,7 +159,8 @@ def sort_merge_join(
             Sorter(machine, key=_by_key_and_side, name=name) as sorter:
         for rows, tag in _tagged_sides(left, right, left_column,
                                        right_column):
-            sorter.consume(map(tag, rows))
+            with closing(iter(rows)) as reader:
+                sorter.consume(map(tag, reader))
         segments = sorter.finish_segments(beside=share)
         out = FileStream(machine, name=f"table/{name}")
         pairing = _join_tagged(machine.budget, out.append)
@@ -235,28 +237,31 @@ def block_nested_loop_join(
             "machine memory too small for block nested loop join"
         )
     out = FileStream(machine, name=f"table/{name}")
-    reader = iter(left.stream)
     exhausted = False
     try:
-        while not exhausted:
-            with machine.budget.reserve(chunk_capacity):
-                build: Dict[Any, List[Tuple]] = {}
-                loaded = 0
-                for row in reader:
-                    build.setdefault(left_key(row), []).append(row)
-                    loaded += 1
-                    if loaded == chunk_capacity:
+        with closing(iter(left.stream)) as reader:
+            while not exhausted:
+                with machine.budget.reserve(chunk_capacity):
+                    build: Dict[Any, List[Tuple]] = {}
+                    loaded = 0
+                    for row in reader:
+                        build.setdefault(left_key(row), []).append(row)
+                        loaded += 1
+                        if loaded == chunk_capacity:
+                            break
+                    else:
+                        exhausted = True
+                    if not build:
                         break
-                else:
-                    exhausted = True
-                if not build:
-                    break
-                # em: ok(EM102) the ceil(|R|/M) rescans of S ARE the
-                # block nested loop algorithm; its declared bound
-                # charges them
-                for right_row in right.rows():
-                    for left_row in build.get(right_key(right_row), ()):
-                        out.append(tuple(left_row) + tuple(right_row))
+                    # em: ok(EM102) the ceil(|R|/M) rescans of S ARE
+                    # the block nested loop algorithm; its declared
+                    # bound charges them
+                    with closing(right.rows()) as rescan:
+                        for right_row in rescan:
+                            for left_row in build.get(right_key(right_row),
+                                                      ()):
+                                out.append(tuple(left_row)
+                                           + tuple(right_row))
         out.finalize()
     except BaseException:
         out.delete()

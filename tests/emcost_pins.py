@@ -6,7 +6,7 @@ path)."""
 PINS = {
     'bfs.mr_bfs': (
         '4·N + 2·N·log_m(n)/B + 2·N/B',
-        'N + N·log_m(n)/B + 3·N/B',
+        'N + N·log_m(n)/B + 5·N/B',
         True),
     'bfs.naive_bfs': (
         '4·N',
@@ -26,7 +26,7 @@ PINS = {
         True),
     'connectivity.external_components': (
         '6·N·log_m(n)·log2(N)/B + 14·N·log2(N)/B',
-        '9·N·log_m(n)/B + 17·N/B + 2/B',
+        '9·N·log_m(n)/B + 17·N/B',
         True),
     'connectivity.semi_external_components': (
         'N/B',
@@ -46,11 +46,11 @@ PINS = {
         True),
     'euler.tree_depths': (
         '4·N·log_m(n)·log2(N)/B + 12·N·log2(N)/B',
-        '14·N·log_m(n)/B + 33·N/B',
+        '14·N·log_m(n)/B + 43·N/B',
         True),
     'joins.block_nested_loop_join': (
         'N^2/B/M + N/B + Z/B',
-        '2·N^2/B/M',
+        '2·N^2/B/M + N/B',
         True),
     'joins.grace_hash_join': (
         '3·N/B + Z/B + 2·M/B',
@@ -66,11 +66,11 @@ PINS = {
         True),
     'list_ranking.list_ranking': (
         '4·N·log_m(n)·log2(N)/B + 10·N·log2(N)/B',
-        '6·N·log_m(n)/B + 15·N/B',
+        '6·N·log_m(n)/B + 20·N/B',
         True),
     'list_ranking.list_ranking_materialized': (
         '4·N·log_m(n)·log2(N)/B + 10·N·log2(N)/B',
-        '6·N·log_m(n)/B + 10·N/B',
+        '6·N·log_m(n)/B + 19·N/B',
         True),
     'list_ranking.pointer_chase_ranking': (
         '2·N + 2·N/B',
@@ -78,7 +78,7 @@ PINS = {
         True),
     'list_ranking.weighted_list_ranking': (
         '4·N·log_m(n)·log2(N)/B + 10·N·log2(N)/B',
-        '6·N·log_m(n)/B + 15·N/B',
+        '6·N·log_m(n)/B + 20·N/B',
         True),
     'matrix.multiply_blocked': (
         '8·N/B',
@@ -110,7 +110,7 @@ PINS = {
         True),
     'mst.external_boruvka': (
         '12·N·log_m(n)·log2(N)/B + 28·N·log2(N)/B',
-        '8·N·log_m(n)/B + 20·N/B + 3/B',
+        '8·N·log_m(n)/B + 19·N/B',
         True),
     'mst.semi_external_kruskal': (
         'N·log_m(n)/B + 4·N/B',
@@ -166,15 +166,15 @@ PINS = {
         True),
     'runs.form_runs_replacement_selection': (
         '2·N/B',
-        '3·N/B',
+        '2·N/B',
         True),
     'selection.external_median': (
         '4·N/B',
-        '2·N/B',
+        '4·N/B',
         True),
     'selection.external_select': (
         '4·N/B',
-        '2·N/B',
+        '4·N/B',
         True),
     'sssp.external_dijkstra': (
         '2·N + 2·N·log_m(n)/B + 4·N/B',
@@ -202,7 +202,7 @@ PINS = {
         True),
     'suffix_array.suffix_array': (
         '3·N·log_m(n)·log2(N)/B + 9·N·log2(N)/B',
-        '2·N·log_m(n)·log2(N)/B + 4·N·log2(N)/B + 2·N·log_m(n)/B + 3·N/B',
+        '2·N·log_m(n)·log2(N)/B + 5·N·log2(N)/B + 2·N·log_m(n)/B + 3·N/B',
         True),
     'sweep.segment_intersections': (
         'N·log_m(n)^2/B + 4·N·log_m(n)/B + 2·Z/B',
@@ -222,6 +222,6 @@ PINS = {
         True),
     'timeforward.time_forward_process_materialized': (
         'N + 2·N·log_m(n)/B + 6·N/B',
-        '3·N·log_m(n)/B + N/B',
+        '3·N·log_m(n)/B + 2·N/B',
         True),
 }

@@ -284,6 +284,26 @@ def _run(machine, stream: FileStream):
 '''
         assert flow_findings([(ALGO, src)], rule="EM103") == []
 
+    def test_sort_returned_from_a_helper_is_flagged(self):
+        # A helper that returns a materializing sort's result is a
+        # materializing sort itself.
+        src = '''
+def _sorted(machine, stream: FileStream) -> FileStream:
+    return external_merge_sort(machine, stream, key=lambda r: r)
+
+
+def _run(machine, stream: FileStream):
+    ordered = _sorted(machine, stream)
+    total = 0
+    for payload in ordered.iter_blocks():
+        total += len(payload)
+    ordered.delete()
+    return total
+'''
+        findings = flow_findings([(ALGO, src)], rule="EM103")
+        assert len(findings) == 1
+        assert "_sorted()" in findings[0].message
+
     def test_refactored_modules_are_fusion_clean(self):
         # The pipelined refactor leaves no unwaived sort-then-scan
         # boundary in the fused join / time-forward / list-ranking /

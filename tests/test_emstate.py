@@ -156,6 +156,24 @@ def _drain(machine, stream: FileStream):
         assert len(findings) == 1
         assert "closing" in findings[0].message
 
+    def test_reader_over_an_attribute_stream(self):
+        # ``iter(left.stream)`` opens a reader exactly as ``iter(s)``
+        # does: the stream need not be a local name.
+        src = '''
+def _copy(machine, left, out):
+    reader = iter(left.stream)
+    try:
+        for row in reader:
+            out.append(row)
+        out.finalize()
+    except BaseException:
+        out.delete()
+        raise
+'''
+        findings = state_findings([(ALGO, src)], rule="EM301")
+        assert len(findings) == 1
+        assert "iter(left.stream)" in findings[0].message
+
     def test_reader_closed_in_finally_is_clean(self):
         src = '''
 def _drain(machine, stream: FileStream):

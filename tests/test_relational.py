@@ -318,30 +318,35 @@ class TestFailureCleanup:
     @pytest.mark.parametrize("call", sorted(FAILING_CALLS))
     def test_failed_call_frees_blocks_and_budget(self, call):
         """A call whose read or write exhausts its retries gives back
-        every block and budget record it took."""
-        build, probe = foreign_key_relations(100, 1500)
-        failures = 0
-        for seed in range(40):
-            m = Machine(block_size=16, memory_blocks=12)
-            left = Table.from_rows(m, ("k", "b"), build, name="l")
-            right = Table.from_rows(m, ("k", "p"), probe, name="r")
-            gc.collect()
-            blocks, in_use = m.disk.allocated_blocks, m.budget.in_use
-            plan = FaultPlan(seed=seed, read_error_rate=0.3,
-                             write_error_rate=0.2)
-            try:
-                with m.inject_faults(plan):
-                    FAILING_CALLS[call](left, right)
-            except EMError:
-                failures += 1
-            else:
-                continue
-            gc.collect()
-            assert m.disk.allocated_blocks == blocks, seed
-            assert m.budget.in_use == in_use, seed
-            if failures == 4:
-                return
-        pytest.fail(f"only {failures} of 40 fault plans failed {call}")
+        every block and budget record it took, and its input readers
+        are closed by the time the caller sees the exception (a service
+        job keeps its exception).  The second build side is larger than
+        one block nested loop load, and runs every fault plan."""
+        for build_rows, enough in ((100, 4), (1000, 40)):
+            build, probe = foreign_key_relations(build_rows, 1500)
+            failures = 0
+            for seed in range(40):
+                m = Machine(block_size=16, memory_blocks=12)
+                left = Table.from_rows(m, ("k", "b"), build, name="l")
+                right = Table.from_rows(m, ("k", "p"), probe, name="r")
+                gc.collect()
+                blocks, in_use = m.disk.allocated_blocks, m.budget.in_use
+                plan = FaultPlan(seed=seed, read_error_rate=0.3,
+                                 write_error_rate=0.2)
+                try:
+                    with m.inject_faults(plan):
+                        FAILING_CALLS[call](left, right)
+                except EMError:
+                    failures += 1
+                    assert m.budget.in_use == in_use, (build_rows, seed)
+                else:
+                    continue
+                gc.collect()
+                assert m.disk.allocated_blocks == blocks, (build_rows, seed)
+                if failures == enough:
+                    break
+            assert failures >= 4, (
+                f"only {failures} of 40 fault plans failed {call}")
 
 
 class TestJoinIOProfiles:

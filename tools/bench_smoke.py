@@ -58,9 +58,7 @@ time-forward processing, list ranking), recording the fused/
 materialized I/O ratio per consumer — fused must never lose — and
 gates on the EM103 fusion baseline, counted from the same emlint pass:
 no unwaived sort-then-scan boundary anywhere in ``src/repro``, and the
-one waived one is the time-forward control's sort.  EM103 does not
-match a sort read by ``iter_blocks()`` or returned from a helper, so
-the list-ranking control's six disk sorts are outside this gate.
+waived ones are exactly the F25 controls' sorts that one scan reads.
 """
 
 import argparse
@@ -692,12 +690,12 @@ PIPE_B, PIPE_M_BLOCKS = 64, 48
 PIPE_JOIN_N, PIPE_TFP_N, PIPE_LISTRANK_N = 8_000, 4_000, 8_000
 #: the one EM103 waiver reason allowed: the F25 materialized controls
 EM103_CONTROL = "materialized control for F25/parity"
-#: time-forward's control scans its sort to disk once, and list
-#: ranking's reads ``by_succ`` and ``by_pred`` by ``iter_blocks()``; the
-#: join control drives the cooperative join.  List ranking's other
-#: sorts are returned from a helper, a form EM103 does not match, so
-#: they carry no waiver and this count does not see them
-EM103_CONTROLS = 3
+#: the control sorts that one scan reads: time-forward's sort, and
+#: list ranking's ``by_succ``, ``by_pred`` and ``preds`` (sorted by
+#: the helper ``_sorted_on_disk``).  List ranking's other control sorts
+#: are read more than once or handed on, and the join control drives
+#: the cooperative join
+EM103_CONTROLS = 4
 
 
 def pipeline_smoke():
